@@ -1,4 +1,4 @@
-"""Benchmark the multicore engine and the shared-memory frame transport.
+"""Benchmark the multicore engine.
 
 Standalone (no pytest) so the CI quick lane and local profiling runs
 share one entry point::
@@ -6,18 +6,12 @@ share one entry point::
     PYTHONPATH=src python benchmarks/bench_engine.py            # full
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI lane
 
-Two measurements, both routed through the statistical harness
-(``benchmarks/harness.py``: warmup + repeats, median + IQR, honest
-environment fingerprint):
-
-* **engine** — `ParallelEngine.encode_chunked`/`decode_chunked`
-  throughput per worker count, per dataset, at the requested buffer
-  size; every parallel run is checked byte-identical against the
-  serial path before its time is reported.
-* **transport** — per-frame overhead of moving frame bytes into and
-  out of a one-process pool via pickle (the executor pipe) versus a
-  recycled shared-memory slab, isolated with a no-op codec job so the
-  numbers measure the transport, not the compressor.
+Measures `ParallelEngine.encode_chunked`/`decode_chunked` throughput
+per worker count, per dataset, at the requested buffer size, through
+the statistical harness (``benchmarks/harness.py``: warmup + repeats,
+median + IQR, honest environment fingerprint); every parallel run is
+checked byte-identical against the serial path before its time is
+reported.
 
 Results append to the ``BENCH_engine.json`` trajectory at the repo
 root (schema 2: ``{"schema": 2, "runs": [...]}``, newest run last,
@@ -30,9 +24,7 @@ committed run of the same mode.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -49,88 +41,13 @@ from harness import (  # noqa: E402
     summarize,
 )
 from repro.datasets import generate  # noqa: E402
-from repro.engine import ParallelEngine, SlabPool  # noqa: E402
+from repro.engine import ParallelEngine  # noqa: E402
 from repro.lzss.encoder import encode_chunked  # noqa: E402
 from repro.lzss.formats import CUDA_V2  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 CHUNK_SIZE = 4096
-
-
-# ----------------------------------------------------------- transport
-
-def _pickle_job(data: bytes) -> bytes:
-    """No-op codec: the frame crosses the pipe both ways via pickle —
-    the input is pickled in, the "result" payload pickled back, exactly
-    like the real codec jobs on the fallback path."""
-    return data
-
-
-def _slab_job(name: str, length: int) -> int:
-    """No-op codec: the frame stays in the slab; only ints cross."""
-    from repro.engine.shm import _attach
-
-    shm = _attach(name)
-    data = bytes(shm.buf[:length])  # consume the input
-    shm.buf[:length] = data  # write the "result" back in place
-    return length
-
-
-def bench_transport(frame_bytes: int, frames: int,
-                    repeats: int) -> dict[str, dict]:
-    """A/B the pickle and slab transports through a 1-process pool.
-
-    One sample = one ``frames``-deep loop; per-frame numbers derive
-    from the median sample.
-    """
-    payload = os.urandom(frame_bytes)
-    cases: dict[str, dict] = {}
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        pool.submit(_pickle_job, b"warm").result()  # fork + import cost
-
-        def pickle_loop() -> None:
-            for _ in range(frames):
-                echoed = pool.submit(_pickle_job, payload).result()
-                assert len(echoed) == frame_bytes
-
-        samples = measure(pickle_loop, repeats=repeats, warmup=1)
-        cases["transport.pickle"] = _transport_case(
-            samples, frame_bytes, frames)
-
-        with SlabPool(slab_bytes=max(frame_bytes, 1 << 16)) as slabs:
-            lease = slabs.acquire(frame_bytes)
-            assert lease is not None
-
-            def slab_loop() -> None:
-                for _ in range(frames):
-                    lease.write(payload)
-                    n = pool.submit(_slab_job, lease.name,
-                                    frame_bytes).result()
-                    assert lease.read(n) == payload
-
-            samples = measure(slab_loop, repeats=repeats, warmup=1)
-            lease.release()
-        cases["transport.shm"] = _transport_case(
-            samples, frame_bytes, frames)
-    pickle_med = cases["transport.pickle"]["median_seconds"]
-    shm_med = cases["transport.shm"]["median_seconds"]
-    cases["transport.shm"]["speedup_vs_pickle"] = (
-        round(pickle_med / shm_med, 3) if shm_med else None)
-    return cases
-
-
-def _transport_case(samples: list[float], frame_bytes: int,
-                    frames: int) -> dict:
-    import statistics
-
-    med = statistics.median(samples)
-    return summarize(
-        samples,
-        frame_bytes=frame_bytes,
-        frames=frames,
-        per_frame_ms=round(1e3 * med / frames, 4),
-        mb_s=round(frame_bytes * frames / med / 1e6, 2))
 
 
 # -------------------------------------------------------------- engine
@@ -192,7 +109,7 @@ def bench_engine(datasets: list[str], size_bytes: int,
 def render(run: dict, all_identical: bool) -> str:
     meta, params = run["meta"], run["params"]
     lines = [
-        "bench_engine: multicore codec + shm transport",
+        "bench_engine: multicore codec",
         f"  mode={run['mode']}  cpu_count={meta['cpu_count']}  "
         f"repeats={params['repeats']}  python={meta['python']}  "
         f"git={meta.get('git_sha') or '?'}",
@@ -206,8 +123,6 @@ def render(run: dict, all_identical: bool) -> str:
     lines.append("  engine medians (CUDA_V2 tokens, 4 KiB chunks, "
                  "IQR in brackets):")
     for name, c in sorted(run["cases"].items()):
-        if name.startswith("transport."):
-            continue
         tag = name.replace(".encode", " enc").replace(".decode", " dec")
         extra = (f"  speedup x{c['speedup_vs_1']:.2f}"
                  f"  identical={c['identical']}"
@@ -216,16 +131,6 @@ def render(run: dict, all_identical: bool) -> str:
             f"    {tag:<20} {c['median_seconds']*1e3:9.2f} ms "
             f"[{c['iqr_low_seconds']*1e3:.2f}..{c['iqr_high_seconds']*1e3:.2f}]"
             f"  {c['mb_s']:8.3f} MB/s{extra}")
-    lines.append("")
-    lines.append("  frame transport through a 1-process pool:")
-    for name in ("transport.pickle", "transport.shm"):
-        c = run["cases"][name]
-        extra = (f"  ({c['speedup_vs_pickle']}x vs pickle)"
-                 if c.get("speedup_vs_pickle") else "")
-        lines.append(
-            f"    {name.split('.')[1]:<6} {c['frame_bytes']:>8} B "
-            f"x{c['frames']:<4} {c['per_frame_ms']:8.3f} ms/frame  "
-            f"{c['mb_s']:8.1f} MB/s{extra}")
     if not all_identical:
         lines.append("")
         lines.append("  FAIL: parallel output diverged from the serial path")
@@ -264,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
     datasets = (args.datasets
                 or ("cfiles" if args.quick else "cfiles,demap")).split(",")
     size_bytes = int(size_mb * (1 << 20))
-    frame_bytes, frames = ((1 << 16, 16) if args.quick else (1 << 20, 32))
 
     with capture_stages() as cap:
         if args.trace:
@@ -283,14 +187,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cases, all_identical = bench_engine(datasets, size_bytes,
                                                 workers, repeats)
-    cases.update(bench_transport(frame_bytes, frames, repeats))
 
     out_path = Path(args.output) if args.output else bench_path("engine")
     run = publish("engine", mode, cases,
                   params={"size_bytes": size_bytes, "repeats": repeats,
                           "workers": workers, "datasets": datasets,
-                          "chunk_size": CHUNK_SIZE,
-                          "frame_bytes": frame_bytes, "frames": frames},
+                          "chunk_size": CHUNK_SIZE},
                   path=out_path, stages=cap.stages)
     text = render(run, all_identical)
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -118,8 +118,9 @@ def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
     measure identical work.
     """
     from repro.codecs import codec_names
-    from repro.codecs.dispatch import decode_chunked_multi, encode_chunked_auto
+    from repro.codecs.dispatch import encode_chunked_auto
     from repro.datasets import generate
+    from repro.lzss import decoder
     from repro.lzss.formats import CUDA_V2
 
     data = np.frombuffer(generate(dataset, size_bytes, seed=7),
@@ -139,13 +140,13 @@ def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
             stages=cap.stages)
         with capture_stages() as cap:
             dec = measure(
-                lambda: decode_chunked_multi(
+                lambda: decoder.decode_chunked_with_stats(
                     result.payload, CUDA_V2, result.chunk_sizes, CHUNK_SIZE,
-                    result.input_size, result.chunk_codecs),
+                    result.input_size, chunk_codecs=result.chunk_codecs),
                 repeats=repeats, warmup=warmup)
-        out, _ = decode_chunked_multi(
+        out = decoder.decode_chunked_with_stats(
             result.payload, CUDA_V2, result.chunk_sizes, CHUNK_SIZE,
-            result.input_size, result.chunk_codecs)
+            result.input_size, chunk_codecs=result.chunk_codecs)[0]
         if out != data.tobytes():  # pragma: no cover - codec invariant
             raise AssertionError(f"codec {name} failed its round trip")
         cases[f"codec.{name}.decode"] = summarize(

@@ -24,9 +24,7 @@ Usage::
 ``serve``/``send`` run the streaming gateway pair (`repro.service`):
 ``serve`` is the egress gateway (decompress + deliver), ``send`` the
 ingress gateway (compress + ship); both print a metrics snapshot on
-exit.  With process fan-out (``--workers``) frames travel through
-shared-memory slabs by default; ``--no-shm`` forces the pickle
-transport.
+exit.
 
 ``stats``/``trace`` surface the :mod:`repro.obs` observability layer:
 ``stats`` runs a compress/decompress round trip and prints the metric
@@ -335,7 +333,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         server = GatewayServer(args.host, args.port, workers=args.workers,
                                queue_depth=args.queue_depth,
                                timeout=args.timeout, metrics=metrics,
-                               use_shm=False if args.no_shm else None,
                                metrics_port=args.metrics_port,
                                accept_codecs=accept,
                                deliver=deliver)
@@ -382,7 +379,6 @@ def _cmd_send(args: argparse.Namespace) -> int:
                                workers=args.workers,
                                queue_depth=args.queue_depth,
                                timeout=args.timeout, retries=args.retries,
-                               use_shm=False if args.no_shm else None,
                                metrics=metrics, codec=args.codec,
                                probe_threshold=args.probe_threshold)
         async with client:
@@ -567,9 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reassemble delivered streams into DIR/stream-N.bin")
     p.add_argument("--max-conns", type=int, default=0,
                    help="exit after N connections (0: serve until ^C)")
-    p.add_argument("--no-shm", action="store_true",
-                   help="disable the shared-memory frame transport "
-                        "(pickle frames through the pool pipe instead)")
     p.add_argument("--metrics-port", type=int, default=None,
                    help="serve Prometheus /metrics (plus /metrics.json and "
                         "/slo.json) on this sidecar port (0 picks a free "
@@ -606,9 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generated buffer size in bytes")
     p.add_argument("--metrics", action="store_true",
                    help="dump the client metrics snapshot on exit")
-    p.add_argument("--no-shm", action="store_true",
-                   help="disable the shared-memory frame transport "
-                        "(pickle frames through the pool pipe instead)")
     p.add_argument("--codec", default="lzss",
                    choices=("auto", "store", "lzss", "lz4s", "lzss-huffman"),
                    help="container codec, negotiated with the egress "

@@ -12,7 +12,9 @@ that observation into an interface:
 * :mod:`repro.codecs.lzss_huffman` — LZSS tokens under a canonical
   Huffman entropy stage, tuned for ratio (id 4);
 * :mod:`repro.codecs.dispatch` — the content-aware per-chunk chooser
-  (``--codec auto``) and the mixed-codec decode/salvage loops.
+  (``--codec auto``).  Decoding a codec column is
+  :func:`repro.lzss.decoder.decode_chunked_with_stats` with
+  ``chunk_codecs=``.
 
 Importing the package registers the four built-in codecs.
 """
@@ -30,10 +32,8 @@ from repro.codecs.lzss_huffman import LZSS_HUFFMAN_CODEC_ID, LzssHuffmanCodec
 from repro.codecs.store import STORE_CODEC_ID, StoreCodec
 from repro.codecs.dispatch import (
     choose_chunk_codec,
-    decode_chunked_multi,
     encode_chunked_auto,
     match_density,
-    salvage_decode_chunked_multi,
 )
 
 __all__ = [
@@ -48,11 +48,9 @@ __all__ = [
     "StoreCodec",
     "choose_chunk_codec",
     "codec_names",
-    "decode_chunked_multi",
     "encode_chunked_auto",
     "get_codec",
     "known_codec_ids",
     "match_density",
     "register_codec",
-    "salvage_decode_chunked_multi",
 ]

@@ -142,3 +142,8 @@ def codec_names() -> tuple[str, ...]:
 def known_codec_ids() -> frozenset[int]:
     """The set of wire ids a container codec column may legally carry."""
     return frozenset(_BY_ID)
+
+
+def metric_key(name: str) -> str:
+    """Spelling of a codec name inside ``codec.*`` metric names."""
+    return name.replace("-", "_")

@@ -26,11 +26,9 @@ The trial branch is what makes ``auto`` never meaningfully worse than
 plain ``lzss``: on exactly the chunks where the entropy stage could
 plausibly win, the decision is made by measuring, not predicting.
 
-Decisions are recorded in the container v3 codec column; the decode
-side of this module (:func:`decode_chunked_multi`,
-:func:`salvage_decode_chunked_multi`) dispatches each chunk to its
-recorded codec, with unknown codec ids treated as corruption — strict
-decode raises, salvage fills and reports.
+Decisions are recorded in the container v3 codec column, which
+:func:`repro.lzss.decoder.decode_chunked_with_stats` reads back
+(``chunk_codecs=``) to send each chunk to its recorded codec.
 """
 
 from __future__ import annotations
@@ -40,25 +38,20 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.codecs.base import get_codec, known_codec_ids
+from repro.codecs.base import get_codec, metric_key
 from repro.codecs.lzss import LZSS_CODEC_ID
-from repro.errors import CorruptChunkError, TruncatedContainerError
-from repro.lzss.decoder import SalvageReport
 from repro.lzss.encoder import EncodeResult, encode_chunked
 from repro.lzss.formats import TokenFormat
 from repro.lzss.matcher import probe_incompressible, resolve_probe_threshold
 from repro.lzss.stats import EncodeStats
 from repro.obs import log as obslog
 from repro.util.buffers import as_u8
-from repro.util.checksum import crc32
-from repro.util.validation import require, require_range
+from repro.util.validation import require_range
 
 __all__ = [
     "choose_chunk_codec",
-    "decode_chunked_multi",
     "encode_chunked_auto",
     "match_density",
-    "salvage_decode_chunked_multi",
 ]
 
 #: Auto-mode policy constants (bits/byte and 4-gram duplicate fractions).
@@ -71,10 +64,6 @@ TRIAL_MIN_DENSITY = 0.30
 MIN_PROBE_CHUNK = 256
 
 _DENSITY_SAMPLE = 4096
-
-
-def _metric_key(name: str) -> str:
-    return name.replace("-", "_")
 
 
 def match_density(chunk: np.ndarray, sample: int = _DENSITY_SAMPLE) -> float:
@@ -204,7 +193,7 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
                 else:
                     parts[c], ids[c] = as_lzss, lzss_codec.codec_id
                     winner = lzss_codec.name
-                key = _metric_key(winner)
+                key = metric_key(winner)
                 obs.observe(f"codec.encode_{key}_seconds", elapsed)
                 obs.inc(f"codec.encode_{key}_bytes", int(chunk.size))
         else:
@@ -213,7 +202,7 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
             payload, sizes = run_codec.encode_run(arr[lo:hi], fmt,
                                                   chunk_size,
                                                   max_chain=max_chain)
-            key = _metric_key(run_codec.name)
+            key = metric_key(run_codec.name)
             obs.observe(f"codec.encode_{key}_seconds", perf_counter() - t0)
             obs.inc(f"codec.encode_{key}_bytes", hi - lo)
             offs = np.concatenate([[0], np.cumsum(sizes)])
@@ -238,148 +227,9 @@ def _account(ids: np.ndarray, chunk_sizes: np.ndarray, input_size: int,
         return
     n = ids.size
     for c in range(n):
-        key = _metric_key(get_codec(int(ids[c])).name)
+        key = metric_key(get_codec(int(ids[c])).name)
         obs.inc(f"codec.chunks_{key}")
         raw = min(chunk_size, input_size - c * chunk_size)
         if raw > 0:
             obs.observe(f"codec.ratio_{key}",
                         float(chunk_sizes[c]) / raw)
-
-
-# ---------------------------------------------------------------- decode
-
-def decode_chunked_multi(payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
-                         chunk_size: int, output_size: int,
-                         chunk_codecs: np.ndarray, *,
-                         chunk_crcs: np.ndarray | None = None,
-                         first_chunk: int = 0) -> tuple[bytes, np.ndarray]:
-    """Strict decode of a mixed-codec chunk stream (container v3).
-
-    The per-chunk codec column routes every chunk to its recorded
-    codec; an unknown codec id raises :class:`CorruptChunkError` naming
-    the chunk, exactly like a CRC mismatch would.
-    """
-    arr = as_u8(payload)
-    chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
-    chunk_codecs = np.asarray(chunk_codecs, dtype=np.uint8)
-    require(int(chunk_sizes.sum()) == arr.size,
-            "chunk size table does not cover the payload")
-    n_chunks = chunk_sizes.size
-    expected = (output_size + chunk_size - 1) // chunk_size if output_size else 0
-    require(n_chunks == expected,
-            f"expected {expected} chunks for {output_size} bytes, got {n_chunks}")
-    require(chunk_codecs.size == n_chunks,
-            "codec column does not cover the chunks")
-
-    known = known_codec_ids()
-    out = np.zeros(output_size, dtype=np.uint8)
-    tokens = np.zeros(n_chunks, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
-    checks = failures = 0
-    # Per-codec decode ledger: accumulate locally per codec id and
-    # record once after the loop, never per chunk.
-    per_codec: dict[int, list] = {}
-    try:
-        with obs.stage("decode.stream", bytes=output_size, chunks=n_chunks,
-                       multi=True):
-            for c in range(n_chunks):
-                lo = c * chunk_size
-                hi = min(lo + chunk_size, output_size)
-                cid = int(chunk_codecs[c])
-                if cid not in known:
-                    raise CorruptChunkError(
-                        f"unknown codec id {cid}",
-                        chunk_index=first_chunk + c,
-                        offset=int(offsets[c]))
-                piece = arr[offsets[c]:offsets[c + 1]]
-                if chunk_crcs is not None:
-                    checks += 1
-                    if crc32(piece) != int(chunk_crcs[c]):
-                        failures += 1
-                        raise CorruptChunkError(
-                            "chunk checksum mismatch",
-                            chunk_index=first_chunk + c,
-                            offset=int(offsets[c]))
-                t0 = perf_counter()
-                out[lo:hi] = get_codec(cid).decode_chunk(
-                    piece, fmt, hi - lo, chunk_index=first_chunk + c)
-                acc = per_codec.setdefault(cid, [0.0, 0])
-                acc[0] += perf_counter() - t0
-                acc[1] += hi - lo
-        for cid, (secs, nbytes) in per_codec.items():
-            key = _metric_key(get_codec(cid).name)
-            obs.observe(f"codec.decode_{key}_seconds", secs)
-            obs.inc(f"codec.decode_{key}_bytes", nbytes)
-    finally:
-        if checks:
-            obs.inc("container.crc_checks", checks)
-        if failures:
-            obs.inc("container.crc_failures", failures)
-    return out.tobytes(), tokens
-
-
-def salvage_decode_chunked_multi(
-        payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
-        chunk_size: int, output_size: int, chunk_codecs: np.ndarray, *,
-        chunk_crcs: np.ndarray | None = None, fill_byte: int = 0,
-        first_chunk: int = 0) -> tuple[bytes, np.ndarray, SalvageReport]:
-    """Best-effort decode of a mixed-codec chunk stream.
-
-    Extends classic salvage with the codec column: a chunk whose codec
-    id is unknown (bit rot in the column itself, or an archive from a
-    newer library) is *lost* — filled with ``fill_byte``, reported in
-    the :class:`SalvageReport` both in ``lost`` and in the dedicated
-    ``unknown_codec`` list — instead of aborting the whole archive.
-    """
-    require(0 <= fill_byte <= 255, "fill_byte must be one byte")
-    arr = as_u8(payload)
-    chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
-    chunk_codecs = np.asarray(chunk_codecs, dtype=np.uint8)
-    n_chunks = chunk_sizes.size
-    expected = (output_size + chunk_size - 1) // chunk_size if output_size else 0
-    require(n_chunks == expected,
-            f"expected {expected} chunks for {output_size} bytes, got {n_chunks}")
-    require(chunk_codecs.size == n_chunks,
-            "codec column does not cover the chunks")
-
-    known = known_codec_ids()
-    out = np.full(output_size, fill_byte, dtype=np.uint8)
-    tokens = np.zeros(n_chunks, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
-    report = SalvageReport(n_chunks=n_chunks, fill_byte=fill_byte)
-    checks = failures = 0
-    with obs.stage("decode.stream", bytes=output_size, chunks=n_chunks,
-                   salvage=True, multi=True):
-        for c in range(n_chunks):
-            lo = c * chunk_size
-            hi = min(lo + chunk_size, output_size)
-            p_lo, p_hi = int(offsets[c]), int(offsets[c + 1])
-            cid = int(chunk_codecs[c])
-            good = p_hi <= arr.size
-            if cid not in known:
-                report.unknown_codec.append(first_chunk + c)
-                good = False
-            if good and chunk_crcs is not None:
-                checks += 1
-                good = crc32(arr[p_lo:p_hi]) == int(chunk_crcs[c])
-                failures += not good
-            if good:
-                try:
-                    out[lo:hi] = get_codec(cid).decode_chunk(
-                        arr[p_lo:p_hi], fmt, hi - lo,
-                        chunk_index=first_chunk + c)
-                except (CorruptChunkError, TruncatedContainerError):
-                    out[lo:hi] = fill_byte
-                    good = False
-            if good:
-                report.recovered.append(first_chunk + c)
-            else:
-                report.lost.append(first_chunk + c)
-                report.lost_ranges.append((lo, hi))
-    if checks:
-        obs.inc("container.crc_checks", checks)
-    if failures:
-        obs.inc("container.crc_failures", failures)
-    obs.inc("container.salvage_chunks_recovered", len(report.recovered))
-    obs.inc("container.salvage_chunks_lost", len(report.lost))
-    return out.tobytes(), tokens, report

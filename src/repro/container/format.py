@@ -26,7 +26,9 @@ Version 2 appends a CRC-32 per chunk right after the size table
 (8 bytes per 4 KiB chunk ≈ 0.2 % total), which buys per-chunk
 integrity: a flipped bit condemns one 4 KiB chunk instead of the whole
 archive, and salvage decode (:func:`repro.lzss.decoder.
-salvage_decode_chunked`) recovers every other chunk byte-identically.
+decode_chunked_with_stats` with ``errors="salvage"``) recovers every
+other chunk byte-identically; ``chunk_codecs=`` adds the v3 codec
+column to the same loop.
 
 Version 3 appends one codec id per chunk after the CRC table
 (:mod:`repro.codecs` wire ids), which is what lets the content-aware

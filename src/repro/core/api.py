@@ -18,16 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.obs import log as obslog
 from repro.codecs import codec_names
-from repro.codecs.dispatch import (
-    decode_chunked_multi,
-    encode_chunked_auto,
-    salvage_decode_chunked_multi,
-)
+from repro.codecs.dispatch import encode_chunked_auto
 from repro.container import pack_container, unpack_container
 from repro.core.decompress import GpuDecompressor
 from repro.core.library import get_library
@@ -35,11 +29,7 @@ from repro.core.params import CompressionParams
 from repro.core.v1 import V1Compressor
 from repro.core.v2 import V2Compressor
 from repro.gpusim.profiler import GpuProfile
-from repro.lzss.decoder import (
-    SalvageReport,
-    decode_chunked_with_stats,
-    salvage_decode_chunked,
-)
+from repro.lzss.decoder import SalvageReport, decode_chunked_with_stats
 from repro.lzss.encoder import EncodeResult
 from repro.model.calibration import Calibration, default_calibration
 from repro.model.cpu import sample_match_statistics
@@ -216,45 +206,21 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
         chunk_size=info.chunk_size,
         window=min(params.window, info.chunk_size))
     engine = _engine_for(workers, engine)
-    report = None
-    codecs_col = info.chunk_codecs
+    decode = (engine.decode_chunked_with_stats if engine is not None
+              else decode_chunked_with_stats)
     with obs.stage("api.decompress", size=info.original_size, errors=errors):
-        if errors == "salvage":
-            if engine is not None:
-                out, per_chunk_tokens, report = engine.salvage_decode_chunked(
-                    info.payload, info.format, info.chunk_sizes,
-                    info.chunk_size, info.original_size,
-                    chunk_crcs=info.chunk_crcs, fill_byte=fill_byte,
-                    chunk_codecs=codecs_col)
-            elif codecs_col is not None:
-                out, per_chunk_tokens, report = salvage_decode_chunked_multi(
-                    info.payload, info.format, info.chunk_sizes,
-                    info.chunk_size, info.original_size, codecs_col,
-                    chunk_crcs=info.chunk_crcs, fill_byte=fill_byte)
-            else:
-                out, per_chunk_tokens, report = salvage_decode_chunked(
-                    info.payload, info.format, info.chunk_sizes,
-                    info.chunk_size, info.original_size,
-                    chunk_crcs=info.chunk_crcs, fill_byte=fill_byte)
+        # Strict unpack has already verified the per-chunk CRCs.
+        out, per_chunk_tokens, report = decode(
+            info.payload, info.format, info.chunk_sizes, info.chunk_size,
+            info.original_size, chunk_codecs=info.chunk_codecs,
+            chunk_crcs=info.chunk_crcs if errors == "salvage" else None,
+            errors=errors, fill_byte=fill_byte)
+        if report is not None:
             obslog.event("container", "salvage",
                          recovered=len(report.recovered),
                          lost=len(report.lost),
                          n_chunks=report.n_chunks)
-        else:
-            if engine is not None:
-                out, per_chunk_tokens = engine.decode_chunked_with_stats(
-                    info.payload, info.format, info.chunk_sizes,
-                    info.chunk_size, info.original_size,
-                    chunk_codecs=codecs_col)
-            elif codecs_col is not None:
-                out, per_chunk_tokens = decode_chunked_multi(
-                    info.payload, info.format, info.chunk_sizes,
-                    info.chunk_size, info.original_size, codecs_col)
-            else:
-                out, per_chunk_tokens = decode_chunked_with_stats(
-                    info.payload, info.format, info.chunk_sizes,
-                    info.chunk_size, info.original_size)
-    if info.original_size == 0 or codecs_col is not None:
+    if info.original_size == 0 or info.chunk_codecs is not None:
         # Mixed-codec containers sit outside the lzss-specific GPU cost
         # model: report data (and salvage) with an empty profile.
         return DecompressResult(data=out, profile=GpuProfile(),

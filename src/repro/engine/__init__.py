@@ -1,16 +1,9 @@
-"""Multicore compression engine: parallel chunk codec + zero-copy transport.
+"""Multicore compression engine: the parallel chunk codec.
 
-Two independent capabilities, both in service of the ROADMAP's "as fast
-as the hardware allows":
-
-* :mod:`repro.engine.parallel` — :class:`ParallelEngine`, a persistent
-  thread-pool codec that shards one buffer's chunked encode/decode
-  across cores and merges the result **byte-identically** to the serial
-  path (the in-memory API's ``workers=`` parameter).
-* :mod:`repro.engine.shm` — :class:`SlabPool`, recycling
-  shared-memory slabs that carry gateway frames into and out of the
-  service's process pool without pickling the payload either direction,
-  with a transparent pickle fallback.
+:mod:`repro.engine.parallel` — :class:`ParallelEngine`, a persistent
+thread-pool codec that shards one buffer's chunked encode/decode across
+cores and merges the result **byte-identically** to the serial path
+(the in-memory API's ``workers=`` parameter).
 """
 
 from repro.engine.parallel import (
@@ -20,23 +13,11 @@ from repro.engine.parallel import (
     shard_chunk_runs,
     shutdown_default_engines,
 )
-from repro.engine.shm import (
-    SlabLease,
-    SlabPool,
-    decode_frame_job,
-    encode_frame_job,
-    shm_available,
-)
 
 __all__ = [
     "ParallelEngine",
-    "SlabLease",
-    "SlabPool",
-    "decode_frame_job",
-    "encode_frame_job",
     "get_engine",
     "merge_encode_results",
     "shard_chunk_runs",
-    "shm_available",
     "shutdown_default_engines",
 ]

@@ -37,18 +37,13 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.codecs.dispatch import (
-    decode_chunked_multi as _decode_multi_serial,
-    encode_chunked_auto as _encode_auto_serial,
-    salvage_decode_chunked_multi as _salvage_multi_serial,
-)
+from repro.codecs.dispatch import encode_chunked_auto as _encode_auto_serial
 from repro.errors import WorkerCrashError
 from repro.obs import log as obslog
 from repro.obs import trace
 from repro.lzss.decoder import (
     SalvageReport,
     decode_chunked_with_stats as _decode_serial,
-    salvage_decode_chunked as _salvage_serial,
 )
 from repro.lzss.encoder import (
     DEFAULT_MAX_CHAIN,
@@ -381,98 +376,52 @@ class ParallelEngine:
     def decode_chunked_with_stats(self, payload, fmt: TokenFormat,
                                   chunk_sizes: np.ndarray, chunk_size: int,
                                   output_size: int, *,
-                                  chunk_crcs: np.ndarray | None = None,
                                   chunk_codecs: np.ndarray | None = None,
-                                  ) -> tuple[bytes, np.ndarray]:
+                                  chunk_crcs: np.ndarray | None = None,
+                                  errors: str = "strict", fill_byte: int = 0,
+                                  first_chunk: int = 0,
+                                  ) -> tuple[bytes, np.ndarray,
+                                             SalvageReport | None]:
         """Parallel drop-in for
-        :func:`repro.lzss.decoder.decode_chunked_with_stats` (and, with
-        ``chunk_codecs``, :func:`repro.codecs.decode_chunked_multi`)."""
-        arr = as_u8(payload)
-        chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
-        bounds = self._shards(output_size, chunk_size)
-        if len(bounds) <= 1:
-            if chunk_codecs is not None:
-                return _decode_multi_serial(arr, fmt, chunk_sizes, chunk_size,
-                                            output_size, chunk_codecs,
-                                            chunk_crcs=chunk_crcs)
-            return _decode_serial(arr, fmt, chunk_sizes, chunk_size,
-                                  output_size, chunk_crcs=chunk_crcs)
-        require(int(chunk_sizes.sum()) == arr.size,
-                "chunk size table does not cover the payload")
-        payload_offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
+        :func:`repro.lzss.decoder.decode_chunked_with_stats`.
 
-        def work(lo: int, hi: int) -> tuple[bytes, np.ndarray]:
-            c0, c1 = lo // chunk_size, (hi + chunk_size - 1) // chunk_size
-            piece = arr[payload_offsets[c0]:payload_offsets[c1]]
-            crcs = chunk_crcs[c0:c1] if chunk_crcs is not None else None
-            if chunk_codecs is not None:
-                return _decode_multi_serial(piece, fmt, chunk_sizes[c0:c1],
-                                            chunk_size, hi - lo,
-                                            chunk_codecs[c0:c1],
-                                            chunk_crcs=crcs, first_chunk=c0)
-            return _decode_serial(piece, fmt, chunk_sizes[c0:c1], chunk_size,
-                                  hi - lo, chunk_crcs=crcs, first_chunk=c0)
-
-        pool = self._get_pool()
-        parts = self._run_shards(pool, [(work, (lo, hi), {})
-                                        for lo, hi in bounds])
-        out = b"".join(p[0] for p in parts)
-        tokens = np.concatenate([p[1] for p in parts])
-        return out, tokens
-
-    def salvage_decode_chunked(self, payload, fmt: TokenFormat,
-                               chunk_sizes: np.ndarray, chunk_size: int,
-                               output_size: int, *,
-                               chunk_crcs: np.ndarray | None = None,
-                               chunk_codecs: np.ndarray | None = None,
-                               fill_byte: int = 0,
-                               ) -> tuple[bytes, np.ndarray, SalvageReport]:
-        """Parallel drop-in for
-        :func:`repro.lzss.decoder.salvage_decode_chunked` (and, with
-        ``chunk_codecs``, :func:`repro.codecs.salvage_decode_chunked_multi`).
-
-        Chunks are independent, so salvage shards like a normal decode;
-        per-shard reports merge into one (indices and byte ranges are
-        rebased into full-buffer coordinates).
+        Chunks are independent, so both error policies shard the same
+        way; per-shard salvage reports merge into one (indices and byte
+        ranges are rebased into full-buffer coordinates).
         """
         arr = as_u8(payload)
         chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
+        policy = dict(errors=errors, fill_byte=fill_byte)
         bounds = self._shards(output_size, chunk_size)
         if len(bounds) <= 1:
-            if chunk_codecs is not None:
-                return _salvage_multi_serial(arr, fmt, chunk_sizes,
-                                             chunk_size, output_size,
-                                             chunk_codecs,
-                                             chunk_crcs=chunk_crcs,
-                                             fill_byte=fill_byte)
-            return _salvage_serial(arr, fmt, chunk_sizes, chunk_size,
-                                   output_size, chunk_crcs=chunk_crcs,
-                                   fill_byte=fill_byte)
+            return _decode_serial(arr, fmt, chunk_sizes, chunk_size,
+                                  output_size, chunk_codecs=chunk_codecs,
+                                  chunk_crcs=chunk_crcs,
+                                  first_chunk=first_chunk, **policy)
+        require(errors == "salvage" or int(chunk_sizes.sum()) == arr.size,
+                "chunk size table does not cover the payload")
         payload_offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
 
         def work(lo: int, hi: int):
             c0, c1 = lo // chunk_size, (hi + chunk_size - 1) // chunk_size
-            # Slices clamp at the (possibly truncated) payload end; the
-            # serial salvage marks the chunks that ran past it as lost.
+            # Slices clamp at the (possibly truncated) payload end;
+            # salvage marks the chunks that ran past it as lost.
             piece = arr[min(payload_offsets[c0], arr.size):
                         min(payload_offsets[c1], arr.size)]
-            crcs = chunk_crcs[c0:c1] if chunk_crcs is not None else None
-            if chunk_codecs is not None:
-                return _salvage_multi_serial(piece, fmt, chunk_sizes[c0:c1],
-                                             chunk_size, hi - lo,
-                                             chunk_codecs[c0:c1],
-                                             chunk_crcs=crcs,
-                                             fill_byte=fill_byte,
-                                             first_chunk=c0)
-            return _salvage_serial(piece, fmt, chunk_sizes[c0:c1],
-                                   chunk_size, hi - lo, chunk_crcs=crcs,
-                                   fill_byte=fill_byte, first_chunk=c0)
+            return _decode_serial(
+                piece, fmt, chunk_sizes[c0:c1], chunk_size, hi - lo,
+                chunk_codecs=(None if chunk_codecs is None
+                              else chunk_codecs[c0:c1]),
+                chunk_crcs=None if chunk_crcs is None else chunk_crcs[c0:c1],
+                first_chunk=first_chunk + c0, **policy)
 
         pool = self._get_pool()
         parts = self._run_shards(pool, [(work, (lo, hi), {})
                                         for lo, hi in bounds])
         out = b"".join(p[0] for p in parts)
         tokens = np.concatenate([p[1] for p in parts])
+        if errors == "strict":
+            return out, tokens, None
         report = SalvageReport(n_chunks=int(chunk_sizes.size),
                                fill_byte=fill_byte)
         for (lo, _hi), (_o, _t, part) in zip(bounds, parts):
@@ -486,9 +435,8 @@ class ParallelEngine:
     def decode_chunked(self, payload, fmt: TokenFormat,
                        chunk_sizes: np.ndarray, chunk_size: int,
                        output_size: int) -> bytes:
-        out, _tokens = self.decode_chunked_with_stats(
-            payload, fmt, chunk_sizes, chunk_size, output_size)
-        return out
+        return self.decode_chunked_with_stats(
+            payload, fmt, chunk_sizes, chunk_size, output_size)[0]
 
 
 # ------------------------------------------------------- default engines

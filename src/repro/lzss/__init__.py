@@ -29,7 +29,6 @@ from repro.lzss.decoder import (
     decode,
     decode_chunked,
     decode_chunked_with_stats,
-    salvage_decode_chunked,
 )
 from repro.lzss.encoder import EncodeResult, encode, encode_chunked
 from repro.lzss.formats import CUDA_V1, CUDA_V2, SERIAL, TokenFormat
@@ -71,5 +70,4 @@ __all__ = [
     "reference_encode",
     "reference_find_match",
     "reference_tokenize",
-    "salvage_decode_chunked",
 ]

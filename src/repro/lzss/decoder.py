@@ -18,15 +18,17 @@ The scalar loop in :func:`repro.lzss.reference.reference_decode` is the
 specification; this module is property-tested against it.
 
 Corruption raises :class:`~repro.errors.CorruptChunkError` carrying
-the chunk index, and :func:`salvage_decode_chunked` turns those
-failures (plus per-chunk CRC mismatches) into a
-:class:`SalvageReport` instead — bad chunks become fill bytes, every
-other chunk decodes byte-identically.
+the chunk index.  :func:`decode_chunked_with_stats` is the one
+per-chunk loop behind every chunked decode; with ``errors="salvage"``
+it turns those failures (plus per-chunk CRC mismatches and unknown
+codec ids) into a :class:`SalvageReport` instead — bad chunks become
+fill bytes, every other chunk decodes byte-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from repro.util.checksum import crc32
 from repro.util.validation import require
 
 __all__ = ["SalvageReport", "decode", "decode_chunked",
-           "decode_chunked_with_stats", "salvage_decode_chunked"]
+           "decode_chunked_with_stats"]
 
 
 @dataclass
@@ -186,115 +188,132 @@ def decode(payload, fmt: TokenFormat, output_size: int) -> bytes:
 def decode_chunked_with_stats(
         payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
         chunk_size: int, output_size: int, *,
-        chunk_crcs: np.ndarray | None = None,
-        first_chunk: int = 0) -> tuple[bytes, np.ndarray]:
-    """Like :func:`decode_chunked` but also returns per-chunk token counts.
+        chunk_codecs: np.ndarray | None = None,
+        chunk_crcs: np.ndarray | None = None, errors: str = "strict",
+        fill_byte: int = 0, first_chunk: int = 0,
+) -> tuple[bytes, np.ndarray, SalvageReport | None]:
+    """Decode independent chunk streams: ``(data, tokens, report)``.
 
-    The token counts are what the GPU decompression cost model charges
-    each chunk thread for.  With ``chunk_crcs`` (the container-v2
-    table), every chunk's CRC-32 is verified *before* its decode and a
-    mismatch raises :class:`CorruptChunkError` naming the chunk.
-    ``first_chunk`` rebases chunk indices in errors when decoding a
-    shard of a larger buffer (the parallel engine's case).
+    The one per-chunk decode loop.  Chunk streams are mutually
+    independent (§III.C), so every chunk runs the same steps on its
+    own: codec lookup, bounds check, CRC, decode, then strict-raise or
+    salvage-fill.
+
+    * ``chunk_codecs`` — the container-v3 codec column.  Without it
+      every chunk is lzss and ``tokens`` holds the per-chunk token
+      counts the GPU decompression cost model charges each chunk
+      thread for.  With it every chunk goes through the
+      :mod:`repro.codecs` registry (``tokens`` stays zero) and an
+      unknown codec id is corruption of that chunk.
+    * ``chunk_crcs`` — the container-v2 CRC table; every chunk's
+      CRC-32 is verified *before* its decode.
+    * ``errors="strict"`` raises the first :class:`CorruptChunkError`
+      naming the chunk, requires the chunk table to cover the payload,
+      and returns ``report=None``.
+    * ``errors="salvage"`` recovers every chunk that checks out.  A
+      chunk is *lost* when its compressed bytes run past the
+      (truncated) payload end, its codec id is unknown, its CRC
+      mismatches, or its stream fails to decode (the only detection
+      available for v1); lost chunks come back as ``fill_byte`` with
+      ``tokens == 0`` and are itemized in the returned
+      :class:`SalvageReport`.  Recovered chunks are byte-identical to
+      a clean decode.
+
+    ``first_chunk`` rebases chunk indices in errors and reports when
+    decoding a shard of a larger buffer (the parallel engine's case).
     """
+    require(errors in ("strict", "salvage"),
+            f"errors must be 'strict' or 'salvage', not {errors!r}")
+    require(0 <= fill_byte <= 255, "fill_byte must be one byte")
+    salvage = errors == "salvage"
     arr = as_u8(payload)
     chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
-    require(int(chunk_sizes.sum()) == arr.size,
+    require(salvage or int(chunk_sizes.sum()) == arr.size,
             "chunk size table does not cover the payload")
     n_chunks = chunk_sizes.size
     expected = (output_size + chunk_size - 1) // chunk_size if output_size else 0
     require(n_chunks == expected,
             f"expected {expected} chunks for {output_size} bytes, got {n_chunks}")
+    if chunk_codecs is not None:
+        # Imported here because repro.codecs imports this module.
+        from repro.codecs.base import get_codec, known_codec_ids, metric_key
 
-    out = np.zeros(output_size, dtype=np.uint8)
+        chunk_codecs = np.asarray(chunk_codecs, dtype=np.uint8)
+        require(chunk_codecs.size == n_chunks,
+                "codec column does not cover the chunks")
+        known = known_codec_ids()
+        # Per-codec decode ledger: accumulate locally per codec id and
+        # record once after the loop, never per chunk.
+        per_codec: dict[int, list] = {}
+
+    out = np.full(output_size, fill_byte, dtype=np.uint8)
     tokens = np.zeros(n_chunks, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
+    report = (SalvageReport(n_chunks=n_chunks, fill_byte=fill_byte)
+              if salvage else None)
     # CRC accounting accumulates locally and flushes in one shot — even
-    # when a mismatch aborts the loop mid-way.
+    # when a strict mismatch aborts the loop mid-way.
     checks = failures = 0
     try:
-        with obs.stage("decode.stream", bytes=output_size, chunks=n_chunks):
+        with obs.stage("decode.stream", bytes=output_size, chunks=n_chunks,
+                       errors=errors):
             for c in range(n_chunks):
+                index = first_chunk + c
                 lo = c * chunk_size
                 hi = min(lo + chunk_size, output_size)
-                piece = arr[offsets[c]:offsets[c + 1]]
-                if chunk_crcs is not None:
-                    checks += 1
-                    if crc32(piece) != int(chunk_crcs[c]):
-                        failures += 1
-                        raise CorruptChunkError("chunk checksum mismatch",
-                                                chunk_index=first_chunk + c,
-                                                offset=int(offsets[c]))
-                out[lo:hi], tokens[c] = _decode_stream(
-                    piece, fmt, hi - lo, chunk_index=first_chunk + c)
+                p_lo, p_hi = int(offsets[c]), int(offsets[c + 1])
+                piece = arr[p_lo:p_hi]
+                try:
+                    if chunk_codecs is not None:
+                        cid = int(chunk_codecs[c])
+                        if cid not in known:
+                            if salvage:
+                                report.unknown_codec.append(index)
+                            raise CorruptChunkError(
+                                f"unknown codec id {cid}",
+                                chunk_index=index, offset=p_lo)
+                    if p_hi > arr.size:  # salvage only: strict checked cover
+                        raise CorruptChunkError(
+                            "chunk runs past the payload end",
+                            chunk_index=index, offset=p_lo)
+                    if chunk_crcs is not None:
+                        checks += 1
+                        if crc32(piece) != int(chunk_crcs[c]):
+                            failures += 1
+                            raise CorruptChunkError(
+                                "chunk checksum mismatch",
+                                chunk_index=index, offset=p_lo)
+                    if chunk_codecs is None:
+                        out[lo:hi], tokens[c] = _decode_stream(
+                            piece, fmt, hi - lo, chunk_index=index)
+                    else:
+                        t0 = perf_counter()
+                        out[lo:hi] = get_codec(cid).decode_chunk(
+                            piece, fmt, hi - lo, chunk_index=index)
+                        acc = per_codec.setdefault(cid, [0.0, 0])
+                        acc[0] += perf_counter() - t0
+                        acc[1] += hi - lo
+                except (CorruptChunkError, TruncatedContainerError):
+                    if not salvage:
+                        raise
+                    report.lost.append(index)
+                    report.lost_ranges.append((lo, hi))
+                else:
+                    if salvage:
+                        report.recovered.append(index)
+            if chunk_codecs is not None:
+                for cid, (secs, nbytes) in per_codec.items():
+                    key = metric_key(get_codec(cid).name)
+                    obs.observe(f"codec.decode_{key}_seconds", secs)
+                    obs.inc(f"codec.decode_{key}_bytes", nbytes)
     finally:
         if checks:
             obs.inc("container.crc_checks", checks)
         if failures:
             obs.inc("container.crc_failures", failures)
-    return out.tobytes(), tokens
-
-
-def salvage_decode_chunked(
-        payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
-        chunk_size: int, output_size: int, *,
-        chunk_crcs: np.ndarray | None = None, fill_byte: int = 0,
-        first_chunk: int = 0) -> tuple[bytes, np.ndarray, SalvageReport]:
-    """Best-effort chunked decode: recover every chunk that checks out.
-
-    Chunk streams are mutually independent (§III.C), so one corrupt or
-    missing chunk never poisons its neighbours.  A chunk is *lost* when
-    its compressed bytes run past the (truncated) payload end, its
-    CRC-32 mismatches ``chunk_crcs`` (container v2), or its token
-    stream fails to decode (the only detection available for v1); lost
-    chunks come back as ``fill_byte`` and are itemized in the returned
-    :class:`SalvageReport`.  Recovered chunks are byte-identical to a
-    clean decode.  Returns ``(data, per_chunk_tokens, report)`` with
-    ``tokens == 0`` for lost chunks.
-    """
-    require(0 <= fill_byte <= 255, "fill_byte must be one byte")
-    arr = as_u8(payload)
-    chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
-    n_chunks = chunk_sizes.size
-    expected = (output_size + chunk_size - 1) // chunk_size if output_size else 0
-    require(n_chunks == expected,
-            f"expected {expected} chunks for {output_size} bytes, got {n_chunks}")
-
-    out = np.full(output_size, fill_byte, dtype=np.uint8)
-    tokens = np.zeros(n_chunks, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
-    report = SalvageReport(n_chunks=n_chunks, fill_byte=fill_byte)
-    checks = failures = 0
-    with obs.stage("decode.stream", bytes=output_size, chunks=n_chunks,
-                   salvage=True):
-        for c in range(n_chunks):
-            lo = c * chunk_size
-            hi = min(lo + chunk_size, output_size)
-            p_lo, p_hi = int(offsets[c]), int(offsets[c + 1])
-            good = p_hi <= arr.size
-            if good and chunk_crcs is not None:
-                checks += 1
-                good = crc32(arr[p_lo:p_hi]) == int(chunk_crcs[c])
-                failures += not good
-            if good:
-                try:
-                    out[lo:hi], tokens[c] = _decode_stream(
-                        arr[p_lo:p_hi], fmt, hi - lo,
-                        chunk_index=first_chunk + c)
-                except (CorruptChunkError, TruncatedContainerError):
-                    out[lo:hi] = fill_byte
-                    good = False
-            if good:
-                report.recovered.append(first_chunk + c)
-            else:
-                report.lost.append(first_chunk + c)
-                report.lost_ranges.append((lo, hi))
-    if checks:
-        obs.inc("container.crc_checks", checks)
-    if failures:
-        obs.inc("container.crc_failures", failures)
-    obs.inc("container.salvage_chunks_recovered", len(report.recovered))
-    obs.inc("container.salvage_chunks_lost", len(report.lost))
+    if salvage:
+        obs.inc("container.salvage_chunks_recovered", len(report.recovered))
+        obs.inc("container.salvage_chunks_lost", len(report.lost))
     return out.tobytes(), tokens, report
 
 
@@ -307,6 +326,5 @@ def decode_chunked(payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
     chunk length (last chunk may be short).  Chunks decode mutually
     independently — the property the GPU decompressor exploits.
     """
-    out, _tokens = decode_chunked_with_stats(payload, fmt, chunk_sizes,
-                                             chunk_size, output_size)
-    return out
+    return decode_chunked_with_stats(payload, fmt, chunk_sizes, chunk_size,
+                                     output_size)[0]

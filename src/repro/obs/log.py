@@ -1,10 +1,9 @@
 """Structured logging: JSON lines, trace-correlated, rate-limited.
 
 Every degraded-mode branch in the stack — a pool worker dying, a frame
-falling back to the serial path, a shared-memory lease failing over to
-pickle, a salvage decode filling lost chunks — emits exactly **one**
-structured event through this module, so an operator tailing the log
-can answer "what exactly degraded, on which trace?" without reading
+falling back to the serial path, a salvage decode filling lost chunks —
+emits exactly **one** structured event through this module, so an
+operator tailing the log can answer "what exactly degraded, on which trace?" without reading
 counters.  Built on stdlib :mod:`logging` (handlers, levels and
 propagation behave the way every Python operator expects) with three
 additions:

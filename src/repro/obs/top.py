@@ -118,10 +118,7 @@ def render(snap: dict | None, slo_report: dict | None, *,
                 for s in ("ingress", "egress"))
     serial = sum(_counter(snap, f"{s}.serial_fallbacks")
                  for s in ("ingress", "egress"))
-    shm_fb = sum(_counter(snap, f"{s}.shm_fallbacks")
-                 for s in ("ingress", "egress"))
-    lines.append(f"  crashes {crash:5d}   serial-fallbacks {serial:5d}   "
-                 f"shm-fallbacks {shm_fb:5d}")
+    lines.append(f"  crashes {crash:5d}   serial-fallbacks {serial:5d}")
     lines.append(f"  conn-errors "
                  f"{_counter(snap, 'server.connection_errors'):5d}   "
                  f"salvage-lost "

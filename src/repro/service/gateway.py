@@ -167,8 +167,6 @@ class GatewayServer:
     strictly in sequence order per stream; ``None`` counts and discards
     (a sink gateway).  ``timeout`` bounds each frame read and each ACK
     write per connection, so a dead peer cannot pin a handler forever.
-    ``use_shm`` selects the shared-memory frame transport into the
-    decode pool (default: automatic — on whenever ``workers > 0``).
 
     ``metrics_port`` opens a sidecar HTTP listener on the same host
     serving ``GET /metrics`` (Prometheus text exposition),
@@ -210,7 +208,6 @@ class GatewayServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 0, queue_depth: int = 8,
                  timeout: float = 30.0, metrics: Metrics | None = None,
-                 use_shm: bool | None = None,
                  metrics_port: int | None = None,
                  metrics_timeout: float = 2.0,
                  slo: SloMonitor | None = None,
@@ -222,7 +219,6 @@ class GatewayServer:
         self.workers = workers
         self.accept_codecs = accept_codecs
         self.queue_depth = queue_depth
-        self.use_shm = use_shm
         self.timeout = timeout
         self.metrics = metrics or Metrics()
         self.metrics_port = metrics_port
@@ -469,8 +465,7 @@ class GatewayServer:
             m.inc("server.streams_acked")
 
         egress = EgressPipeline(workers=self.workers,
-                                queue_depth=self.queue_depth, metrics=m,
-                                use_shm=self.use_shm)
+                                queue_depth=self.queue_depth, metrics=m)
         try:
             with egress:
                 await egress.run(frames(), deliver, on_end=on_end)
@@ -521,9 +516,7 @@ class GatewayClient:
     ``workers``/``queue_depth`` size the compression fan-out and the
     backpressure bound; ``retries``/``backoff`` govern transient-error
     retry on connect; ``timeout`` bounds each frame write and the ACK
-    read; ``use_shm`` selects the shared-memory frame transport into
-    the compress pool (default: automatic — on whenever the pipeline
-    owns a process pool).
+    read.
 
     ``codec`` selects the container codec for outgoing frames (any
     registered name, or ``"auto"`` for the per-chunk dispatcher);
@@ -540,7 +533,7 @@ class GatewayClient:
                  version: int = 2, workers: int = 2, queue_depth: int = 8,
                  timeout: float = 30.0, retries: int = 3,
                  backoff: float = 0.05, metrics: Metrics | None = None,
-                 use_shm: bool | None = None, executor=None,
+                 executor=None,
                  codec: str = "lzss",
                  probe_threshold: float | None = None) -> None:
         self.host = host
@@ -555,7 +548,6 @@ class GatewayClient:
         self._ingress = IngressPipeline(version=version, workers=workers,
                                         queue_depth=queue_depth,
                                         metrics=self.metrics,
-                                        use_shm=use_shm,
                                         executor=executor,
                                         codec=codec,
                                         probe_threshold=probe_threshold)

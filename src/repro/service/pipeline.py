@@ -9,28 +9,18 @@ unboundedly: when the consumer stage falls behind, ``queue.put`` —
 and therefore the read loop — blocks.
 
 Compression (the CPU-bound bottleneck) fans out across a
-``ProcessPoolExecutor`` of configurable width.  Order is preserved for
-free: the submit stage enqueues *futures* in sequence order and the
-drain stage awaits them in that same order, so up to ``queue_depth``
-frames compress concurrently while frames leave in order.  The egress
-side additionally reassembles by sequence number, which makes it
-robust to duplicated or reordered frames should transport retries ever
-introduce them.
+``ProcessPoolExecutor`` of configurable width; frame bytes reach the
+pool workers, and results come back, through the executor's pickle
+pipe.  Order is preserved for free: the submit stage enqueues
+*futures* in sequence order and the drain stage awaits them in that
+same order, so up to ``queue_depth`` frames compress concurrently
+while frames leave in order.  The egress side additionally reassembles
+by sequence number, which makes it robust to duplicated or reordered
+frames should transport retries ever introduce them.
 
-Two transport fast paths keep the pool workers fed:
-
-* **Shared-memory frames** — with fan-out enabled, frame bytes travel
-  to and from the workers through recycled
-  :class:`~repro.engine.shm.SlabPool` slabs instead of being pickled
-  through the executor pipe in both directions; only a slab name and a
-  length descriptor cross the pipe.  Anything that prevents the slab
-  path (no platform support, oversized frame, exhausted pool, injected
-  executor or job) falls back to the pickle transport per frame and is
-  counted in ``*.shm_fallbacks``.
-* **Incompressibility probe** — ingress runs the cheap entropy probe
-  from :mod:`repro.lzss.matcher` on each buffer and ships
-  near-incompressible ones as :data:`FLAG_RAW` without occupying a
-  pool worker at all (``ingress.probe_raw_frames``).
+Ingress runs the cheap entropy probe from :mod:`repro.lzss.matcher` on
+each buffer and ships near-incompressible ones as :data:`FLAG_RAW`
+without occupying a pool worker at all (``ingress.probe_raw_frames``).
 """
 
 from __future__ import annotations
@@ -126,7 +116,7 @@ def encode_payload_obs(data: bytes, version: int = 2,
                        trace_id: int = 0, codec: str = "lzss",
                        probe_threshold: float | None = None,
                        ) -> tuple[int, bytes, dict]:
-    """Pool-worker pickle-path job: stock encode + the worker's obs delta."""
+    """Pool-worker job: stock encode + the worker's obs delta."""
     flags, payload = encode_payload(data, version, trace_id=trace_id,
                                     codec=codec,
                                     probe_threshold=probe_threshold)
@@ -135,7 +125,7 @@ def encode_payload_obs(data: bytes, version: int = 2,
 
 def decode_payload_obs(flags: int, payload: bytes,
                        trace_id: int = 0) -> tuple[bytes, dict]:
-    """Pool-worker pickle-path job: stock decode + the worker's obs delta."""
+    """Pool-worker job: stock decode + the worker's obs delta."""
     return decode_payload(flags, payload, trace_id=trace_id), obs.delta()
 
 
@@ -166,7 +156,7 @@ async def _run_both(a: Awaitable, b: Awaitable) -> tuple:
 
 
 class _PooledStage:
-    """Shared executor + slab-transport plumbing for the two halves."""
+    """Shared executor plumbing for the two halves."""
 
     def __init__(self, workers: int, queue_depth: int,
                  metrics: Metrics | None, executor: Executor | None) -> None:
@@ -177,9 +167,6 @@ class _PooledStage:
         self.metrics = metrics or Metrics()
         self._executor = executor
         self._owns_executor = executor is None
-        self.use_shm = False  # resolved by the subclass constructors
-        self._slab_pool = None
-        self._shm_failed = False
         self._pool_rebuilt = False
         self._pool_dead = False
 
@@ -224,33 +211,10 @@ class _PooledStage:
             self._pool_dead = True
         self._pool_rebuilt = True
 
-    def _slabs(self):
-        """The slab pool, or ``None`` when the pickle path applies.
-
-        Created lazily so pipelines that never run pay nothing; a
-        platform where shared memory fails is remembered so the
-        fallback costs one attempt, not one per frame.
-        """
-        if not self.use_shm or self._shm_failed:
-            return None
-        if self._slab_pool is None:
-            try:
-                from repro.engine.shm import SlabPool
-
-                self._slab_pool = SlabPool(
-                    max_slabs=self.queue_depth + 2)
-            except Exception:
-                self._shm_failed = True
-                return None
-        return self._slab_pool
-
     def close(self) -> None:
         if self._owns_executor and self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        if self._slab_pool is not None:
-            self._slab_pool.close()
-            self._slab_pool = None
 
     def __enter__(self):
         return self
@@ -265,10 +229,7 @@ class IngressPipeline(_PooledStage):
     ``workers`` is the compression fan-out width (0 = compress on the
     event loop's default thread pool — useful for tests); ``queue_depth``
     bounds frames in flight between the stages, which is both the
-    parallelism cap and the backpressure bound.  ``use_shm`` selects the
-    shared-memory frame transport; the default (``None``) enables it
-    exactly when the pipeline owns a process pool and runs the stock
-    codec job.
+    parallelism cap and the backpressure bound.
 
     ``codec``/``probe_threshold`` parameterize the stock encode job
     (see :func:`encode_payload`); both are plain attributes, so the
@@ -281,7 +242,7 @@ class IngressPipeline(_PooledStage):
                  queue_depth: int = 8, metrics: Metrics | None = None,
                  executor: Executor | None = None,
                  job: Callable[[bytes, int], tuple[int, bytes]] | None = None,
-                 use_shm: bool | None = None, codec: str = "lzss",
+                 codec: str = "lzss",
                  probe_threshold: float | None = None) -> None:
         super().__init__(workers, queue_depth, metrics, executor)
         self.version = version
@@ -289,16 +250,12 @@ class IngressPipeline(_PooledStage):
         self.probe_threshold = probe_threshold
         self._job = job or encode_payload
         self._stock_job = job is None
-        if use_shm is None:
-            use_shm = workers > 0 and executor is None and job is None
-        self.use_shm = bool(use_shm) and self._stock_job
 
     async def run(self, stream_id: int,
                   buffers: Iterable[bytes] | AsyncIterator[bytes],
                   send: Callable[[Frame], Awaitable[None]]) -> int:
         """Push every buffer through compression and ``send``; returns
         the number of data frames emitted."""
-        from repro.engine.shm import encode_frame_job, encode_frame_job_obs
         from repro.lzss.matcher import probe_incompressible
 
         loop = asyncio.get_running_loop()
@@ -316,58 +273,35 @@ class IngressPipeline(_PooledStage):
             job = self._job
 
         def dispatch(data: bytes, tid: int):
-            """Submit one frame to the pool; returns ``(future, lease)``.
+            """Submit one frame to the pool; returns its future.
 
             A broken pool at submit time counts a crash, retries once on
             the rebuilt pool, then degrades this frame to the loop's
             default thread pool (``ingress.serial_fallbacks``).
             """
-            slabs = self._slabs()
-            lease = slabs.acquire(len(data)) if slabs is not None else None
             try:
-                if lease is not None:
-                    n = lease.write(data)
-                    if traced:
-                        fut = loop.run_in_executor(
-                            self._pool(), encode_frame_job_obs, lease.name,
-                            n, self.version, tid, codec, threshold)
-                    else:
-                        fut = loop.run_in_executor(
-                            self._pool(), encode_frame_job, lease.name, n,
-                            self.version, codec, threshold)
-                    m.inc("ingress.shm_frames")
-                    return fut, lease
-                if slabs is not None:
-                    m.inc("ingress.shm_fallbacks")
-                    obslog.warn_limited("service", "shm_fallback",
-                                        stage="ingress", trace_id=tid,
-                                        size=len(data))
                 if traced:
                     return loop.run_in_executor(
                         self._pool(), encode_payload_obs, data,
-                        self.version, tid, codec, threshold), None
+                        self.version, tid, codec, threshold)
                 return loop.run_in_executor(self._pool(), job, data,
-                                            self.version), None
+                                            self.version)
             except _CRASH_ERRORS:
-                if lease is not None:
-                    lease.release()
                 self._crashed("ingress", tid)
             try:
                 return loop.run_in_executor(self._pool(), job, data,
-                                            self.version), None
+                                            self.version)
             except _CRASH_ERRORS:
                 self._crashed("ingress", tid)
                 m.inc("ingress.serial_fallbacks")
                 obslog.event("service", "serial_fallback", stage="ingress",
                              trace_id=tid, at="submit")
-                return loop.run_in_executor(None, job, data,
-                                            self.version), None
+                return loop.run_in_executor(None, job, data, self.version)
 
         async def submit() -> int:
             seq = 0
             async for raw in _aiter(buffers):
                 data = bytes(raw)
-                lease = None
                 tid = trace.new_trace_id() if traced else 0
                 if self._stock_job and probe_incompressible(
                         data, byte_entropy_bits=threshold):
@@ -380,9 +314,9 @@ class IngressPipeline(_PooledStage):
                                  reason="probe", size=len(data),
                                  trace_id=tid, threshold=threshold)
                 else:
-                    fut, lease = dispatch(data, tid)
+                    fut = dispatch(data, tid)
                 enq = perf_counter()
-                await jobs.put((seq, data, enq, fut, lease, tid))
+                await jobs.put((seq, data, enq, fut, tid))
                 m.gauge("ingress.queue_depth", jobs.qsize())
                 seq += 1
             await jobs.put(None)
@@ -390,40 +324,25 @@ class IngressPipeline(_PooledStage):
 
         async def drain() -> None:
             while (item := await jobs.get()) is not None:
-                seq, data, enq, fut, lease, tid = item
+                seq, data, enq, fut, tid = item
                 n_in = len(data)
-                out = None
                 try:
-                    try:
-                        out = await fut
-                    except _CRASH_ERRORS:
-                        # The worker died holding this frame; the input
-                        # is still in hand, so re-run it serially.
-                        if lease is not None:
-                            lease.release()
-                            lease = None
-                        self._crashed("ingress", tid)
-                        m.inc("ingress.serial_fallbacks")
-                        obslog.event("service", "serial_fallback",
-                                     stage="ingress", trace_id=tid,
-                                     at="result", seq=seq)
-                        out = await loop.run_in_executor(
-                            None, job, data, self.version)
-                finally:
-                    if lease is not None and out is None:
-                        lease.release()
+                    out = await fut
+                except _CRASH_ERRORS:
+                    # The worker died holding this frame; the input is
+                    # still in hand, so re-run it serially.
+                    self._crashed("ingress", tid)
+                    m.inc("ingress.serial_fallbacks")
+                    obslog.event("service", "serial_fallback",
+                                 stage="ingress", trace_id=tid,
+                                 at="result", seq=seq)
+                    out = await loop.run_in_executor(
+                        None, job, data, self.version)
                 if len(out) == 3:  # obs-carrying job: fold the delta in
-                    flags, res, worker_delta = out
+                    flags, payload, worker_delta = out
                     obs.merge_delta(worker_delta)
                 else:
-                    flags, res = out
-                if lease is not None:
-                    # Length descriptor = payload is in the slab; bytes =
-                    # the worker degraded this frame to the pickle path.
-                    payload = lease.read(res) if isinstance(res, int) else res
-                    lease.release()
-                else:
-                    payload = res
+                    flags, payload = out
                 m.observe("ingress.stage_wait_seconds", perf_counter() - enq)
                 frame = Frame(stream_id=stream_id, seq=seq, flags=flags,
                               payload=payload, trace_id=tid)
@@ -459,21 +378,16 @@ class EgressPipeline(_PooledStage):
     stream's buffer is full is dropped and counted in
     ``egress.reorder_evictions``, so a peer that skips a sequence
     number forever cannot grow the buffer without limit (the transport
-    retry resends dropped frames).  ``use_shm`` mirrors
-    :class:`IngressPipeline`.
+    retry resends dropped frames).
     """
 
     def __init__(self, workers: int = 0, queue_depth: int = 8,
                  metrics: Metrics | None = None,
                  executor: Executor | None = None,
-                 job: Callable[[int, bytes], bytes] | None = None,
-                 use_shm: bool | None = None) -> None:
+                 job: Callable[[int, bytes], bytes] | None = None) -> None:
         super().__init__(workers, queue_depth, metrics, executor)
         self._job = job or decode_payload
         self._stock_job = job is None
-        if use_shm is None:
-            use_shm = workers > 0 and executor is None and job is None
-        self.use_shm = bool(use_shm) and self._stock_job
 
     async def run(self, frames: Iterable[Frame] | AsyncIterator[Frame],
                   deliver: Callable[[int, int, bytes], Awaitable[None]],
@@ -486,8 +400,6 @@ class EgressPipeline(_PooledStage):
         been delivered — that is what makes the ACK a delivery receipt
         rather than a reception receipt.
         """
-        from repro.engine.shm import decode_frame_job, decode_frame_job_obs
-
         loop = asyncio.get_running_loop()
         self._pool()  # build eagerly so the first frame pays no setup
         jobs: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
@@ -495,62 +407,39 @@ class EgressPipeline(_PooledStage):
         traced = self._stock_job and obs.enabled()
 
         def dispatch(frame: Frame):
-            """Submit one frame to the pool; returns ``(future, lease)``.
+            """Submit one frame to the pool; returns its future.
 
             Mirrors the ingress dispatch: a broken pool at submit time
             counts a crash, retries once on the rebuilt pool, then
             degrades this frame to the loop's default thread pool.
             """
-            slabs = self._slabs()
-            lease = (slabs.acquire(len(frame.payload))
-                     if slabs is not None else None)
             try:
-                if lease is not None:
-                    n = lease.write(frame.payload)
-                    if traced:
-                        fut = loop.run_in_executor(
-                            self._pool(), decode_frame_job_obs, lease.name,
-                            n, frame.flags, frame.trace_id)
-                    else:
-                        fut = loop.run_in_executor(
-                            self._pool(), decode_frame_job, lease.name, n,
-                            frame.flags)
-                    m.inc("egress.shm_frames")
-                    return fut, lease
-                if slabs is not None:
-                    m.inc("egress.shm_fallbacks")
-                    obslog.warn_limited("service", "shm_fallback",
-                                        stage="egress",
-                                        trace_id=frame.trace_id,
-                                        size=len(frame.payload))
                 if traced:
                     return loop.run_in_executor(
                         self._pool(), decode_payload_obs, frame.flags,
-                        frame.payload, frame.trace_id), None
+                        frame.payload, frame.trace_id)
                 return loop.run_in_executor(self._pool(), self._job,
-                                            frame.flags, frame.payload), None
+                                            frame.flags, frame.payload)
             except _CRASH_ERRORS:
-                if lease is not None:
-                    lease.release()
                 self._crashed("egress", frame.trace_id)
             try:
                 return loop.run_in_executor(self._pool(), self._job,
-                                            frame.flags, frame.payload), None
+                                            frame.flags, frame.payload)
             except _CRASH_ERRORS:
                 self._crashed("egress", frame.trace_id)
                 m.inc("egress.serial_fallbacks")
                 obslog.event("service", "serial_fallback", stage="egress",
                              trace_id=frame.trace_id, at="submit")
                 return loop.run_in_executor(None, self._job, frame.flags,
-                                            frame.payload), None
+                                            frame.payload)
 
         async def submit() -> None:
             async for frame in _aiter(frames):
                 if frame.is_end:
-                    await jobs.put((frame, None, None, None))
+                    await jobs.put((frame, None, None))
                     continue
-                fut, lease = dispatch(frame)
-                await jobs.put((frame, perf_counter(), fut, lease))
+                fut = dispatch(frame)
+                await jobs.put((frame, perf_counter(), fut))
                 m.gauge("egress.queue_depth", jobs.qsize())
             await jobs.put(None)
 
@@ -559,41 +448,27 @@ class EgressPipeline(_PooledStage):
             held: dict[int, dict[int, bytes]] = {}
             delivered = 0
             while (item := await jobs.get()) is not None:
-                frame, enq, fut, lease = item
+                frame, enq, fut = item
                 sid = frame.stream_id
                 if frame.is_end:
                     if on_end is not None:
                         await on_end(sid, frame.seq)
                     continue
-                res = None
                 try:
-                    try:
-                        res = await fut
-                    except _CRASH_ERRORS:
-                        # The worker died holding this frame; the frame
-                        # bytes are still in hand, so re-run serially.
-                        if lease is not None:
-                            lease.release()
-                            lease = None
-                        self._crashed("egress", frame.trace_id)
-                        m.inc("egress.serial_fallbacks")
-                        obslog.event("service", "serial_fallback",
-                                     stage="egress",
-                                     trace_id=frame.trace_id,
-                                     at="result", seq=frame.seq)
-                        res = await loop.run_in_executor(
-                            None, self._job, frame.flags, frame.payload)
-                finally:
-                    if lease is not None and res is None:
-                        lease.release()
-                if isinstance(res, tuple):  # obs-carrying job: fold delta in
-                    res, worker_delta = res
+                    data = await fut
+                except _CRASH_ERRORS:
+                    # The worker died holding this frame; the frame
+                    # bytes are still in hand, so re-run serially.
+                    self._crashed("egress", frame.trace_id)
+                    m.inc("egress.serial_fallbacks")
+                    obslog.event("service", "serial_fallback",
+                                 stage="egress", trace_id=frame.trace_id,
+                                 at="result", seq=frame.seq)
+                    data = await loop.run_in_executor(
+                        None, self._job, frame.flags, frame.payload)
+                if isinstance(data, tuple):  # obs-carrying job: fold delta in
+                    data, worker_delta = data
                     obs.merge_delta(worker_delta)
-                if lease is not None:
-                    data = res if isinstance(res, bytes) else lease.read(res)
-                    lease.release()
-                else:
-                    data = res
                 m.observe("egress.stage_wait_seconds", perf_counter() - enq)
                 m.inc("egress.frames_in")
                 m.inc("egress.bytes_in", frame.wire_size)

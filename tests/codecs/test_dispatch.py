@@ -15,12 +15,11 @@ from repro.codecs import (
 from repro.codecs.dispatch import (
     MIN_PROBE_CHUNK,
     choose_chunk_codec,
-    decode_chunked_multi,
     encode_chunked_auto,
     match_density,
-    salvage_decode_chunked_multi,
 )
 from repro.errors import CorruptChunkError
+from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import CUDA_V2
 from repro.lzss.matcher import (
@@ -127,9 +126,9 @@ def test_auto_assigns_per_chunk_codecs_and_round_trips():
     assert ids[2] in (LZSS_CODEC_ID, LZSS_HUFFMAN_CODEC_ID)
     assert ids[3] == LZ4S_CODEC_ID
     assert ids[4] == LZSS_CODEC_ID
-    out, tokens = decode_chunked_multi(result.payload, CUDA_V2,
-                                       result.chunk_sizes, CHUNK,
-                                       len(raw), result.chunk_codecs)
+    out, tokens, _ = decode_chunked_with_stats(
+        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(raw),
+        chunk_codecs=result.chunk_codecs)
     assert out == raw
     assert (tokens == 0).all()  # mixed streams have no token accounting
 
@@ -142,9 +141,9 @@ def test_forced_single_codec_mode(codec, expected_id):
     data = np.frombuffer(raw, dtype=np.uint8)
     result = encode_chunked_auto(data, CUDA_V2, CHUNK, codec=codec)
     assert (result.chunk_codecs == expected_id).all()
-    out, _ = decode_chunked_multi(result.payload, CUDA_V2,
-                                  result.chunk_sizes, CHUNK, len(raw),
-                                  result.chunk_codecs)
+    out, _, _ = decode_chunked_with_stats(
+        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(raw),
+        chunk_codecs=result.chunk_codecs)
     assert out == raw
 
 
@@ -160,8 +159,9 @@ def test_empty_and_unknown_inputs():
     empty = encode_chunked_auto(b"", CUDA_V2, CHUNK, codec="auto")
     assert empty.payload == b""
     assert empty.chunk_codecs.size == 0
-    out, _ = decode_chunked_multi(b"", CUDA_V2, empty.chunk_sizes, CHUNK,
-                                  0, empty.chunk_codecs)
+    out, _, _ = decode_chunked_with_stats(b"", CUDA_V2, empty.chunk_sizes,
+                                          CHUNK, 0,
+                                          chunk_codecs=empty.chunk_codecs)
     assert out == b""
     with pytest.raises(KeyError):
         encode_chunked_auto(b"x" * 100, CUDA_V2, CHUNK, codec="snappy")
@@ -210,8 +210,9 @@ def test_unknown_codec_id_is_corruption_strict():
     bad = result.chunk_codecs.copy()
     bad[1] = 0xFF
     with pytest.raises(CorruptChunkError) as exc:
-        decode_chunked_multi(result.payload, CUDA_V2, result.chunk_sizes,
-                             CHUNK, len(raw), bad)
+        decode_chunked_with_stats(result.payload, CUDA_V2,
+                                  result.chunk_sizes, CHUNK, len(raw),
+                                  chunk_codecs=bad)
     assert exc.value.chunk_index == 1
     assert "codec id 255" in str(exc.value)
 
@@ -222,9 +223,9 @@ def test_unknown_codec_id_is_reported_by_salvage():
     result = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
     bad = result.chunk_codecs.copy()
     bad[1] = 0xFF
-    out, _, report = salvage_decode_chunked_multi(
-        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(raw), bad,
-        fill_byte=0xAB)
+    out, _, report = decode_chunked_with_stats(
+        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(raw),
+        chunk_codecs=bad, errors="salvage", fill_byte=0xAB)
     assert report.unknown_codec == [1]
     assert report.lost == [1]
     assert sorted(report.recovered) == [0, 2, 3, 4]
@@ -243,9 +244,9 @@ def test_salvage_catches_decode_failures_per_chunk():
     lo = int(result.chunk_sizes[:2].sum())
     payload[lo:lo + int(result.chunk_sizes[2])] = b"\xff" * int(
         result.chunk_sizes[2])
-    out, _, report = salvage_decode_chunked_multi(
+    out, _, report = decode_chunked_with_stats(
         bytes(payload), CUDA_V2, result.chunk_sizes, CHUNK, len(raw),
-        result.chunk_codecs)
+        chunk_codecs=result.chunk_codecs, errors="salvage")
     assert 2 in report.lost
     assert report.unknown_codec == []
     assert 0 in report.recovered and 1 in report.recovered
@@ -256,6 +257,6 @@ def test_decode_validates_column_coverage():
     data = np.frombuffer(mixed_corpus(), dtype=np.uint8)
     result = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
     with pytest.raises(ValueError, match="codec column"):
-        decode_chunked_multi(result.payload, CUDA_V2, result.chunk_sizes,
-                             CHUNK, int(data.size),
-                             result.chunk_codecs[:-1])
+        decode_chunked_with_stats(result.payload, CUDA_V2,
+                                  result.chunk_sizes, CHUNK, int(data.size),
+                                  chunk_codecs=result.chunk_codecs[:-1])

@@ -11,12 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codecs.dispatch import (
-    decode_chunked_multi,
-    encode_chunked_auto,
-    salvage_decode_chunked_multi,
-)
+from repro.codecs.dispatch import encode_chunked_auto
 from repro.engine import ParallelEngine
+from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.formats import CUDA_V2
 
 CHUNK = 2048
@@ -52,7 +49,7 @@ def test_sharded_encode_is_byte_identical(engine, corpus, codec):
 def test_sharded_multi_decode_round_trips(engine, corpus):
     data = np.frombuffer(corpus, dtype=np.uint8)
     result = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
-    out, _ = engine.decode_chunked_with_stats(
+    out, _, _ = engine.decode_chunked_with_stats(
         result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
         chunk_codecs=result.chunk_codecs)
     assert out == corpus
@@ -65,12 +62,12 @@ def test_sharded_salvage_merges_unknown_codec_reports(engine, corpus):
     victims = [0, int(bad.size) - 1]
     for v in victims:
         bad[v] = 0xEE
-    got, _, report = engine.salvage_decode_chunked(
+    got, _, report = engine.decode_chunked_with_stats(
         result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
-        chunk_codecs=bad, fill_byte=0x5A)
-    _, _, serial_report = salvage_decode_chunked_multi(
+        chunk_codecs=bad, errors="salvage", fill_byte=0x5A)
+    _, _, serial_report = decode_chunked_with_stats(
         result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
-        bad, fill_byte=0x5A)
+        chunk_codecs=bad, errors="salvage", fill_byte=0x5A)
     assert sorted(report.unknown_codec) == victims
     assert sorted(report.lost) == sorted(serial_report.lost)
     assert sorted(report.recovered) == sorted(serial_report.recovered)

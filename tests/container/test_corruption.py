@@ -22,6 +22,7 @@ from repro.container import (
     verify_chunks,
 )
 from repro.core import CompressionParams, gpu_compress, gpu_decompress
+from repro.engine import ParallelEngine
 from repro.errors import (
     ContainerError,
     CorruptChunkError,
@@ -29,6 +30,7 @@ from repro.errors import (
     ReproError,
     TruncatedContainerError,
 )
+from repro.lzss.decoder import decode_chunked_with_stats
 from repro.testing import (
     chaos_seed,
     corrupt_chunk_table,
@@ -54,8 +56,19 @@ def blob(payload) -> bytes:
 
 
 @pytest.fixture(scope="module")
+def v3_blob(payload) -> bytes:
+    return gpu_compress(payload, codec="auto").data
+
+
+@pytest.fixture(scope="module")
 def n_chunks(blob) -> int:
     return int(unpack_container(blob).chunk_sizes.size)
+
+
+def _column_offset(blob: bytes, c: int) -> int:
+    n = int(unpack_container(blob, strict=False).chunk_sizes.size)
+    # v3 layout: header, <u4 size table, <u4 CRC table, u8 codecs.
+    return HEADER_SIZE + 4 * n + 4 * n + c
 
 
 class TestSalvageRoundTrip:
@@ -209,16 +222,6 @@ class TestCodecColumn:
     fabricate output.
     """
 
-    @pytest.fixture(scope="class")
-    def v3_blob(self, payload) -> bytes:
-        return gpu_compress(payload, codec="auto").data
-
-    @staticmethod
-    def _column_offset(blob: bytes, c: int) -> int:
-        n = int(unpack_container(blob, strict=False).chunk_sizes.size)
-        # v3 layout: header, <u4 size table, <u4 CRC table, u8 codecs.
-        return HEADER_SIZE + 4 * n + 4 * n + c
-
     def test_blob_is_v3_and_round_trips(self, payload, v3_blob):
         info = unpack_container(v3_blob)
         assert info.version == 3
@@ -229,7 +232,7 @@ class TestCodecColumn:
         rng = np.random.default_rng(SEED)
         k = int(rng.integers(unpack_container(v3_blob).chunk_sizes.size))
         bad = bytearray(v3_blob)
-        bad[self._column_offset(v3_blob, k)] = 0xFF
+        bad[_column_offset(v3_blob, k)] = 0xFF
         with pytest.raises(CorruptChunkError) as err:
             gpu_decompress(bytes(bad))
         assert err.value.chunk_index == k
@@ -240,7 +243,7 @@ class TestCodecColumn:
         n = int(unpack_container(v3_blob).chunk_sizes.size)
         k = int(rng.integers(n))
         bad = bytearray(v3_blob)
-        bad[self._column_offset(v3_blob, k)] = 0xFF
+        bad[_column_offset(v3_blob, k)] = 0xFF
         res = gpu_decompress(bytes(bad), errors="salvage")
         report = res.salvage
         assert report.unknown_codec == [k]
@@ -264,7 +267,7 @@ class TestCodecColumn:
                       min(CHUNK, len(payload) - c * CHUNK)]
         assert candidates, "corpus produced no compressed chunk"
         bad = bytearray(v3_blob)
-        bad[self._column_offset(v3_blob, candidates[0])] = STORE_CODEC_ID
+        bad[_column_offset(v3_blob, candidates[0])] = STORE_CODEC_ID
         with pytest.raises(ReproError):
             gpu_decompress(bytes(bad))
 
@@ -276,12 +279,54 @@ class TestCodecColumn:
         assert n >= 4
         bad = corrupt_chunks(v3_blob, [2], seed=SEED)
         bad = bytearray(bad)
-        bad[self._column_offset(v3_blob, 0)] = 0xEE
+        bad[_column_offset(v3_blob, 0)] = 0xEE
         res = gpu_decompress(bytes(bad), errors="salvage")
         assert res.salvage.unknown_codec == [0]
         assert sorted(res.salvage.lost) == [0, 2]
         lo = 3 * CHUNK
         assert res.data[lo:] == payload[lo:]
+
+
+class TestErrorPolicies:
+    """Strict and salvage are two policies of one decode loop, pinned to
+    each other here: on v2 (no codec column) and v3 auto (mixed column)
+    containers, serially and through a 2-worker engine."""
+
+    @pytest.mark.parametrize("kind", ["v2", "v3"])
+    def test_salvage_and_strict_agree(self, payload, blob, v3_blob, kind):
+        clean = blob if kind == "v2" else v3_blob
+        n = int(unpack_container(clean).chunk_sizes.size)
+        rng = np.random.default_rng([SEED, n])
+        with ParallelEngine(workers=2, min_parallel_bytes=0) as engine:
+            for _ in range(3):
+                bad = corrupt_chunks(clean, [int(rng.integers(n))],
+                                     seed=int(rng.integers(1 << 30)))
+                if kind == "v3":
+                    bad = bytearray(bad)
+                    bad[_column_offset(clean, int(rng.integers(n)))] = 0xFF
+                    bad = bytes(bad)
+                info = unpack_container(bad, strict=False)
+                args = (info.payload, info.format, info.chunk_sizes,
+                        info.chunk_size, info.original_size)
+                kwargs = dict(chunk_codecs=info.chunk_codecs,
+                              chunk_crcs=info.chunk_crcs)
+
+                out, _, report = decode_chunked_with_stats(
+                    *args, errors="salvage", **kwargs)
+                sharded, _, sharded_report = engine.decode_chunked_with_stats(
+                    *args, errors="salvage", **kwargs)
+                assert sharded == out
+                assert sharded_report == report
+                assert report.lost
+                for c in report.recovered:
+                    lo, hi = c * CHUNK, min((c + 1) * CHUNK, len(payload))
+                    assert out[lo:hi] == payload[lo:hi]
+
+                for decode in (decode_chunked_with_stats,
+                               engine.decode_chunked_with_stats):
+                    with pytest.raises(CorruptChunkError) as err:
+                        decode(*args, **kwargs)
+                    assert err.value.chunk_index == report.lost[0]
 
 
 def test_invalid_errors_mode(blob):

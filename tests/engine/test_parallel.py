@@ -107,10 +107,10 @@ def test_incompressible_buffer_matches_serial(binary_data, fmt):
 def test_parallel_decode_round_trip(text_data, fmt):
     arr = as_u8(text_data)
     result = encode_chunked(arr, fmt, 1024)
-    serial_out, serial_tokens = decode_chunked_with_stats(
+    serial_out, serial_tokens, _ = decode_chunked_with_stats(
         result.payload, fmt, result.chunk_sizes, 1024, result.input_size)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
-        out, tokens = engine.decode_chunked_with_stats(
+        out, tokens, _ = engine.decode_chunked_with_stats(
             result.payload, fmt, result.chunk_sizes, 1024, result.input_size)
     assert out == serial_out == text_data
     assert np.array_equal(tokens, serial_tokens)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine import ParallelEngine
 from repro.errors import WorkerCrashError
-from repro.lzss.decoder import decode_chunked_with_stats, salvage_decode_chunked
+from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import CUDA_V2
 from repro.testing import (
@@ -133,11 +133,11 @@ class TestDecodeCrash:
     def test_decode_crash_is_byte_identical(self, big_data, serial_result):
         factory = crash_factory(crash_on=2)
         with ParallelEngine(workers=4, executor_factory=factory) as eng:
-            out, tokens = eng.decode_chunked_with_stats(
+            out, tokens, _ = eng.decode_chunked_with_stats(
                 serial_result.payload, CUDA_V2, serial_result.chunk_sizes,
                 CHUNK, len(big_data))
             assert out == big_data
-            ref_out, ref_tokens = decode_chunked_with_stats(
+            ref_out, ref_tokens, _ = decode_chunked_with_stats(
                 serial_result.payload, CUDA_V2, serial_result.chunk_sizes,
                 CHUNK, len(big_data))
             assert tokens.tolist() == ref_tokens.tolist()
@@ -159,14 +159,14 @@ class TestDecodeCrash:
 
         factory = crash_factory(crash_on=1)
         with ParallelEngine(workers=4, executor_factory=factory) as eng:
-            out, _tokens, report = eng.salvage_decode_chunked(
+            out, _tokens, report = eng.decode_chunked_with_stats(
                 bytes(payload), CUDA_V2, sizes, CHUNK, len(big_data),
-                chunk_crcs=crcs)
+                chunk_crcs=crcs, errors="salvage")
             assert report.lost == [5]
             assert eng.counters["worker_crashes"] >= 1
-        ref_out, _rt, ref_report = salvage_decode_chunked(
+        ref_out, _rt, ref_report = decode_chunked_with_stats(
             bytes(payload), CUDA_V2, sizes, CHUNK, len(big_data),
-            chunk_crcs=crcs)
+            chunk_crcs=crcs, errors="salvage")
         assert out == ref_out
         assert ref_report.lost == [5]
 

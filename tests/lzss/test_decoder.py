@@ -11,7 +11,6 @@ from repro.lzss.decoder import (
     decode,
     decode_chunked,
     decode_chunked_with_stats,
-    salvage_decode_chunked,
 )
 from repro.lzss.encoder import encode, encode_chunked
 from repro.lzss.formats import CUDA_V2, SERIAL
@@ -132,18 +131,17 @@ class TestChunked:
     def test_stats_token_counts(self, text_data):
         data = text_data[:4000]
         r = encode_chunked(data, CUDA_V2, 512, collect_detail=True)
-        out, tokens = decode_chunked_with_stats(
+        out, tokens, report = decode_chunked_with_stats(
             r.payload, CUDA_V2, r.chunk_sizes, 512, len(data))
-        assert out == data
+        assert out == data and report is None
         # decoder token counts agree with the encoder's parse
         per_chunk = np.bincount(r.stats.token_starts // 512,
                                 minlength=tokens.size)
         assert tokens.tolist() == per_chunk.tolist()
 
     def test_zero_size(self):
-        out, tokens = decode_chunked_with_stats(b"", CUDA_V2,
-                                                np.array([], dtype=np.int64),
-                                                512, 0)
+        out, tokens, _ = decode_chunked_with_stats(
+            b"", CUDA_V2, np.array([], dtype=np.int64), 512, 0)
         assert out == b"" and tokens.size == 0
 
 
@@ -156,8 +154,9 @@ class TestSalvage:
         offsets = np.concatenate([[0], np.cumsum(r.chunk_sizes)])
         payload = bytearray(r.payload)
         payload[offsets[4]:offsets[5]] = bytes(int(offsets[5] - offsets[4]))
-        out, tokens, report = salvage_decode_chunked(
-            bytes(payload), CUDA_V2, r.chunk_sizes, 512, len(data))
+        out, tokens, report = decode_chunked_with_stats(
+            bytes(payload), CUDA_V2, r.chunk_sizes, 512, len(data),
+            errors="salvage")
         assert report.lost == [4]
         assert tokens[4] == 0
         assert out[:4 * 512] == data[:4 * 512]

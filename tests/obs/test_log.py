@@ -71,18 +71,18 @@ def test_embedded_newlines_stay_one_line():
 
 def test_warn_limited_suppresses_repeats_and_counts_them():
     with obslog.capture() as cap:
-        assert obslog.warn_limited("service", "shm_fallback", size=1)
+        assert obslog.warn_limited("service", "serial_fallback", size=1)
         for _ in range(5):
-            assert not obslog.warn_limited("service", "shm_fallback", size=1)
+            assert not obslog.warn_limited("service", "serial_fallback", size=1)
     assert len(cap.events()) == 1
 
     obslog.reset_rate_limits()
     # pre-seed a window with drops, then emit after it expires
-    obslog.warn_limited("service", "shm_fallback", interval=0.0)
+    obslog.warn_limited("service", "serial_fallback", interval=0.0)
     with obslog.capture() as cap:
         # interval 0: the previous window is already over; the dropped
         # count (zero drops happened) is not attached
-        assert obslog.warn_limited("service", "shm_fallback", interval=0.0)
+        assert obslog.warn_limited("service", "serial_fallback", interval=0.0)
     (doc,) = cap.events()
     assert "suppressed" not in doc
 
@@ -103,7 +103,7 @@ def test_warn_limited_reports_suppressed_count_on_next_emit():
 
 def test_distinct_keys_rate_limit_independently():
     with obslog.capture() as cap:
-        assert obslog.warn_limited("service", "shm_fallback")
+        assert obslog.warn_limited("service", "serial_fallback")
         assert obslog.warn_limited("service", "retry")
     assert len(cap.events()) == 2
 

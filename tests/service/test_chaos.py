@@ -2,9 +2,8 @@
 
 Covers the degradation ladder end to end: a flaky socket feeding the
 server garbage, a process-pool worker hard-killed mid-frame (a genuine
-``BrokenProcessPool``), the shm-acquire→pickle transport fallback, the
-graceful-drain timeout on server close, and the ACK delivery-receipt
-mismatch paths.
+``BrokenProcessPool``), the graceful-drain timeout on server close, and
+the ACK delivery-receipt mismatch paths.
 """
 
 from __future__ import annotations
@@ -151,38 +150,6 @@ def test_second_crash_marks_pool_dead():
     with pipe:
         asyncio.run(pipe.run(1, BUFFERS[:2], send))
     assert decoded(frames) == BUFFERS[:2]
-
-
-# ------------------------------------------------- shm→pickle fallback
-
-class _ExhaustedSlabs:
-    """A slab pool with nothing to lease (the exhaustion fallback)."""
-
-    def __init__(self) -> None:
-        self.asked = 0
-
-    def acquire(self, size: int):
-        self.asked += 1
-        return None
-
-    def close(self) -> None:
-        pass
-
-
-def test_shm_exhaustion_falls_back_to_pickle_per_frame():
-    from repro.testing import InlineExecutor
-
-    metrics = Metrics()
-    pipe = IngressPipeline(workers=1, queue_depth=4, metrics=metrics,
-                           executor=InlineExecutor(), use_shm=True)
-    slabs = pipe._slab_pool = _ExhaustedSlabs()
-    frames, send = collect_frames()
-    with pipe:
-        asyncio.run(pipe.run(1, BUFFERS, send))
-    assert decoded(frames) == BUFFERS
-    assert slabs.asked == len(BUFFERS)
-    assert metrics.count("ingress.shm_fallbacks") == len(BUFFERS)
-    assert metrics.count("ingress.shm_frames") == 0
 
 
 # ------------------------------------------------- graceful-drain timeout

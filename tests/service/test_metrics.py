@@ -109,13 +109,11 @@ GATEWAY_METRIC_KEYS = (
     "egress.bytes_in", "egress.bytes_out", "egress.duplicate_frames",
     "egress.frames_in", "egress.queue_depth", "egress.reorder_depth",
     "egress.reorder_evictions", "egress.serial_fallbacks",
-    "egress.shm_fallbacks", "egress.shm_frames",
     "egress.stage_wait_seconds",
     "ingress.bytes_in", "ingress.bytes_out", "ingress.frame_ratio",
     "ingress.frames_out", "ingress.probe_raw_frames",
     "ingress.queue_depth", "ingress.raw_frames",
     "ingress.send_wait_seconds", "ingress.serial_fallbacks",
-    "ingress.shm_fallbacks", "ingress.shm_frames",
     "ingress.stage_wait_seconds",
     "server.bytes_delivered", "server.connection_errors",
     "server.connections", "server.frames_delivered",

@@ -1,4 +1,4 @@
-"""Shared-memory frame transport, probe fast path, reorder bound."""
+"""Process-pool frame transport, probe fast path, reorder bound."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate
-from repro.engine import shm_available
 from repro.service.metrics import Metrics
 from repro.service.pipeline import EgressPipeline, IngressPipeline
 from repro.service.protocol import FLAG_RAW, Frame
-
-needs_shm = pytest.mark.skipif(not shm_available(),
-                               reason="no usable POSIX shared memory")
 
 
 async def _collect_ingress(pipe: IngressPipeline, buffers) -> list[Frame]:
@@ -98,26 +94,21 @@ def test_probe_skipped_for_injected_jobs():
     assert m.count("ingress.probe_raw_frames") == 0
 
 
-# ------------------------------------------------------- shm transport
+# ------------------------------------------------ process-pool transport
 
-@needs_shm
 @pytest.mark.slow
-def test_shm_ingress_frames_equal_pickle_frames():
+def test_pool_ingress_frames_equal_in_loop_frames():
     buffers = [generate("cfiles", 20_000, seed=s) for s in (1, 2, 3)]
-    shm_m, pkl_m = Metrics(), Metrics()
-    with IngressPipeline(workers=1, metrics=shm_m, use_shm=True) as pipe:
-        shm_frames = asyncio.run(_collect_ingress(pipe, buffers))
-    with IngressPipeline(workers=1, metrics=pkl_m, use_shm=False) as pipe:
-        pkl_frames = asyncio.run(_collect_ingress(pipe, buffers))
-    assert [(f.flags, f.payload) for f in shm_frames] == \
-        [(f.flags, f.payload) for f in pkl_frames]
-    assert shm_m.count("ingress.shm_frames") == len(buffers)
-    assert pkl_m.count("ingress.shm_frames") == 0
+    with IngressPipeline(workers=1) as pipe:
+        pool_frames = asyncio.run(_collect_ingress(pipe, buffers))
+    with IngressPipeline(workers=0) as pipe:
+        loop_frames = asyncio.run(_collect_ingress(pipe, buffers))
+    assert [(f.flags, f.payload) for f in pool_frames] == \
+        [(f.flags, f.payload) for f in loop_frames]
 
 
-@needs_shm
 @pytest.mark.slow
-def test_shm_egress_round_trip():
+def test_pool_egress_round_trip():
     from repro.service.pipeline import encode_payload
 
     buffers = [generate("dictionary", 16_000, seed=s) for s in (5, 6)]
@@ -127,20 +118,8 @@ def test_shm_egress_round_trip():
         frames.append(Frame(stream_id=2, seq=seq, flags=flags,
                             payload=payload))
     m = Metrics()
-    with EgressPipeline(workers=1, metrics=m, use_shm=True) as pipe:
+    with EgressPipeline(workers=1, metrics=m) as pipe:
         n, delivered = asyncio.run(_collect_egress(pipe, frames))
     assert n == len(buffers)
     assert [data for _, _, data in delivered] == buffers
-    assert m.count("egress.shm_frames") == len(buffers)
-
-
-def test_shm_disabled_when_pipeline_borrows_executor():
-    pipe = IngressPipeline(workers=2, executor=None, use_shm=None)
-    assert pipe.use_shm
-    pipe.close()
-    pipe = IngressPipeline(workers=0)
-    assert not pipe.use_shm
-    pipe.close()
-    pipe = EgressPipeline(workers=2, job=lambda f, p: p)
-    assert not pipe.use_shm  # custom job: worker-side codec is fixed
-    pipe.close()
+    assert m.count("egress.frames_in") == len(buffers)

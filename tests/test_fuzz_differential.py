@@ -127,14 +127,13 @@ class TestCodecOracle:
     @given(structured.filter(lambda d: len(d) > 0),
            st.sampled_from(ALL_CODECS), st.sampled_from([64, 256, 1024]))
     def test_dispatch_roundtrip(self, data, codec, chunk):
-        from repro.codecs.dispatch import (
-            decode_chunked_multi,
-            encode_chunked_auto,
-        )
+        from repro.codecs.dispatch import encode_chunked_auto
+        from repro.lzss.decoder import decode_chunked_with_stats
 
         r = encode_chunked_auto(data, CUDA_V2, chunk, codec=codec)
-        out, _ = decode_chunked_multi(r.payload, CUDA_V2, r.chunk_sizes,
-                                      chunk, len(data), r.chunk_codecs)
+        out, _, _ = decode_chunked_with_stats(
+            r.payload, CUDA_V2, r.chunk_sizes, chunk, len(data),
+            chunk_codecs=r.chunk_codecs)
         assert out == data
 
     @settings(max_examples=20, deadline=None)
