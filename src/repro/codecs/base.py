@@ -8,8 +8,7 @@ service layers.  This module pins that contract down:
 
 * :class:`Codec` — the ABC every concrete coder implements:
   ``encode_chunk``/``decode_chunk`` plus a stable wire ``codec_id``
-  (one byte in the container v3 codec column) and capability flags
-  the dispatcher and tooling can inspect.
+  (one byte in the container v3 codec column).
 * a process-global registry mapping both names (CLI, service
   negotiation) and wire ids (container column) to codec instances.
 
@@ -53,19 +52,10 @@ class Codec(abc.ABC):
     codec_id:
         Stable one-byte wire id recorded in the container v3 codec
         column.  Never reused across codecs.
-    entropy_coded:
-        Whether the payload has an entropy-coding stage (affects what
-        the dispatcher expects a second pass to gain).
-    uses_token_format:
-        Whether :class:`TokenFormat` parameters (window, field widths)
-        shape the payload.  ``False`` means ``fmt`` is ignored and a
-        payload decodes under any format argument.
     """
 
     name: ClassVar[str]
     codec_id: ClassVar[int]
-    entropy_coded: ClassVar[bool] = False
-    uses_token_format: ClassVar[bool] = True
 
     @abc.abstractmethod
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:

@@ -17,7 +17,7 @@ and routes the chunk:
 ``m`` low, ``h1`` high       ``lz4s`` (few matches: byte-aligned
                              literal runs at 8.07 bits/byte beat
                              LZSS's 9-bit literals, at higher speed)
-``h1`` low, ``m`` high       trial-encode ``lzss`` *and*
+``h1`` low, ``m`` high       tokenize once, emit ``lzss`` *and*
                              ``lzss-huffman``, keep the smaller
 everything else              ``lzss`` (the paper's format)
 ===========================  =======================================
@@ -40,7 +40,13 @@ import numpy as np
 from repro import obs
 from repro.codecs.base import get_codec, metric_key
 from repro.codecs.lzss import LZSS_CODEC_ID
-from repro.lzss.encoder import EncodeResult, encode_chunked
+from repro.codecs.lzss_huffman import LZSS_HUFFMAN_CODEC_ID, pack_lzss_huffman
+from repro.lzss.encoder import (
+    EncodeResult,
+    encode_chunked,
+    pack_lzss,
+    tokenize,
+)
 from repro.lzss.formats import TokenFormat
 from repro.lzss.matcher import probe_incompressible, resolve_probe_threshold
 from repro.lzss.stats import EncodeStats
@@ -169,8 +175,6 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
 
     parts: list[bytes] = [b""] * n_chunks
     ids = np.zeros(n_chunks, dtype=np.uint8)
-    lzss_codec = get_codec("lzss")
-    huff_codec = get_codec("lzss-huffman")
     i = 0
     while i < n_chunks:
         j = i
@@ -178,22 +182,22 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
             j += 1
         lo, hi = i * chunk_size, min(j * chunk_size, n)
         if names[i] == "trial":
-            # Measure, don't predict: smaller of lzss and lzss-huffman.
-            # Per-codec ledger time goes to whichever codec won the
-            # chunk — the loser's work is the price of the trial.
+            # Measure, don't predict: tokenize the chunk once, emit it
+            # as lzss and as lzss-huffman, keep the smaller (lzss on a
+            # tie).  Per-codec ledger time goes to whichever codec won
+            # the chunk — the loser's emit is the price of the trial.
             for c in range(i, j):
                 chunk = arr[c * chunk_size:min((c + 1) * chunk_size, n)]
                 t0 = perf_counter()
-                as_lzss = lzss_codec.encode_chunk(chunk, fmt)
-                as_huff = huff_codec.encode_chunk(chunk, fmt)
+                tokens, _stats = tokenize(chunk, fmt, None)
+                as_lzss, _sizes = pack_lzss(tokens, chunk, fmt, None)
+                as_huff = pack_lzss_huffman(tokens, chunk, fmt)
                 elapsed = perf_counter() - t0
                 if len(as_huff) < len(as_lzss):
-                    parts[c], ids[c] = as_huff, huff_codec.codec_id
-                    winner = huff_codec.name
+                    parts[c], ids[c] = as_huff, LZSS_HUFFMAN_CODEC_ID
                 else:
-                    parts[c], ids[c] = as_lzss, lzss_codec.codec_id
-                    winner = lzss_codec.name
-                key = metric_key(winner)
+                    parts[c], ids[c] = as_lzss, LZSS_CODEC_ID
+                key = metric_key(get_codec(int(ids[c])).name)
                 obs.observe(f"codec.encode_{key}_seconds", elapsed)
                 obs.inc(f"codec.encode_{key}_bytes", int(chunk.size))
         else:

@@ -20,10 +20,13 @@ a chunk's stream must consume its payload exactly and produce exactly
 the declared output size — violations raise
 :class:`~repro.errors.CorruptChunkError` like every other codec.
 
-Both directions are single-pass NumPy: encode scatters control and
-literal bytes with :func:`~repro.util.bitio.ragged_arange`, decode
-walks a byte-level jump chain (:func:`~repro.lzss.parse.reachable_from`)
-and resolves matches with the decoder's pointer-jumping trick.
+Both directions are single-pass NumPy over the shared
+:class:`~repro.lzss.parse.Tokens`: encode parses its own hash-chain
+matches with :func:`~repro.lzss.encoder.tokens_from_matches` and
+scatters one to three bytes per token; decode walks a byte-level jump
+chain (:func:`~repro.lzss.parse.reachable_from`) into literal-run and
+match tokens and resolves them with
+:func:`~repro.lzss.decoder.reconstruct`.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ import numpy as np
 
 from repro.codecs.base import Codec, register_codec
 from repro.errors import CorruptChunkError
+from repro.lzss.decoder import reconstruct
+from repro.lzss.encoder import tokens_from_matches
 from repro.lzss.formats import TokenFormat
 from repro.lzss.matcher import hash_chain_best_matches
-from repro.lzss.parse import greedy_token_starts, reachable_from
+from repro.lzss.parse import Tokens, reachable_from
 from repro.util.bitio import ragged_arange
 from repro.util.buffers import as_u8
 from repro.util.validation import require_range
@@ -47,6 +52,7 @@ __all__ = [
     "Lz4sCodec",
     "lz4s_decode_chunk",
     "lz4s_encode_chunked",
+    "lz4s_tokenize",
 ]
 
 LZ4S_CODEC_ID = 3
@@ -60,6 +66,17 @@ LZ4S_MAX_DIST = 0xFFFF
 LZ4S_MAX_CHAIN = 8
 
 
+def lz4s_tokenize(arr: np.ndarray, chunk_size: int, *,
+                  max_chain: int = LZ4S_MAX_CHAIN) -> Tokens:
+    """Chunk-local lz4s tokens: shallow hash-chain matches, min match 4."""
+    window = min(chunk_size, LZ4S_MAX_DIST)
+    blen, bdist = hash_chain_best_matches(arr, window, LZ4S_MAX_MATCH,
+                                          max_chain=max_chain,
+                                          chunk_size=chunk_size)
+    advance = np.where(blen >= LZ4S_MIN_MATCH, blen, 1).astype(np.int64)
+    return tokens_from_matches(bdist, advance, chunk_size)
+
+
 def lz4s_encode_chunked(data, chunk_size: int, *,
                         max_chain: int = LZ4S_MAX_CHAIN
                         ) -> tuple[bytes, np.ndarray]:
@@ -71,70 +88,33 @@ def lz4s_encode_chunked(data, chunk_size: int, *,
     if n_chunks == 0:
         return b"", np.zeros(0, dtype=np.int64)
 
-    window = min(chunk_size, LZ4S_MAX_DIST)
-    blen, bdist = hash_chain_best_matches(arr, window, LZ4S_MAX_MATCH,
-                                          max_chain=max_chain,
-                                          chunk_size=chunk_size)
-    matchable = blen >= LZ4S_MIN_MATCH
-    advance = np.where(matchable, blen, 1).astype(np.int64)
-    starts = greedy_token_starts(advance, chunk_size)
+    tokens = lz4s_tokenize(arr, chunk_size, max_chain=max_chain)
+    chunk_id = tokens.starts // chunk_size
+    lit = np.nonzero(~tokens.is_pair)[0]
+    m = np.nonzero(tokens.is_pair)[0]
 
-    is_match = matchable[starts]
-    chunk_id = starts // chunk_size
+    # Consecutive literal tokens of one chunk form a run.  The run's
+    # literals k = 0, 128, 256, ... each open a block behind a control
+    # byte holding the block size - 1.
+    run_head = np.ones(lit.size, dtype=bool)
+    run_head[1:] = (np.diff(lit) > 1) | (np.diff(chunk_id[lit]) != 0)
+    run = np.cumsum(run_head) - 1
+    k = np.arange(lit.size) - np.nonzero(run_head)[0][run]
+    left = np.bincount(run)[run] - k  # literals left in the run
+    opens = k % LZ4S_MAX_RUN == 0
 
-    # Coalesce consecutive literal tokens into run *elements*; every
-    # match token is its own element.  A new element begins at a match,
-    # right after a match, or at a chunk boundary.
-    n_tok = starts.size
-    head = np.ones(n_tok, dtype=bool)
-    head[1:] = (is_match[1:] | is_match[:-1]
-                | (chunk_id[1:] != chunk_id[:-1]))
-    elem_id = np.cumsum(head) - 1
-    head_pos = np.nonzero(head)[0]
-    n_elem = head_pos.size
-
-    elem_is_match = is_match[head_pos]
-    elem_start = starts[head_pos]
-    elem_chunk = chunk_id[head_pos]
-    # Literal tokens all advance by 1, so a run's literal count is its
-    # token count; matches contribute zero literals.
-    run_len = np.bincount(elem_id[~is_match], minlength=n_elem)
-
-    n_ctrl = -(-run_len // LZ4S_MAX_RUN)  # ceil; 0 for match elements
-    elem_size = np.where(elem_is_match, 3, n_ctrl + run_len)
-    elem_off = np.concatenate(([0], np.cumsum(elem_size)[:-1]))
-    chunk_sizes = np.bincount(elem_chunk, weights=elem_size,
+    size = np.full(tokens.starts.size, 3, dtype=np.int64)
+    size[lit] = 1 + opens
+    off = np.cumsum(size) - size
+    chunk_sizes = np.bincount(chunk_id, weights=size,
                               minlength=n_chunks).astype(np.int64)
 
-    out = np.empty(int(elem_size.sum()), dtype=np.uint8)
-
-    lit_elems = np.nonzero(~elem_is_match)[0]
-    if lit_elems.size:
-        # Control byte per 128-literal block: value = block size - 1.
-        blocks = n_ctrl[lit_elems]
-        rep = np.repeat(lit_elems, blocks)
-        j = ragged_arange(blocks)
-        block_size = np.minimum(LZ4S_MAX_RUN,
-                                run_len[rep] - LZ4S_MAX_RUN * j)
-        out[elem_off[rep] + j * (LZ4S_MAX_RUN + 1)] = \
-            (block_size - 1).astype(np.uint8)
-        # Literal bytes, skipping one control slot per block.
-        lens = run_len[lit_elems]
-        rep2 = np.repeat(lit_elems, lens)
-        k = ragged_arange(lens)
-        dest = (elem_off[rep2] + (k // LZ4S_MAX_RUN) * (LZ4S_MAX_RUN + 1)
-                + 1 + k % LZ4S_MAX_RUN)
-        out[dest] = arr[elem_start[rep2] + k]
-
-    m_elems = np.nonzero(elem_is_match)[0]
-    if m_elems.size:
-        m_off = elem_off[m_elems]
-        m_len = advance[elem_start[m_elems]]
-        m_dist = bdist[elem_start[m_elems]].astype(np.int64)
-        out[m_off] = (0x80 | (m_len - LZ4S_MIN_MATCH)).astype(np.uint8)
-        out[m_off + 1] = (m_dist & 0xFF).astype(np.uint8)
-        out[m_off + 2] = (m_dist >> 8).astype(np.uint8)
-
+    out = np.empty(int(size.sum()), dtype=np.uint8)
+    out[off[lit][opens]] = np.minimum(left[opens], LZ4S_MAX_RUN) - 1
+    out[off[lit] + opens] = arr[tokens.starts[lit]]
+    out[off[m]] = 0x80 | (tokens.lengths[m] - LZ4S_MIN_MATCH)
+    out[off[m] + 1] = tokens.distances[m] & 0xFF
+    out[off[m] + 2] = tokens.distances[m] >> 8
     return out.tobytes(), chunk_sizes
 
 
@@ -165,56 +145,34 @@ def lz4s_decode_chunk(payload: np.ndarray, output_size: int,
                       token=int(starts.size) - 1)
 
     c = ctrl[starts]
-    t_is_match = c >= 0x80
-    out_len = np.where(t_is_match, (c & 0x7F) + LZ4S_MIN_MATCH, c + 1)
+    is_match = c >= 0x80
+    out_len = np.where(is_match, (c & 0x7F) + LZ4S_MIN_MATCH, c + 1)
     out_ends = np.cumsum(out_len)
     if int(out_ends[-1]) != output_size:
         raise corrupt("lz4s: token output does not land on declared size",
                       token=int(starts.size) - 1)
-    out_start = out_ends - out_len
 
-    parent = np.arange(output_size, dtype=np.int64)
-    values8 = np.zeros(output_size, dtype=np.uint8)
+    lit_idx = np.nonzero(~is_match)[0]
+    lens = out_len[lit_idx]
+    literals = p[np.repeat(starts[lit_idx] + 1, lens) + ragged_arange(lens)]
 
-    lit_idx = np.nonzero(~t_is_match)[0]
-    if lit_idx.size:
-        lens = out_len[lit_idx]
-        rep = np.repeat(lit_idx, lens)
-        k = ragged_arange(lens)
-        values8[out_start[rep] + k] = p[starts[rep] + 1 + k]
-
-    m_idx = np.nonzero(t_is_match)[0]
-    if m_idx.size:
-        m_start = starts[m_idx]
-        dist = ctrl[m_start + 1] | (ctrl[m_start + 2] << 8)
-        if int(dist.min()) == 0:
-            raise corrupt("lz4s: zero match distance",
-                          token=int(m_idx[np.nonzero(dist == 0)[0][0]]))
-        m_len = out_len[m_idx]
-        flat = np.repeat(out_start[m_idx], m_len) + ragged_arange(m_len)
-        parent[flat] = flat - np.repeat(dist, m_len)
-        if int(parent.min()) < 0:
-            bad = int(np.nonzero(parent < 0)[0][0])
-            raise corrupt("lz4s: back-reference before chunk start",
-                          token=int(np.searchsorted(out_start, bad,
-                                                    side="right")) - 1)
-
-    for _ in range(64):
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            break
-        parent = grand
-    else:  # pragma: no cover - 2**64 chain depth is impossible
-        raise corrupt("lz4s: unresolvable reference chain")
-
-    return values8[parent]
+    m_idx = np.nonzero(is_match)[0]
+    m_start = starts[m_idx]
+    dist = ctrl[m_start + 1] | (ctrl[m_start + 2] << 8)
+    if m_idx.size and int(dist.min()) == 0:
+        raise corrupt("lz4s: zero match distance",
+                      token=int(m_idx[np.nonzero(dist == 0)[0][0]]))
+    distances = np.zeros(starts.size, dtype=np.int64)
+    distances[m_idx] = dist
+    tokens = Tokens(starts=out_ends - out_len, is_pair=is_match,
+                    lengths=out_len, distances=distances)
+    return reconstruct(tokens, literals, output_size,
+                       chunk_index=chunk_index)
 
 
 class Lz4sCodec(Codec):
     name = "lz4s"
     codec_id = LZ4S_CODEC_ID
-    entropy_coded = False
-    uses_token_format = False
 
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
         if chunk.size == 0:

@@ -24,8 +24,6 @@ LZSS_CODEC_ID = 2
 class LzssCodec(Codec):
     name = "lzss"
     codec_id = LZSS_CODEC_ID
-    entropy_coded = False
-    uses_token_format = True
 
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
         if chunk.size == 0:

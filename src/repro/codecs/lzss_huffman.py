@@ -30,7 +30,6 @@ enough for the symbol stream to win it back.
 from __future__ import annotations
 
 import struct
-from time import perf_counter
 
 import numpy as np
 
@@ -38,12 +37,14 @@ from repro import obs
 from repro.bzip2.huffman import HuffmanCode, huffman_decode, huffman_encode
 from repro.codecs.base import Codec, register_codec
 from repro.errors import CorruptChunkError
-from repro.lzss.encoder import best_matches
+from repro.lzss.decoder import reconstruct
+from repro.lzss.encoder import tokenize
 from repro.lzss.formats import TokenFormat
-from repro.lzss.parse import greedy_token_starts
-from repro.util.bitio import gather_fields, pack_tokens, ragged_arange, unpack_bits
+from repro.lzss.parse import Tokens
+from repro.util.bitio import gather_fields, pack_tokens, unpack_bits
 
-__all__ = ["LZSS_HUFFMAN_CODEC_ID", "MATCH_SYMBOL", "LzssHuffmanCodec"]
+__all__ = ["LZSS_HUFFMAN_CODEC_ID", "MATCH_SYMBOL", "LzssHuffmanCodec",
+           "pack_lzss_huffman"]
 
 LZSS_HUFFMAN_CODEC_ID = 4
 
@@ -56,48 +57,42 @@ _HEADER = struct.Struct("<III")
 _MAX_CODE_LEN = 15
 
 
+def pack_lzss_huffman(tokens: Tokens, chunk: np.ndarray,
+                      fmt: TokenFormat) -> bytes:
+    """One nonempty chunk's tokens in the lzss-huffman wire format."""
+    is_match = tokens.is_pair
+    symbols = np.where(is_match, MATCH_SYMBOL,
+                       chunk[tokens.starts].astype(np.int64))
+    # Ledger: the entropy stage alone (tree build + symbol coding).
+    with obs.stage("codec.huffman", bytes=int(chunk.size)):
+        code = HuffmanCode.from_frequencies(
+            np.bincount(symbols, minlength=_N_SYMBOLS), _MAX_CODE_LEN)
+        sym_payload, sym_bits = huffman_encode(symbols, code)
+
+    fw = fmt.offset_bits + fmt.length_bits
+    fields = (((tokens.distances[is_match] - 1) << fmt.length_bits)
+              | (tokens.lengths[is_match] - fmt.min_match))
+    match_payload, _bits = pack_tokens(
+        fields, np.full(fields.size, fw, dtype=np.int64))
+
+    nib = np.zeros(_TABLE_BYTES * 2, dtype=np.uint8)
+    nib[:_N_SYMBOLS] = code.lengths.astype(np.uint8)
+    table = (nib[0::2] | (nib[1::2] << 4)).tobytes()
+
+    header = _HEADER.pack(int(symbols.size), int(fields.size), int(sym_bits))
+    return header + table + sym_payload + match_payload
+
+
 class LzssHuffmanCodec(Codec):
     name = "lzss-huffman"
     codec_id = LZSS_HUFFMAN_CODEC_ID
-    entropy_coded = True
-    uses_token_format = True
 
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat,
                      *, max_chain: int = 64) -> bytes:
         if chunk.size == 0:
             return b""
-        blen, bdist, _c, _p, _w = best_matches(chunk, fmt, None, max_chain)
-        matchable = blen >= fmt.min_match
-        advance = np.where(matchable, blen, 1).astype(np.int64)
-        starts = greedy_token_starts(advance)
-        is_match = matchable[starts]
-
-        symbols = np.where(is_match, MATCH_SYMBOL,
-                           chunk[starts].astype(np.int64))
-        # Ledger: the entropy stage alone (tree build + symbol coding),
-        # recorded raw rather than as a span — this runs per chunk.
-        t0 = perf_counter()
-        code = HuffmanCode.from_frequencies(
-            np.bincount(symbols, minlength=_N_SYMBOLS), _MAX_CODE_LEN)
-        sym_payload, sym_bits = huffman_encode(symbols, code)
-        obs.observe("codec.huffman_seconds", perf_counter() - t0)
-        obs.inc("codec.huffman_bytes", int(chunk.size))
-
-        m_starts = starts[is_match]
-        m_len = advance[m_starts]
-        m_dist = bdist[m_starts].astype(np.int64)
-        fw = fmt.offset_bits + fmt.length_bits
-        fields = ((m_dist - 1) << fmt.length_bits) | (m_len - fmt.min_match)
-        match_payload, _bits = pack_tokens(
-            fields, np.full(fields.size, fw, dtype=np.int64))
-
-        nib = np.zeros(_TABLE_BYTES * 2, dtype=np.uint8)
-        nib[:_N_SYMBOLS] = code.lengths.astype(np.uint8)
-        table = (nib[0::2] | (nib[1::2] << 4)).tobytes()
-
-        header = _HEADER.pack(int(starts.size), int(m_starts.size),
-                              int(sym_bits))
-        return header + table + sym_payload + match_payload
+        tokens, _stats = tokenize(chunk, fmt, None, max_chain)
+        return pack_lzss_huffman(tokens, chunk, fmt)
 
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
                      output_size: int, *, chunk_index: int = 0) -> np.ndarray:
@@ -143,6 +138,7 @@ class LzssHuffmanCodec(Codec):
             raise corrupt("match marker count disagrees with header")
 
         out_len = np.ones(n_tokens, dtype=np.int64)
+        distances = np.zeros(n_tokens, dtype=np.int64)
         if n_matches:
             fields = gather_fields(
                 unpack_bits(p[sym_off + sym_nbytes:]),
@@ -152,29 +148,14 @@ class LzssHuffmanCodec(Codec):
             if int(m_dist.max()) > fmt.window:
                 raise corrupt("match distance exceeds window")
             out_len[is_match] = m_len
+            distances[is_match] = m_dist
         ends = np.cumsum(out_len)
         if int(ends[-1]) != output_size:
             raise corrupt("token output does not land on declared size")
-        out_start = ends - out_len
-
-        parent = np.arange(output_size, dtype=np.int64)
-        values8 = np.zeros(output_size, dtype=np.uint8)
-        lit_pos = out_start[~is_match]
-        values8[lit_pos] = symbols[~is_match].astype(np.uint8)
-        if n_matches:
-            flat = (np.repeat(out_start[is_match], m_len)
-                    + ragged_arange(m_len))
-            parent[flat] = flat - np.repeat(m_dist, m_len)
-            if int(parent.min()) < 0:
-                raise corrupt("back-reference before chunk start")
-        for _ in range(64):
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-        else:  # pragma: no cover - 2**64 chain depth is impossible
-            raise corrupt("unresolvable reference chain")
-        return values8[parent]
+        tokens = Tokens(starts=ends - out_len, is_pair=is_match,
+                        lengths=out_len, distances=distances)
+        return reconstruct(tokens, symbols[~is_match].astype(np.uint8),
+                           output_size, chunk_index=chunk_index)
 
 
 register_codec(LzssHuffmanCodec())

@@ -24,8 +24,6 @@ STORE_CODEC_ID = 1
 class StoreCodec(Codec):
     name = "store"
     codec_id = STORE_CODEC_ID
-    entropy_coded = False
-    uses_token_format = False
 
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
         return chunk.tobytes()

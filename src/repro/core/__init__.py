@@ -7,7 +7,8 @@ the :mod:`repro.gpusim` device model:
   serial LZSS per thread, buffers in shared memory (§III.B.1);
 * :mod:`repro.core.v2` — fine-grained: one thread ⇒ one input
   position, all-position matching on the GPU, redundant-match
-  elimination (:mod:`repro.core.fixup`) on the CPU (§III.B.2–3);
+  elimination (the shared greedy parse; :mod:`repro.core.fixup` holds
+  the paper's serial walk as its reference) on the CPU (§III.B.2–3);
 * :mod:`repro.core.decompress` — chunk-parallel decompression shared
   by both versions (§III.C);
 * :mod:`repro.core.api` — the in-memory ``gpu_compress`` /
@@ -22,7 +23,7 @@ from repro.core.api import (
     gpu_decompress,
 )
 from repro.core.decompress import GpuDecompressor
-from repro.core.fixup import fixup_matches, fixup_matches_reference
+from repro.core.fixup import fixup_matches_reference
 from repro.core.hetero import HeteroPlan, HeterogeneousCompressor
 from repro.core.library import CulzssLibrary, get_library
 from repro.core.params import CompressionParams
@@ -42,7 +43,6 @@ __all__ = [
     "StreamingPipeline",
     "V1Compressor",
     "V2Compressor",
-    "fixup_matches",
     "fixup_matches_reference",
     "get_library",
     "gpu_compress",

@@ -7,74 +7,25 @@ eliminated from the encoded output … it follows a serial path and
 needs to be done on CPU") and generates the flag bits happens on the
 host.
 
-Functionally the fixup is exactly the greedy parse of
-:mod:`repro.lzss.parse` applied to all-position match arrays; this
-module packages it as the paper's named pipeline stage, provides the
-plain-loop reference the vectorized version is tested against, and
-reports the operation counts (positions scanned, tokens emitted) that
-the fixup timing model charges.
+Functionally the fixup is exactly the greedy parse every encoder runs
+(:func:`repro.lzss.encoder.tokens_from_matches` over all-position
+match arrays).  This module keeps the paper's plain-loop walk as the
+executable specification that vectorized parse is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro import obs
 from repro.lzss.formats import TokenFormat
-from repro.lzss.parse import greedy_token_starts
-from repro.util.validation import require
+from repro.lzss.parse import Tokens
 
-__all__ = ["FixupResult", "fixup_matches", "fixup_matches_reference"]
-
-
-@dataclass
-class FixupResult:
-    """Kept tokens after redundant-match elimination.
-
-    ``starts`` are the surviving token positions; ``is_pair`` the flag
-    array ("the flags for encoding will also be generated through this
-    process"); ``lengths``/``distances`` are valid where ``is_pair``.
-    ``positions_scanned`` and ``tokens_emitted`` feed the CPU-side
-    timing model.
-    """
-
-    starts: np.ndarray
-    is_pair: np.ndarray
-    lengths: np.ndarray
-    distances: np.ndarray
-    positions_scanned: int
-    tokens_emitted: int
-
-
-def fixup_matches(best_len: np.ndarray, best_dist: np.ndarray,
-                  fmt: TokenFormat,
-                  chunk_size: int | None = None) -> FixupResult:
-    """Eliminate overlapped matches and produce the final token set."""
-    best_len = np.asarray(best_len)
-    best_dist = np.asarray(best_dist)
-    require(best_len.shape == best_dist.shape, "match array shape mismatch")
-    with obs.stage("encode.fixup", bytes=int(best_len.size),
-                   positions=int(best_len.size)):
-        advance = np.where(best_len >= fmt.min_match, best_len, 1).astype(np.int64)
-        starts = greedy_token_starts(advance, chunk_size)
-        lengths = best_len[starts].astype(np.int64)
-        distances = best_dist[starts].astype(np.int64)
-        is_pair = lengths >= fmt.min_match
-    return FixupResult(
-        starts=starts,
-        is_pair=is_pair,
-        lengths=np.where(is_pair, lengths, 1),
-        distances=np.where(is_pair, distances, 0),
-        positions_scanned=int(best_len.size),
-        tokens_emitted=int(starts.size),
-    )
+__all__ = ["fixup_matches_reference"]
 
 
 def fixup_matches_reference(best_len: np.ndarray, best_dist: np.ndarray,
                             fmt: TokenFormat,
-                            chunk_size: int | None = None) -> FixupResult:
+                            chunk_size: int | None = None) -> Tokens:
     """The serial walk as the paper's CPU would run it (plain loops)."""
     n = len(best_len)
     cs = chunk_size if chunk_size is not None else max(n, 1)
@@ -94,11 +45,9 @@ def fixup_matches_reference(best_len: np.ndarray, best_dist: np.ndarray,
                 lengths.append(1)
                 distances.append(0)
                 pos += 1
-    return FixupResult(
+    return Tokens(
         starts=np.asarray(starts, dtype=np.int64),
         is_pair=np.asarray(is_pair, dtype=bool),
         lengths=np.asarray(lengths, dtype=np.int64),
         distances=np.asarray(distances, dtype=np.int64),
-        positions_scanned=n,
-        tokens_emitted=len(starts),
     )

@@ -11,7 +11,9 @@ Layering (bottom → top):
 * :mod:`repro.lzss.matcher` — hash-chain longest-match for the large
   serial window, vectorized candidate extension.
 * :mod:`repro.lzss.parse` — greedy parse: all-position matches → token
-  starts, via vectorized jump doubling.
+  starts, via vectorized jump doubling, and the
+  :class:`~repro.lzss.parse.Tokens` value every encoder emits from
+  and every decoder reconstructs.
 * :mod:`repro.lzss.encoder` / :mod:`repro.lzss.decoder` — fast
   production codecs built on the pieces above.
 """

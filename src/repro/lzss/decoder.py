@@ -11,8 +11,11 @@ copy bytes the decode itself produces.  Both dependencies vectorize:
 * **Back-references**: every output byte's source is
   ``parent[d] = d - distance`` (pairs) or ``d`` itself (literals) — a
   strictly-decreasing parent forest rooted at literals.  Pointer-
-  jumping (``parent ← parent[parent]``) resolves every byte to its
-  literal root in O(log n) vector rounds, overlapping runs included.
+  jumping resolves every byte to its literal root in O(log n) vector
+  rounds, overlapping runs included.  :func:`reconstruct` is that
+  step for every codec: each decoder parses its own wire format into
+  :class:`~repro.lzss.parse.Tokens` plus a literal array and hands
+  them over.
 
 The scalar loop in :func:`repro.lzss.reference.reference_decode` is the
 specification; this module is property-tested against it.
@@ -35,14 +38,14 @@ import numpy as np
 from repro import obs
 from repro.errors import CorruptChunkError, TruncatedContainerError
 from repro.lzss.formats import FLAG_LITERAL, TokenFormat
-from repro.lzss.parse import reachable_from
-from repro.util.bitio import gather_fields, ragged_arange, unpack_bits
+from repro.lzss.parse import Tokens, reachable_from
+from repro.util.bitio import gather_fields, unpack_bits
 from repro.util.buffers import as_u8
 from repro.util.checksum import crc32
 from repro.util.validation import require
 
 __all__ = ["SalvageReport", "decode", "decode_chunked",
-           "decode_chunked_with_stats"]
+           "decode_chunked_with_stats", "reconstruct"]
 
 
 @dataclass
@@ -84,6 +87,41 @@ class SalvageReport:
         return text
 
 
+def reconstruct(tokens: Tokens, literals: np.ndarray, output_size: int, *,
+                chunk_index: int = 0) -> np.ndarray:
+    """Resolve one chunk's tokens into its ``output_size`` bytes.
+
+    ``tokens`` come in output order and their lengths sum to
+    ``output_size``; a literal token takes its ``length`` bytes from
+    ``literals`` in order, a pair token copies from ``distance`` bytes
+    back.  Every byte's source is ``parent[d] = d - distance`` (literal
+    bytes have distance 0, so they are their own roots); pointer
+    jumping (each byte adopts its parent's parent) resolves every byte
+    to its literal root in O(log n) vector rounds, overlapping runs
+    included.  A reference before the chunk start raises
+    :class:`CorruptChunkError` naming ``chunk_index`` and the token.
+    """
+    parent = (np.arange(output_size, dtype=np.int64)
+              - np.repeat(tokens.distances, tokens.lengths))
+    if output_size and int(parent.min()) < 0:
+        bad = int(np.argmax(parent < 0))
+        raise CorruptChunkError(
+            "corrupt stream: back-reference before chunk start",
+            chunk_index=chunk_index,
+            token_position=int(np.searchsorted(tokens.starts, bad,
+                                               side="right")) - 1)
+    values = np.zeros(output_size, dtype=np.uint8)
+    values[~np.repeat(tokens.is_pair, tokens.lengths)] = literals
+    # A pair byte's parent lies before it and a literal byte is its own
+    # root, so the depth halves every round until every byte points at
+    # its root.
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return values[parent]
+        parent = grand
+
+
 def _decode_stream(payload: np.ndarray, fmt: TokenFormat, output_size: int,
                    chunk_index: int = 0) -> tuple[np.ndarray, int]:
     """Decode one continuous bit stream; returns (bytes, token count).
@@ -107,75 +145,39 @@ def _decode_stream(payload: np.ndarray, fmt: TokenFormat, output_size: int,
     jump = np.arange(nbits, dtype=np.int64) + jump
     starts = reachable_from(jump, 0)
     # The chain runs into the zero padding; cut it by output size below.
-    flags = bits[starts]
-    is_lit = flags == FLAG_LITERAL
-    out_len = np.ones(starts.size, dtype=np.int64)
+    is_pair = bits[starts] != FLAG_LITERAL
+    # Only read fields that lie fully inside the stream (padding tails
+    # can't, and get dropped).
+    in_range = starts + np.where(is_pair, fmt.pair_bits,
+                                 fmt.literal_bits) <= nbits
+    starts, is_pair = starts[in_range], is_pair[in_range]
 
-    # Pair lengths require their length field; only read fields that lie
-    # fully inside the stream (padding tails can't, and get dropped).
-    in_range = starts + np.where(is_lit, fmt.literal_bits, fmt.pair_bits) <= nbits
-    starts, flags, is_lit, out_len = (
-        starts[in_range], flags[in_range], is_lit[in_range], out_len[in_range])
-
-    pair_idx = np.nonzero(~is_lit)[0]
+    lengths = np.ones(starts.size, dtype=np.int64)
+    distances = np.zeros(starts.size, dtype=np.int64)
+    pair_idx = np.nonzero(is_pair)[0]
     if pair_idx.size:
-        values = gather_fields(bits, starts[pair_idx] + 1,
+        fields = gather_fields(bits, starts[pair_idx] + 1,
                                fmt.offset_bits + fmt.length_bits)
-        lengths = (values & ((1 << fmt.length_bits) - 1)) + fmt.min_match
-        distances = (values >> fmt.length_bits) + 1
-        over = distances > fmt.window
+        lengths[pair_idx] = ((fields & ((1 << fmt.length_bits) - 1))
+                             + fmt.min_match)
+        distances[pair_idx] = (fields >> fmt.length_bits) + 1
+        over = distances[pair_idx] > fmt.window
         if bool(over.any()):
             raise corrupt("corrupt stream: distance exceeds window",
                           token=int(pair_idx[np.nonzero(over)[0][0]]))
-        out_len[pair_idx] = lengths
 
-    ends = np.cumsum(out_len)
+    ends = np.cumsum(lengths)
     keep = int(np.searchsorted(ends, output_size, side="left")) + 1
     if not (keep <= starts.size and int(ends[keep - 1]) == output_size):
         raise corrupt(
             "corrupt stream: token output does not land on declared size",
             token=min(keep, starts.size) - 1)
-    starts, is_lit, out_len = starts[:keep], is_lit[:keep], out_len[:keep]
-    out_start = ends[:keep] - out_len
-
-    # --- reconstruction --------------------------------------------------
-    parent = np.arange(output_size, dtype=np.int64)
-    values8 = np.zeros(output_size, dtype=np.uint8)
-
-    lit_pos = out_start[is_lit]
-    if lit_pos.size:
-        lit_bytes = gather_fields(bits, starts[is_lit] + 1, 8)
-        values8[lit_pos] = lit_bytes.astype(np.uint8)
-
-    pair_mask = ~is_lit
-    if np.any(pair_mask):
-        p_start = out_start[pair_mask]
-        p_len = out_len[pair_mask]
-        values_p = gather_fields(bits, starts[pair_mask] + 1,
-                                 fmt.offset_bits + fmt.length_bits)
-        p_dist = (values_p >> fmt.length_bits) + 1
-        flat = np.repeat(p_start, p_len) + ragged_arange(p_len)
-        parent[flat] = flat - np.repeat(p_dist, p_len)
-        if int(parent.min()) < 0:
-            bad = int(np.nonzero(parent < 0)[0][0])
-            raise corrupt("corrupt stream: back-reference before stream "
-                          "start",
-                          token=int(np.searchsorted(out_start, bad,
-                                                    side="right")) - 1)
-
-    # Pointer-jumping to literal roots; depth halves every round.
-    for _ in range(64):
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            break
-        parent = grand
-    else:  # pragma: no cover - 2**64 chain depth is impossible
-        unresolved = int(np.nonzero(parent != parent[parent])[0][0])
-        raise corrupt("corrupt stream: unresolvable reference chain",
-                      token=int(np.searchsorted(out_start, unresolved,
-                                                side="right")) - 1)
-
-    return values8[parent], keep
+    is_pair, lengths = is_pair[:keep], lengths[:keep]
+    literals = gather_fields(bits, starts[:keep][~is_pair] + 1, 8)
+    tokens = Tokens(starts=ends[:keep] - lengths, is_pair=is_pair,
+                    lengths=lengths, distances=distances[:keep])
+    return reconstruct(tokens, literals.astype(np.uint8), output_size,
+                       chunk_index=chunk_index), keep
 
 
 def decode(payload, fmt: TokenFormat, output_size: int) -> bytes:

@@ -4,11 +4,17 @@ The encode pipeline is four vector stages — no per-byte Python:
 
 1. all-position longest matches (lag method for CUDA windows,
    hash-chain for the serial window);
-2. greedy parse → token start positions (jump doubling / lock-step);
+2. greedy parse → :class:`~repro.lzss.parse.Tokens` (chunk-seeded jump
+   doubling, :func:`tokens_from_matches`);
 3. token field packing → ragged (value, nbits) arrays;
 4. one :func:`repro.util.bitio.pack_tokens` scatter into bytes, with
    per-chunk byte alignment injected as zero-width pad entries so the
    chunked container can slice chunks on byte boundaries.
+
+Stages 1–2 are :func:`tokenize`, stages 3–4 :func:`pack_lzss`.  The
+other codecs emit their own wire formats from the same tokens:
+lzss-huffman from :func:`tokenize`, lz4s from
+:func:`tokens_from_matches` over its own hash-chain matches.
 
 ``encode`` produces one continuous stream (the serial format);
 ``encode_chunked`` produces independently-decodable chunk streams (the
@@ -25,13 +31,14 @@ from repro import obs
 from repro.lzss.formats import FLAG_LITERAL, TokenFormat
 from repro.lzss.lagmatch import lag_best_matches
 from repro.lzss.matcher import DEFAULT_MAX_CHAIN, hash_chain_best_matches
-from repro.lzss.parse import greedy_token_starts, optimal_token_advance
+from repro.lzss.parse import Tokens, greedy_token_starts, optimal_token_advance
 from repro.lzss.stats import EncodeStats
 from repro.util.bitio import pack_tokens
 from repro.util.buffers import as_u8
 from repro.util.validation import require_range
 
-__all__ = ["EncodeResult", "best_matches", "encode", "encode_chunked"]
+__all__ = ["EncodeResult", "best_matches", "encode", "encode_chunked",
+           "pack_lzss", "tokenize", "tokens_from_matches"]
 
 #: Largest window for which the exact per-lag scan is the matcher of
 #: choice; beyond this the hash chain wins by a mile.
@@ -92,13 +99,31 @@ def best_matches(
     return blen, bdist, None, None, None
 
 
-def _tokenize_arrays(arr: np.ndarray, fmt: TokenFormat,
-                     chunk_size: int | None,
-                     max_chain: int,
-                     collect_detail: bool,
-                     slice_size: int | None = None,
-                     parse: str = "greedy"):
-    """Stages 1–3: matches → parse → per-token (value, nbits) arrays.
+def tokens_from_matches(best_dist: np.ndarray, advance: np.ndarray,
+                        chunk_size: int | None) -> Tokens:
+    """The greedy parse of all-position matches, as :class:`Tokens`.
+
+    ``advance[i]`` is how far the parse moves on from ``i``: the
+    accepted match length, or 1 for a literal.  It carries the parse
+    policy (greedy, lazy, optimal, lz4s's minimum match), so a token is
+    a pair exactly when it advances more than one byte, and takes its
+    distance from ``best_dist``.  ``chunk_size`` restarts the parse at
+    every chunk; ``None`` parses one stream.
+    """
+    starts = greedy_token_starts(advance, chunk_size)
+    lengths = advance[starts]
+    is_pair = lengths > 1
+    distances = np.where(is_pair, best_dist[starts], 0).astype(np.int64)
+    return Tokens(starts=starts, is_pair=is_pair, lengths=lengths,
+                  distances=distances)
+
+
+def tokenize(arr: np.ndarray, fmt: TokenFormat, chunk_size: int | None,
+             max_chain: int = DEFAULT_MAX_CHAIN,
+             collect_detail: bool = False,
+             slice_size: int | None = None,
+             parse: str = "greedy") -> tuple[Tokens, EncodeStats]:
+    """Stages 1–2: matches → parse → :class:`Tokens` plus their stats.
 
     With ``slice_size`` the greedy parse restarts at every slice (the
     CULZSS V1 per-thread boundaries); slices always divide chunks, so
@@ -113,6 +138,8 @@ def _tokenize_arrays(arr: np.ndarray, fmt: TokenFormat,
     ``parse="optimal"`` computes the bit-optimal parse by dynamic
     programming (:func:`repro.lzss.parse.optimal_token_advance`) —
     slower, for when ratio matters more than encode speed.
+
+    The stats' ``output_size`` is 0 until a packer fills it in.
     """
     if parse not in ("greedy", "lazy", "optimal"):
         raise ValueError(f"unknown parse strategy {parse!r}")
@@ -121,44 +148,75 @@ def _tokenize_arrays(arr: np.ndarray, fmt: TokenFormat,
         blen, bdist, compares, per_pos, warp_cmp = best_matches(
             arr, fmt, chunk_size, max_chain, collect_detail, slice_size)
     with obs.stage("encode.parse", bytes=n, parse=parse):
-        matchable = blen >= fmt.min_match
-        if parse == "lazy" and n > 1:
-            longer_next = np.zeros(n, dtype=bool)
-            longer_next[:-1] = blen[1:] > blen[:-1]
-            matchable &= ~longer_next
         if parse == "optimal":
             advance = optimal_token_advance(blen, fmt.literal_bits,
                                             fmt.pair_bits, fmt.min_match)
-            matchable = advance > 1
         else:
+            matchable = blen >= fmt.min_match
+            if parse == "lazy":
+                matchable[:-1] &= blen[1:] <= blen[:-1]
             advance = np.where(matchable, blen, 1).astype(np.int64)
-        starts = greedy_token_starts(advance, slice_size or chunk_size)
+        tokens = tokens_from_matches(bdist, advance,
+                                     slice_size or chunk_size)
 
-        tok_len = advance[starts] if parse == "optimal" else blen[starts].astype(np.int64)
-        tok_dist = bdist[starts].astype(np.int64)
-        is_pair = matchable[starts]
-
-        lit_values = (np.int64(FLAG_LITERAL) << 8) | arr[starts].astype(np.int64)
-        pair_values = ((tok_dist - 1) << fmt.length_bits) | (tok_len - fmt.min_match)
-        values = np.where(is_pair, pair_values, lit_values)
-        nbits = np.where(is_pair, fmt.pair_bits, fmt.literal_bits).astype(np.int64)
-
-    n_pairs = int(is_pair.sum())
+    pairs = tokens.is_pair
+    n_pairs = int(pairs.sum())
+    n_literals = int(tokens.starts.size) - n_pairs
     stats = EncodeStats(
         input_size=n,
-        output_size=0,  # filled after packing
-        n_tokens=int(starts.size),
-        n_literals=int(starts.size) - n_pairs,
+        output_size=0,
+        n_tokens=int(tokens.starts.size),
+        n_literals=n_literals,
         n_pairs=n_pairs,
-        sum_match_length=int(tok_len[is_pair].sum()),
-        total_bits=int(nbits.sum()),
+        sum_match_length=int(tokens.lengths[pairs].sum()),
+        total_bits=n_literals * fmt.literal_bits + n_pairs * fmt.pair_bits,
         compare_count=compares,
         per_position_compares=per_pos if collect_detail else None,
         per_warp_compares=warp_cmp if collect_detail else None,
-        token_starts=starts if collect_detail else None,
-        token_lengths=np.where(is_pair, tok_len, 1) if collect_detail else None,
+        token_starts=tokens.starts if collect_detail else None,
+        token_lengths=tokens.lengths if collect_detail else None,
     )
-    return values, nbits, starts, stats
+    return tokens, stats
+
+
+def pack_lzss(tokens: Tokens, arr: np.ndarray, fmt: TokenFormat,
+              chunk_size: int | None) -> tuple[bytes, np.ndarray | None]:
+    """Stages 3–4: the lzss bit packer; returns ``(payload, chunk_bytes)``.
+
+    Every token becomes one (value, nbits) field — flag plus byte for a
+    literal, flag plus (distance − 1, length − min_match) for a pair —
+    and one :func:`pack_tokens` scatter writes them all.  With
+    ``chunk_size`` every chunk's stream is padded to a byte boundary by
+    a zero-valued pad entry, so the container can slice chunks on byte
+    boundaries; ``chunk_bytes`` is then the per-chunk byte table
+    (``None`` for one stream).
+    """
+    n = arr.size
+    starts, is_pair = tokens.starts, tokens.is_pair
+    with obs.stage("encode.pack", bytes=n, tokens=int(starts.size)):
+        lit_values = ((np.int64(FLAG_LITERAL) << 8)
+                      | arr[starts].astype(np.int64))
+        pair_values = (((tokens.distances - 1) << fmt.length_bits)
+                       | (tokens.lengths - fmt.min_match))
+        values = np.where(is_pair, pair_values, lit_values)
+        nbits = np.where(is_pair, fmt.pair_bits,
+                         fmt.literal_bits).astype(np.int64)
+        if chunk_size is None:
+            payload, _bits = pack_tokens(values, nbits)
+            return payload, None
+        n_chunks = -(-n // chunk_size)
+        chunk_id = starts // chunk_size
+        bits_per_chunk = np.bincount(chunk_id, weights=nbits,
+                                     minlength=n_chunks).astype(np.int64)
+        pad_bits = (-bits_per_chunk) % 8
+        # Inject one zero-valued pad entry at each chunk boundary.  Insert
+        # positions are cumulative token counts per chunk.
+        boundaries = np.cumsum(np.bincount(chunk_id, minlength=n_chunks))
+        payload, _bits = pack_tokens(np.insert(values, boundaries, 0),
+                                     np.insert(nbits, boundaries, pad_bits))
+    chunk_bytes = (bits_per_chunk + pad_bits) // 8
+    assert int(chunk_bytes.sum()) == len(payload)
+    return payload, chunk_bytes
 
 
 def encode(data, fmt: TokenFormat, max_chain: int = DEFAULT_MAX_CHAIN,
@@ -166,11 +224,9 @@ def encode(data, fmt: TokenFormat, max_chain: int = DEFAULT_MAX_CHAIN,
            parse: str = "greedy") -> EncodeResult:
     """Compress ``data`` into one continuous LZSS bit stream."""
     arr = as_u8(data)
-    values, nbits, _starts, stats = _tokenize_arrays(
-        arr, fmt, None, max_chain, collect_detail, parse=parse)
-    with obs.stage("encode.pack", bytes=arr.size, tokens=int(values.size)):
-        payload, total_bits = pack_tokens(values, nbits)
-    stats.total_bits = total_bits
+    tokens, stats = tokenize(arr, fmt, None, max_chain, collect_detail,
+                             parse=parse)
+    payload, _sizes = pack_lzss(tokens, arr, fmt, None)
     stats.output_size = len(payload)
     return EncodeResult(payload=payload, format=fmt, input_size=arr.size,
                         chunk_sizes=None, chunk_size=None, stats=stats)
@@ -188,36 +244,12 @@ def encode_chunked(data, fmt: TokenFormat, chunk_size: int,
     per-chunk byte lengths in order.
     """
     arr = as_u8(data)
-    n = arr.size
     require_range(chunk_size, 1, 1 << 40, "chunk_size")
-    values, nbits, starts, stats = _tokenize_arrays(
-        arr, fmt, chunk_size, max_chain, collect_detail, slice_size, parse)
-
-    n_chunks = (n + chunk_size - 1) // chunk_size if n else 0
-    if n_chunks == 0:
-        return EncodeResult(payload=b"", format=fmt, input_size=0,
-                            chunk_sizes=np.zeros(0, dtype=np.int64),
-                            chunk_size=chunk_size, stats=stats)
-
-    with obs.stage("encode.pack", bytes=n, tokens=int(values.size),
-                   chunks=n_chunks):
-        chunk_id = starts // chunk_size
-        bits_per_chunk = np.bincount(chunk_id, weights=nbits,
-                                     minlength=n_chunks).astype(np.int64)
-        pad_bits = (-bits_per_chunk) % 8
-        # Inject one zero-valued pad entry at each chunk boundary.  Insert
-        # positions are cumulative token counts per chunk.
-        tokens_per_chunk = np.bincount(chunk_id, minlength=n_chunks)
-        boundaries = np.cumsum(tokens_per_chunk)
-        values_all = np.insert(values, boundaries, 0)
-        nbits_all = np.insert(nbits, boundaries, pad_bits)
-
-        payload, total_bits = pack_tokens(values_all, nbits_all)
-    chunk_bytes = (bits_per_chunk + pad_bits) // 8
-    assert int(chunk_bytes.sum()) == len(payload)
-
-    stats.total_bits = total_bits
+    tokens, stats = tokenize(arr, fmt, chunk_size, max_chain,
+                             collect_detail, slice_size, parse)
+    payload, chunk_bytes = pack_lzss(tokens, arr, fmt, chunk_size)
     stats.output_size = len(payload)
-    return EncodeResult(payload=payload, format=fmt, input_size=n,
+    stats.total_bits = 8 * len(payload)  # chunk streams end byte-aligned
+    return EncodeResult(payload=payload, format=fmt, input_size=arr.size,
                         chunk_sizes=chunk_bytes, chunk_size=chunk_size,
                         stats=stats)

@@ -1,4 +1,4 @@
-"""Greedy-parse machinery: turning all-position matches into token starts.
+"""Greedy-parse machinery: all-position matches → token starts → tokens.
 
 A greedy LZSS parse is the orbit of ``i → i + advance[i]`` from the
 stream start, where ``advance[i]`` is the accepted match length (or 1
@@ -8,36 +8,64 @@ vectorized jump doubling in O(n log n): maintain the set ``R`` of nodes
 reachable in < 2^t steps and a 2^t-step jump table ``J``; then
 ``R ← R ∪ J[R]`` and ``J ← J[J]`` per round.
 
-Two strategies are provided and dispatched automatically:
+Chunked streams (the CUDA formats) run the same doubling once for all
+chunks: every chunk start is seeded and every jump is clipped at its
+chunk's end, so no orbit leaves its chunk and the round count follows
+from the chunk size, not the stream length.  The decoders reuse
+:func:`reachable_from` to find token boundaries in their wire formats.
 
-* :func:`reachable_from` — the doubling method, for one long stream
-  (the serial format) or one bit-stream (the decoder's token scan);
-* :func:`_chunked_orbit` — lock-step iteration over many independent
-  chunks (the CUDA formats): every chunk advances one token per round,
-  so total work is exactly the token count, all chunks in parallel.
+:class:`Tokens` is what a parse produces and what
+:func:`repro.lzss.decoder.reconstruct` consumes: the one token stream
+every codec's encoder emits from and every decoder resolves.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.util.validation import require, require_range
 
-__all__ = ["greedy_token_starts", "greedy_token_starts_reference",
-           "optimal_token_advance", "reachable_from"]
+__all__ = ["Tokens", "greedy_token_starts",
+           "greedy_token_starts_reference", "optimal_token_advance",
+           "reachable_from"]
 
 
-def reachable_from(jump: np.ndarray, start: int = 0) -> np.ndarray:
-    """Sorted orbit of ``start`` under a strictly-forward jump table.
+@dataclass(frozen=True)
+class Tokens:
+    """One token stream in output order.
+
+    ``starts`` are the positions in the uncompressed data where tokens
+    begin, ``is_pair`` marks back-references, ``lengths`` the bytes each
+    token produces and ``distances`` how far back a pair points.  A
+    literal token has distance 0; out of a parse it has length 1, while
+    a decoder's literal run (lz4s) may be longer.
+    """
+
+    starts: np.ndarray
+    is_pair: np.ndarray
+    lengths: np.ndarray
+    distances: np.ndarray
+
+
+def reachable_from(jump: np.ndarray,
+                   start: int | np.ndarray = 0) -> np.ndarray:
+    """Sorted union of the orbits of ``start`` under a forward jump table.
 
     ``jump[p] > p`` must hold for every ``p``; values ≥ ``len(jump)``
-    mean "past the end".  Returns the visited positions (including
-    ``start``) in increasing order.
+    mean "past the end".  ``start`` is one position or several in
+    increasing order below ``len(jump)``, and no orbit may jump past
+    the next start (chunk boundaries).  An orbit then has at most as
+    many nodes as the gap to the next start, which bounds the doubling
+    rounds.  Returns the visited positions (starts included) in
+    increasing order.
     """
     n = jump.size
-    if n == 0 or start >= n:
+    seeds = np.asarray(start, dtype=np.int64).reshape(-1)
+    if n == 0 or seeds.size == 0 or int(seeds[0]) >= n:
         return np.zeros(0, dtype=np.int64)
-    require_range(start, 0, n - 1, "start")
+    require_range(int(seeds[0]), 0, n - 1, "start")
     # Extend with a self-loop sentinel so doubling saturates cleanly.
     j = np.empty(n + 1, dtype=np.int64)
     j[:n] = np.minimum(jump.astype(np.int64, copy=False), n)
@@ -45,39 +73,16 @@ def reachable_from(jump: np.ndarray, start: int = 0) -> np.ndarray:
     if np.any(j[:n] <= np.arange(n)):
         raise ValueError("jump table must be strictly forward")
     reach = np.zeros(n + 1, dtype=bool)
-    reach[start] = True
-    steps = 1
-    while steps < n + 1:
+    reach[seeds] = True
+    # ceil(log2(gap + 1)) rounds cover orbits of up to `gap` nodes.
+    gap = n - int(seeds[-1])
+    if seeds.size > 1:
+        gap = max(gap, int((seeds[1:] - seeds[:-1]).max()))
+    for _ in range(gap.bit_length()):
         idx = np.nonzero(reach)[0]
         reach[j[idx]] = True
         j = j[j]
-        steps <<= 1
     return np.nonzero(reach[:n])[0]
-
-
-def _chunked_orbit(advance: np.ndarray, chunk_size: int) -> np.ndarray:
-    """Token starts for independently-parsed fixed-size chunks.
-
-    All chunks step in lock-step; a round appends one token per still-
-    active chunk, so the rounds needed equal the largest per-chunk token
-    count and total work equals the total token count.
-    """
-    n = advance.size
-    starts = np.arange(0, n, chunk_size, dtype=np.int64)
-    ends = np.minimum(starts + chunk_size, n)
-    cur = starts.copy()
-    collected: list[np.ndarray] = []
-    active = cur < ends
-    while np.any(active):
-        live = cur[active]
-        collected.append(live.copy())
-        cur[active] = live + advance[live]
-        active &= cur < ends
-    if not collected:
-        return np.zeros(0, dtype=np.int64)
-    out = np.concatenate(collected)
-    out.sort()
-    return out
 
 
 def greedy_token_starts(advance: np.ndarray,
@@ -90,15 +95,17 @@ def greedy_token_starts(advance: np.ndarray,
     one stream.
     """
     advance = np.asarray(advance, dtype=np.int64)
-    if advance.size == 0:
+    n = advance.size
+    if n == 0:
         return np.zeros(0, dtype=np.int64)
     require(int(advance.min()) >= 1, "advance must be >= 1 everywhere")
-    if chunk_size is not None:
-        # A chunk larger than the stream degenerates to one chunk.
-        require_range(chunk_size, 1, 1 << 40, "chunk_size")
-        return _chunked_orbit(advance, chunk_size)
-    jump = np.arange(advance.size, dtype=np.int64) + advance
-    return reachable_from(jump, 0)
+    if chunk_size is None:
+        chunk_size = n
+    require_range(chunk_size, 1, 1 << 40, "chunk_size")
+    pos = np.arange(n, dtype=np.int64)
+    chunk_end = (pos // chunk_size + 1) * chunk_size
+    return reachable_from(np.minimum(pos + advance, chunk_end),
+                          np.arange(0, n, chunk_size))
 
 
 def greedy_token_starts_reference(advance: np.ndarray,

@@ -111,7 +111,6 @@ COUNTER_KEYS = (
     "container.salvage_chunks_recovered",
     "container.unpack_bytes",
     "decode.stream_bytes",
-    "encode.fixup_bytes",
     "encode.match_bytes",
     "encode.pack_bytes",
     "encode.parse_bytes",
@@ -147,7 +146,6 @@ HISTOGRAM_KEYS = (
     "container.pack_seconds",
     "container.unpack_seconds",
     "decode.stream_seconds",
-    "encode.fixup_seconds",
     "encode.match_seconds",
     "encode.pack_seconds",
     "encode.parse_seconds",

@@ -290,7 +290,7 @@ def ledger(snapshot: dict) -> list[dict]:
     A stage joins the ledger when it reports the ``bytes=`` dimension —
     i.e. a ``{stage}_bytes`` counter exists alongside a populated
     ``{stage}_seconds`` histogram.  Those stages (match, parse, pack,
-    fixup, decode.stream, container, transport, per-codec) are the
+    decode.stream, container, transport, per-codec) are the
     disjoint leaf timings, so ``share`` — this stage's fraction of the
     summed ledger seconds — reads as share-of-wall-time without
     double-counting nested wrapper spans.  Rows sort by seconds

@@ -99,13 +99,3 @@ def test_out_of_range_wire_id_rejected(bad_id):
 
     with pytest.raises(ValueError, match="codec_id"):
         register_codec(OutOfRange())
-
-
-def test_capability_flags():
-    """The dispatcher and docs rely on these; changing one is a design
-    decision, not a refactor."""
-    assert get_codec("store").uses_token_format is False
-    assert get_codec("store").entropy_coded is False
-    assert get_codec("lzss").uses_token_format is True
-    assert get_codec("lz4s").uses_token_format is False
-    assert get_codec("lzss-huffman").entropy_coded is True

@@ -65,7 +65,7 @@ def test_encode_run_matches_per_chunk_loop(codec_name):
 
 @pytest.mark.parametrize("codec_name", ["store", "lz4s"])
 def test_format_agnostic_codecs_ignore_token_format(codec_name):
-    """``uses_token_format=False`` is a real promise: payloads are
+    """store and lz4s never read the token format: payloads are
     identical under any format and decode under any format."""
     codec = get_codec(codec_name)
     raw = (b"format agnostic payload " * 100)[:1800]

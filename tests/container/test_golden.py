@@ -125,3 +125,52 @@ def test_single_codec_results_still_write_v2_by_default():
     with_column = encode_chunked_auto(PAYLOAD, CUDA_V2, 64, codec="auto")
     with pytest.raises(ValueError, match="v2"):
         pack_container(with_column, version=2)
+
+
+# --- v3 containers of every codec, and one auto decision column ---------
+
+#: (len(blob), SHA-256) of each v3 container of :func:`_codec_corpus`
+#: in CUDA_V2 with 4 KiB chunks.
+CODEC_GOLDENS = {
+    "store": (20576, "2d85b0d12eddf812dd3990e3290576073c3bdf886dcff349"
+                     "b20770e5ab056a34"),
+    "lz4s": (11441, "88fa18a16c2de10228c5b3e1ad7869c0d47d43d8ef0573c1"
+                    "849753e2924d7e2c"),
+    "lzss-huffman": (11249, "f03e9f096bf3e186701258a6622e9447b6e603cc5ac8"
+                            "2f39ae8cb041344f831c"),
+    "auto": (10871, "7dd440598b5c9e6dd6015b508ea5badb6514e5e1088dfc65"
+                    "af727c5888ff512e"),
+}
+
+#: auto's codec column over the same corpus: the skewed chunk wins the
+#: trial as lzss-huffman (4), text and zeros win it as lzss (2), random
+#: bytes are stored (1), sparse bytes go to lz4s (3), the tail is lzss.
+AUTO_GOLDEN_COLUMN = [4, 2, 1, 2, 3, 2]
+
+
+def _codec_corpus() -> bytes:
+    """A skewed-literal chunk, then the dispatcher tests' mixed corpus."""
+    import numpy as np
+
+    from tests.codecs.test_dispatch import mixed_corpus
+
+    rng = np.random.default_rng(3)
+    p = 0.5 ** np.arange(32)
+    skewed = rng.choice(np.arange(32, 64), 4096, p=p / p.sum())
+    return skewed.astype(np.uint8).tobytes() + mixed_corpus()
+
+
+def test_every_codec_v3_container_frozen():
+    import hashlib
+
+    from repro.codecs.dispatch import encode_chunked_auto
+
+    data = _codec_corpus()
+    for codec, (size, digest) in CODEC_GOLDENS.items():
+        result = encode_chunked_auto(data, CUDA_V2, 4096, codec=codec)
+        blob = pack_container(result)
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == \
+            (size, digest), codec
+        if codec == "auto":
+            assert result.chunk_codecs.tolist() == AUTO_GOLDEN_COLUMN
+        assert gpu_decompress(blob).data == data

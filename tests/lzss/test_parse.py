@@ -1,4 +1,4 @@
-"""Greedy-parse machinery: jump doubling and chunk lock-step."""
+"""Greedy-parse machinery: chunk-seeded jump doubling."""
 
 import numpy as np
 import pytest
@@ -28,6 +28,11 @@ class TestReachableFrom:
     def test_start_past_end(self):
         assert reachable_from(np.array([1, 2]), 5).size == 0
 
+    def test_several_starts(self):
+        # Orbits of 0 and 6 under +4 jumps clipped at 6: the chunked parse.
+        jump = np.minimum(np.arange(10) + 4, [6] * 6 + [10] * 4)
+        assert reachable_from(jump, np.array([0, 6])).tolist() == [0, 4, 6]
+
     def test_non_forward_rejected(self):
         with pytest.raises(ValueError):
             reachable_from(np.array([0, 2]), 0)
@@ -48,7 +53,7 @@ class TestReachableFrom:
 class TestGreedyTokenStarts:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=200),
-           st.sampled_from([None, 8, 16, 64]))
+           st.sampled_from([None, 1, 3, 8, 16, 64, 512]))
     def test_property_matches_reference(self, advances, chunk):
         adv = np.array(advances, dtype=np.int64)
         got = greedy_token_starts(adv, chunk)
@@ -60,6 +65,13 @@ class TestGreedyTokenStarts:
         starts = greedy_token_starts(adv, 8)
         # every chunk begins a fresh parse
         assert set(range(0, 32, 8)).issubset(set(starts.tolist()))
+
+    def test_jump_clipped_at_chunk_end(self):
+        # The match at 6 reaches past the chunk end at 8; the next chunk
+        # still parses from 8 in steps of 2, so 11 is no token start.
+        adv = np.array([1] * 6 + [5, 1] + [2] * 8, dtype=np.int64)
+        assert greedy_token_starts(adv, 8).tolist() == \
+            [0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 14]
 
     def test_empty(self):
         assert greedy_token_starts(np.array([], dtype=np.int64)).size == 0

@@ -1,9 +1,11 @@
 """Differential fuzzing across implementations and formats.
 
-Three oracles, hammered with structured random inputs:
+Four oracles, hammered with structured random inputs:
 
 * the fast vectorized encoder must emit byte-identical streams to the
   pure-Python specification encoder (at exhaustive chain depth);
+* every codec's tokens must reconstruct to the input, and the lzss
+  formats' tokens must equal the specification's greedy parse;
 * every stream must round-trip through both the fast and the reference
   decoder;
 * random corruption of containers must never pass silently, and random
@@ -15,12 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codecs.lz4s import lz4s_tokenize
 from repro.container import pack_container, unpack_container
 from repro.core.api import gpu_compress, gpu_decompress
-from repro.lzss.decoder import decode
-from repro.lzss.encoder import encode, encode_chunked
-from repro.lzss.formats import CUDA_V2, SERIAL, TokenFormat
-from repro.lzss.reference import reference_decode, reference_encode
+from repro.core.fixup import fixup_matches_reference
+from repro.lzss.decoder import decode, reconstruct
+from repro.lzss.encoder import best_matches, encode, encode_chunked, tokenize
+from repro.lzss.formats import CUDA_V1, CUDA_V2, SERIAL, TokenFormat
+from repro.lzss.parse import Tokens
+from repro.lzss.reference import (
+    reference_decode,
+    reference_encode,
+    reference_tokenize,
+)
+from repro.util.buffers import as_u8
 
 # ---------------------------------------------------------------------------
 # structured input generators: byte soups LZSS actually meets
@@ -73,6 +83,69 @@ class TestEncoderOracle:
             out = decode_chunked(r.payload, fmt, r.chunk_sizes, chunk,
                                  len(data))
             assert out == data, fmt.name
+
+
+def _chunk_views(tokens: Tokens, n: int, chunk: int | None):
+    """Each chunk's ``(lo, hi, tokens)``, starts rebased to the chunk."""
+    chunk = chunk or n
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        keep = (tokens.starts >= lo) & (tokens.starts < hi)
+        yield lo, hi, Tokens(starts=tokens.starts[keep] - lo,
+                             is_pair=tokens.is_pair[keep],
+                             lengths=tokens.lengths[keep],
+                             distances=tokens.distances[keep])
+
+
+def _assert_reconstructs(tokens: Tokens, arr: np.ndarray, chunk):
+    for lo, hi, t in _chunk_views(tokens, arr.size, chunk):
+        literals = arr[lo + t.starts[~t.is_pair]]
+        assert reconstruct(t, literals, hi - lo).tobytes() == \
+            arr[lo:hi].tobytes()
+
+
+class TestTokenOracle:
+    """``reconstruct(tokenize(x), literals) == x`` for every parse."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(structured.filter(lambda d: len(d) > 0),
+           st.sampled_from([None, 64, 100]))
+    def test_lzss_tokens_equal_spec_and_reconstruct(self, data, chunk):
+        arr = as_u8(data)
+        for fmt in (SERIAL, CUDA_V2):
+            tokens, _stats = tokenize(arr, fmt, chunk, max_chain=10 ** 6)
+            _assert_reconstructs(tokens, arr, chunk)
+            for lo, hi, t in _chunk_views(tokens, arr.size, chunk):
+                got = [("pair", int(d), int(ln)) if p
+                       else ("lit", data[lo + int(s)])
+                       for s, p, ln, d in zip(t.starts, t.is_pair,
+                                              t.lengths, t.distances)]
+                assert got == reference_tokenize(data, fmt, lo, hi), fmt.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(structured.filter(lambda d: len(d) > 0),
+           st.sampled_from([64, 128]))
+    def test_v1_slice_tokens_equal_serial_walk_and_reconstruct(self, data,
+                                                               chunk):
+        # A V1 slice parses on its own but matches against the whole
+        # chunk before it, so the oracle is the paper's serial walk over
+        # the same slice-capped matches.
+        arr = as_u8(data)
+        tokens, _stats = tokenize(arr, CUDA_V1, chunk, slice_size=32)
+        _assert_reconstructs(tokens, arr, chunk)
+        blen, bdist, *_ = best_matches(arr, CUDA_V1, chunk, slice_size=32)
+        ref = fixup_matches_reference(blen, bdist, CUDA_V1, 32)
+        for field in ("starts", "is_pair", "lengths", "distances"):
+            assert getattr(tokens, field).tolist() == \
+                getattr(ref, field).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(structured.filter(lambda d: len(d) > 0),
+           st.sampled_from([None, 64, 100]))
+    def test_lz4s_tokens_reconstruct(self, data, chunk):
+        arr = as_u8(data)
+        _assert_reconstructs(lz4s_tokenize(arr, chunk or arr.size), arr,
+                             chunk)
 
 
 class TestDecoderOracle:
