@@ -3,15 +3,28 @@
 The V2 GPU kernel assigns one thread per input character; every thread
 scans the same ``window``-byte history linearly and records the longest
 match starting at its character (§III.B.2).  Vectorized on the host this
-becomes one pass per *lag*: for lag ``d`` the per-position prefix-match
-run lengths between ``data[i:]`` and ``data[i-d:]`` are computed in O(n)
-with a suffix-minimum over mismatch indices, and the best over all
-``d ∈ [1, window]`` is reduced with ascending-``d`` iteration so ties
-keep the smallest distance — exactly the reference matcher's answer.
+becomes one pass per *lag* ``d ∈ [1, window]`` over one flat buffer:
 
-The same routine also yields the *exact comparison count* the GPU (or a
+* **chunk-major layout** — chunks lie end to end, the last one
+  zero-padded, and every position carries a length cap
+  ``min(max_match, room left in its chunk)`` (0 on padding), which
+  also stops a run at its chunk end.  At lag ``d`` the caps of each
+  chunk's first ``d`` positions are zeroed too, so a compare that
+  would reach before its chunk start counts for nothing and no
+  per-chunk loop is needed;
+* **capped run lengths by doubling** — the equal-byte flags of one lag
+  become run lengths, exact below ``max_match``, in at most
+  ``⌈log2 max_match⌉`` vector steps on ``uint8`` (a wider type only when
+  ``2·max_match + 1`` does not fit), stopping once no run reaches the
+  next step;
+* **packed best key** — the best match is kept as
+  ``len << b | (2^b − 1 − d)`` with ``b = window.bit_length()`` and
+  reduced with one ``maximum`` per lag, so ties keep the smallest
+  distance — exactly the reference matcher's answer.
+
+The same pass yields the *exact comparison count* the GPU (or a
 brute-force CPU loop) performs: candidate ``(i, d)`` costs
-``1 + min(runlen, cap)`` byte compares (compare until first mismatch or
+``min(1 + runlen, cap)`` byte compares (compare until first mismatch or
 cap).  The timing models in :mod:`repro.model` are fed from these
 counts, not from guesses.
 """
@@ -23,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.buffers import as_u8
-from repro.util.validation import require, require_range
+from repro.util.validation import require_range
 
 __all__ = ["LagMatchResult", "lag_best_matches", "lag_run_lengths"]
 
@@ -54,27 +67,35 @@ class LagMatchResult:
     warp_compares: np.ndarray | None = None
 
 
-def lag_run_lengths(data: np.ndarray, lag: int, cap: int,
-                    _idx: np.ndarray | None = None) -> np.ndarray:
+def _capped_runs(eq: np.ndarray, cap: int) -> np.ndarray:
+    """Runs of ``True`` in ``eq`` from each index on, exact below ``cap``.
+
+    Doubling step ``s`` adds ``r[k + s]`` wherever ``r[k] == s``, which
+    turns ``min(run, s)`` into ``min(run, 2s)``.  The result is exact
+    where the run is shorter than ``cap`` and at least ``cap`` elsewhere,
+    in the narrowest unsigned type holding ``2·cap + 1`` — room for a
+    caller's ``+ 1``.  ``eq`` is consumed.
+    """
+    dtype = np.min_scalar_type(2 * cap + 1)
+    r = eq.view(np.uint8) if dtype == np.uint8 else eq.astype(dtype)
+    s = 1
+    while s < cap and r.max(initial=0) >= s:
+        head = r[:-s]
+        head += r[s:] * (head == s).view(np.uint8)
+        s *= 2
+    return r
+
+
+def lag_run_lengths(data: np.ndarray, lag: int, cap: int) -> np.ndarray:
     """Prefix-match run lengths between ``data[k+lag]`` and ``data[k]``.
 
     Returns ``R`` of length ``n - lag`` where ``R[k]`` is the largest
-    ``l ≤ cap`` with ``data[k:k+l] == data[k+lag:k+lag+l]`` …computed as
-    the distance from ``k`` to the next mismatch, via a reversed
-    ``minimum.accumulate`` (suffix minimum) over mismatch indices.
-
-    ``_idx`` may pass a pre-built ``arange`` of length ≥ ``n − lag`` to
-    spare the per-lag allocation on the hot path.
+    ``l ≤ cap`` with ``data[k:k+l] == data[k+lag:k+lag+l]``, in the
+    narrow unsigned type of :func:`_capped_runs`.
     """
     n = data.size
     require_range(lag, 1, max(n - 1, 1), "lag")
-    eq = data[lag:] == data[:-lag]
-    m = eq.size
-    idx = np.arange(m, dtype=np.int64) if _idx is None else _idx[:m]
-    mismatch_at = np.where(eq, np.int64(m), idx)
-    # suffix minimum: nearest mismatch index at or after k
-    next_mismatch = np.minimum.accumulate(mismatch_at[::-1])[::-1]
-    return np.minimum(next_mismatch - idx, cap)
+    return np.minimum(_capped_runs(data[lag:] == data[:-lag], cap), cap)
 
 
 def lag_best_matches(
@@ -105,84 +126,57 @@ def lag_best_matches(
     if chunk_size is not None:
         # a chunk larger than the data degenerates to one chunk
         require_range(chunk_size, 1, 1 << 40, "chunk_size")
+    chunk = max(min(chunk_size or n, n), 1)
+    rows = -(-n // chunk)
+    size = -(-rows * chunk // WARP_SIZE) * WARP_SIZE  # whole warps
+    bits = window.bit_length()
+    low = (1 << bits) - 1
+    run_t = np.min_scalar_type(2 * max_match + 1)
+    key_t = np.min_scalar_type((max_match << bits) | low)
+    acc_t = np.min_scalar_type(window * max_match)
 
-    best_len = np.zeros(n, dtype=np.int32)
-    best_dist = np.zeros(n, dtype=np.int32)
-    per_pos = np.zeros(n, dtype=np.int64) if collect_per_position else None
-    n_warps = (n + WARP_SIZE - 1) // WARP_SIZE
-    warp_acc = (np.zeros(n_warps, dtype=np.int64)
-                if collect_per_position else None)
-    pad = n_warps * WARP_SIZE - n
-    compare_count = 0
-    if n == 0:
-        return LagMatchResult(best_len, best_dist, 0, per_pos, warp_acc)
+    room = chunk - np.arange(chunk)  # per offset, in a full chunk
+    len_cap = np.zeros(size, dtype=run_t)
+    cap_rows = len_cap[:rows * chunk].reshape(rows, chunk)
+    cap_rows[:] = np.minimum(room, max_match)
+    cap_rows[-1:] = (room - (rows * chunk - n)).clip(0, max_match)  # ends at n
+    buf = np.zeros(size, dtype=np.uint8)
+    buf[:n] = arr
+    key = np.zeros(size, dtype=key_t)
+    per_pos = np.zeros(size, dtype=acc_t)
+    compares = np.zeros(size, dtype=run_t)
+    ping, pong = np.empty(size, dtype=run_t), np.empty(size, dtype=run_t)
+    warp_acc = np.zeros(size // WARP_SIZE, dtype=acc_t)
 
-    pos = np.arange(n, dtype=np.int64)
-    if chunk_size is None:
-        room_after = np.int64(n) - pos
-        chunk_starts = np.array([0], dtype=np.int64)
-    else:
-        chunk_end = np.minimum((pos // chunk_size + 1) * chunk_size, n)
-        room_after = chunk_end - pos
-        chunk_starts = np.arange(0, n, chunk_size, dtype=np.int64)
+    for d in range(1, min(window, chunk - 1) + 1):
+        cap_rows[:, d - 1] = 0  # offsets < d: the lag leaves the chunk
+        runs = _capped_runs(buf[d:] == buf[:-d], max_match)
+        cap = len_cap[d:]
+        cand = np.left_shift(np.minimum(runs, cap), bits, dtype=key_t)
+        cand |= low - d
+        best = key[d:]
+        np.maximum(best, cand, out=best)
+        # compare until first mismatch or cap: min(1 + run, cap)
+        runs += 1
+        cmp_d = compares[d:]
+        np.minimum(runs, cap, out=cmp_d)
+        per_pos[d:] += cmp_d
+        if collect_per_position:
+            compares[d - 1] = 0  # chunk 0's offset d - 1 is outside cmp_d
+            # max over each warp's 32 lanes in 5 sliding steps, ping-pong
+            # because numpy copies an input that overlaps ``out``
+            src = compares
+            for s, dst in zip((1, 2, 4, 8, 16), (ping, pong) * 3):
+                np.maximum(src[:-s], src[s:], out=dst[:-s])
+                src = dst
+            warp_acc += src[::WARP_SIZE]
 
-    len_cap = np.minimum(room_after, max_match).astype(np.int64)
-    len_cap1 = len_cap.clip(min=1)  # loop invariant: cost floor per candidate
-
-    # Reused hot-loop buffers: a compare/candidate array per lag would
-    # otherwise allocate 2×n int64 per window offset.
-    cand_len = np.zeros(n + pad, dtype=np.int64)
-    compares = np.empty(n + pad, dtype=np.int64)
-    compares[n:] = 0
-
-    for d in range(1, min(window, n - 1) + 1):
-        runs = lag_run_lengths(arr, d, max_match, _idx=pos)
-        # match at position i uses run starting at k = i - d
-        view_len = cand_len[:n]
-        view_len[:d] = 0
-        np.minimum(runs, len_cap[d:], out=view_len[d:])
-        # Window-crosses-chunk-start invalidation: only the first d
-        # positions of each chunk are affected — zero those slices
-        # instead of masking the whole array.
-        for cs in chunk_starts:
-            view_len[cs:cs + d] = 0
-        # search cost: compare until first mismatch or cap → 1 + length,
-        # except a cap-length match costs exactly cap compares.
-        view_cmp = compares[:n]
-        np.add(view_len, 1, out=view_cmp)
-        np.minimum(view_cmp, len_cap1, out=view_cmp)
-        view_cmp[:d] = 0
-        for cs in chunk_starts:
-            view_cmp[cs:cs + d] = 0
-        compare_count += int(view_cmp.sum())
-        if per_pos is not None:
-            per_pos += view_cmp
-        if warp_acc is not None:
-            warp_acc += compares.reshape(n_warps, WARP_SIZE).max(axis=1)
-        better = view_len > best_len  # strict: ties keep smaller d
-        if np.any(better):
-            best_len[better] = view_len[better]
-            best_dist[better] = d
-
-    return LagMatchResult(best_len, best_dist, compare_count, per_pos,
-                          warp_acc)
-
-
-def validate_matches(data: np.ndarray, result: LagMatchResult) -> None:
-    """Debug helper: assert every reported match actually matches."""
-    arr = as_u8(data)
-    idx = np.nonzero(result.best_len)[0]
-    for i in idx[: 10_000]:  # bounded; this is a test utility
-        d = int(result.best_dist[i])
-        length = int(result.best_len[i])
-        require(d >= 1, "zero distance with nonzero length")
-        src = arr[i - d:i - d + length]
-        dst = arr[i:i + length]
-        # overlapping self-extension: compare with explicit loop semantics
-        ok = True
-        for k in range(length):
-            if arr[i - d + k] != arr[i + k]:
-                ok = False
-                break
-        require(ok, f"bogus match at {i}: dist={d} len={length}")
-        del src, dst
+    key, per_pos = key[:n], per_pos[:n]
+    best_len = (key >> bits).astype(np.int32)
+    best_dist = np.where(best_len > 0, low - (key & low), 0).astype(np.int32)
+    if not collect_per_position:
+        return LagMatchResult(best_len, best_dist, int(per_pos.sum()))
+    n_warps = -(-n // WARP_SIZE)
+    return LagMatchResult(best_len, best_dist, int(per_pos.sum()),
+                          per_pos.astype(np.int64),
+                          warp_acc[:n_warps].astype(np.int64))

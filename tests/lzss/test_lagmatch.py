@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lzss.formats import CUDA_V2
@@ -23,10 +23,40 @@ def naive_run_length(data: bytes, k: int, lag: int, cap: int) -> int:
     return length
 
 
+def reference_lag_matches(data: bytes, window: int, max_match: int,
+                          chunk_size: int | None):
+    """Plain-loop oracle for every output of :func:`lag_best_matches`.
+
+    Lag ``d`` is valid at ``i`` when ``d ≤ min(window, i − chunk_start)``;
+    its run counts equal bytes up to ``cap = min(max_match, chunk_end −
+    i)`` and costs ``min(run + 1, max(cap, 1))`` compares; the best match
+    keeps the smallest ``d`` on ties; a warp pays, per lag, its busiest
+    of 32 lanes.
+    """
+    n = len(data)
+    chunk = chunk_size or max(n, 1)
+    compares = np.zeros((window + 1, n), dtype=np.int64)  # [d, i]
+    best_len = np.zeros(n, dtype=np.int32)
+    best_dist = np.zeros(n, dtype=np.int32)
+    for i in range(n):
+        start = i - i % chunk
+        cap = min(max_match, start + chunk - i, n - i)
+        for d in range(1, min(window, i - start) + 1):
+            run = 0
+            while run < cap and data[i - d + run] == data[i + run]:
+                run += 1
+            compares[d, i] = min(run + 1, max(cap, 1))
+            if run > best_len[i]:
+                best_len[i], best_dist[i] = run, d
+    warps = [compares[:, w:w + 32].max(axis=1).sum() for w in range(0, n, 32)]
+    return (best_len, best_dist, int(compares.sum()), compares.sum(axis=0),
+            np.array(warps, dtype=np.int64))
+
+
 class TestLagRunLengths:
     @settings(max_examples=40, deadline=None)
     @given(st.binary(min_size=4, max_size=120), st.integers(1, 8),
-           st.integers(1, 20))
+           st.integers(1, 258))
     def test_matches_naive(self, data, lag, cap):
         if lag >= len(data):
             return
@@ -85,6 +115,42 @@ class TestBestMatches:
         data = text_data[:1500]
         res = lag_best_matches(data, 64, 18, collect_per_position=True)
         assert int(res.per_position_compares.sum()) == res.compare_count
+
+
+class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.one_of(
+               st.binary(min_size=n, max_size=n),
+               st.integers(2, 4).flatmap(lambda k: st.lists(
+                   st.integers(0, k - 1), min_size=n, max_size=n)
+                   .map(bytes)))),
+           st.sampled_from([1, 3, 16, 128, 200, 512]),
+           st.sampled_from([1, 2, 18, 66, 130, 258]),
+           st.sampled_from([None, 1, 3, 6, 33, 100, 4096]),
+           st.booleans())
+    # position 32 alone has the longest lag-32 run: warp 1's cost rests
+    # on its first lane
+    @example(bytes(range(32)) * 2, 128, 258, None, True)
+    def test_every_output_exact(self, data, window, max_match, chunk_size,
+                                detail):
+        res = lag_best_matches(data, window, max_match,
+                               chunk_size=chunk_size,
+                               collect_per_position=detail)
+        best_len, best_dist, count, per_pos, warps = reference_lag_matches(
+            data, window, max_match, chunk_size)
+
+        def same(a, b):  # dtype too: int32 matches, int64 compares
+            return a.dtype == b.dtype and np.array_equal(a, b)
+
+        assert same(res.best_len, best_len)
+        assert same(res.best_dist, best_dist)
+        assert res.compare_count == count
+        if detail:
+            assert same(res.per_position_compares, per_pos)
+            assert same(res.warp_compares, warps)
+        else:
+            assert res.per_position_compares is None
+            assert res.warp_compares is None
 
 
 class TestWarpCompares:
