@@ -39,7 +39,6 @@ from repro.errors import (
     FrameError,
     ReproError,
     TruncatedContainerError,
-    WorkerCrashError,
 )
 from repro.lzss import CUDA_V1, CUDA_V2, SERIAL, SalvageReport, TokenFormat
 
@@ -67,7 +66,6 @@ __all__ = [
     "TruncatedContainerError",
     "V1Compressor",
     "V2Compressor",
-    "WorkerCrashError",
     "__version__",
     "get_library",
     "gpu_compress",

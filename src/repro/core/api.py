@@ -31,6 +31,7 @@ from repro.core.v2 import V2Compressor
 from repro.gpusim.profiler import GpuProfile
 from repro.lzss.decoder import SalvageReport, decode_chunked_with_stats
 from repro.lzss.encoder import EncodeResult
+from repro.lzss.formats import CUDA_V1, CUDA_V2
 from repro.model.calibration import Calibration, default_calibration
 from repro.model.cpu import sample_match_statistics
 from repro.util.buffers import as_bytes
@@ -86,15 +87,10 @@ class DecompressResult:
         return self.profile.total_seconds
 
 
-def _engine_for(workers, engine):
-    """Resolve the ``workers``/``engine`` pair into an engine (or None).
-
-    ``engine`` wins when given; otherwise ``workers > 1`` borrows the
-    process-wide pool for that width (persistent across calls), and
-    ``workers in (None, 0, 1)`` means the serial path.
-    """
-    if engine is not None:
-        return engine
+def _engine_for(workers):
+    """``workers > 1`` borrows the process-wide engine for that width
+    (persistent across calls); ``workers in (None, 0, 1)`` means the
+    serial path (``None``)."""
     if workers is not None and workers > 1:
         from repro.engine import get_engine
 
@@ -109,8 +105,7 @@ def _compressor_for(params: CompressionParams, engine=None):
 
 def gpu_compress(buffer, params: CompressionParams | None = None,
                  calibration: Calibration | None = None, *,
-                 workers: int | None = None,
-                 engine=None, codec: str = "lzss",
+                 workers: int | None = None, codec: str = "lzss",
                  probe_threshold: float | None = None) -> CompressedBuffer:
     """In-memory compression on the (simulated) GPU.
 
@@ -118,10 +113,10 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
     the buffer may be ``bytes``/``bytearray``/``memoryview``/uint8
     array; ``params`` selects the CULZSS version and tuning knobs.
 
-    ``workers`` (or an explicit :class:`repro.engine.ParallelEngine`
-    via ``engine``) shards the encode pipeline across that many cores;
-    the container that comes back is byte-identical to the serial path,
-    whatever the worker count.
+    ``workers`` shards the encode pipeline across that many cores (a
+    shared :class:`repro.engine.ParallelEngine`); the container that
+    comes back is byte-identical to the serial path, whatever the worker
+    count.
 
     ``codec`` selects the per-chunk coder: ``"lzss"`` (default) is the
     paper's pipeline with the classic v2 container; any other
@@ -141,7 +136,7 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
         require(codec == "auto" or codec in codec_names(),
                 f"unknown codec {codec!r} (registered: "
                 f"{', '.join(codec_names())}, plus 'auto')")
-        eng = _engine_for(workers, engine)
+        eng = _engine_for(workers)
         fmt = params.token_format
         with obs.stage("api.compress", size=len(data),
                        version=params.version, codec=codec):
@@ -159,7 +154,7 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
         # cost model; the profile is deliberately empty.
         return CompressedBuffer(data=pack_container(result), result=result,
                                 profile=GpuProfile())
-    compressor = _compressor_for(params, _engine_for(workers, engine))
+    compressor = _compressor_for(params, _engine_for(workers))
     with obs.stage("api.compress", size=len(data), version=params.version):
         result = compressor.compress(data)
     if result.input_size == 0:
@@ -176,14 +171,12 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
 
 def gpu_decompress(blob, params: CompressionParams | None = None,
                    calibration: Calibration | None = None, *,
-                   workers: int | None = None,
-                   engine=None, errors: str = "strict",
+                   workers: int | None = None, errors: str = "strict",
                    fill_byte: int = 0) -> DecompressResult:
     """In-memory decompression of a ``gpu_compress`` container.
 
-    ``workers``/``engine`` mirror :func:`gpu_compress`: chunk streams
-    are independent, so decode shards across cores with identical
-    output.
+    ``workers`` mirrors :func:`gpu_compress`: chunk streams are
+    independent, so decode shards across cores with identical output.
 
     ``errors`` selects the corruption policy.  ``"strict"`` (the
     default) raises the first :class:`repro.errors.ContainerError` a
@@ -199,13 +192,7 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
     cal = calibration or default_calibration()
     info = unpack_container(as_bytes(blob), strict=errors == "strict")
     require(info.is_chunked, "CULZSS containers are always chunked")
-    params = params or get_library().default_params()
-    # The search window is irrelevant on the decode side; clamp it so
-    # containers with chunks smaller than the default window validate.
-    params = params.with_overrides(
-        chunk_size=info.chunk_size,
-        window=min(params.window, info.chunk_size))
-    engine = _engine_for(workers, engine)
+    engine = _engine_for(workers)
     decode = (engine.decode_chunked_with_stats if engine is not None
               else decode_chunked_with_stats)
     with obs.stage("api.decompress", size=info.original_size, errors=errors):
@@ -220,11 +207,19 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
                          recovered=len(report.recovered),
                          lost=len(report.lost),
                          n_chunks=report.n_chunks)
-    if info.original_size == 0 or info.chunk_codecs is not None:
-        # Mixed-codec containers sit outside the lzss-specific GPU cost
-        # model: report data (and salvage) with an empty profile.
+    if (info.original_size == 0 or info.chunk_codecs is not None
+            or info.format not in (CUDA_V1, CUDA_V2)):
+        # Only CULZSS-format lzss containers fit the GPU cost model;
+        # mixed-codec and Pthread (serial-format) containers report data
+        # (and salvage) with an empty profile.
         return DecompressResult(data=out, profile=GpuProfile(),
                                 salvage=report)
+    params = params or get_library().default_params()
+    # The search window is irrelevant on the decode side; clamp it so
+    # containers with chunks smaller than the default window validate.
+    params = params.with_overrides(
+        chunk_size=info.chunk_size,
+        window=min(params.window, info.chunk_size))
     decomp = GpuDecompressor(params)
     profile = decomp.profile(per_chunk_tokens, len(info.payload),
                              info.original_size, info.chunk_sizes, cal)

@@ -3,9 +3,11 @@
 §III.A: "Each thread is given with some chunk of the file and the
 chunks are compressed concurrently.  After each thread compresses the
 given data, individual compressed chunks are reassembled to form the
-final output."  Here the chunks run on a real thread pool (the
-vectorized encoder releases the GIL inside NumPy, so threads genuinely
-overlap), and the reassembly is the container's chunk table.
+final output."  That is :class:`repro.engine.ParallelEngine` over the
+serial token format with one chunk per thread: the engine's thread pool
+runs the chunks (the vectorized encoder releases the GIL inside NumPy,
+so threads genuinely overlap), and the reassembly is the container's
+chunk table.
 
 The *timing model* for the 2011 testbed lives in
 :class:`repro.model.cpu.PthreadModel`; this class is the functional
@@ -15,14 +17,9 @@ system.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from repro.lzss.decoder import decode
 from repro.lzss.encoder import EncodeResult, encode
 from repro.lzss.formats import SERIAL, TokenFormat
-from repro.lzss.stats import EncodeStats
 from repro.util.buffers import as_u8
 from repro.util.validation import require, require_range
 
@@ -33,13 +30,15 @@ DEFAULT_THREADS = 8
 
 
 class PthreadLzss:
-    """Chunk-parallel LZSS over a thread pool (PBZIP2-style).
+    """Chunk-parallel LZSS, one chunk per thread (PBZIP2-style).
 
-    The pool is created on first use and reused across calls — thread
-    spawn/join is pure overhead on small buffers, and the paper's
-    pthread baseline keeps its workers alive for the whole run.  Call
-    :meth:`close` (or use the instance as a context manager) to release
-    the threads; a closed instance transparently re-opens on next use.
+    The chunks run on a :class:`~repro.engine.ParallelEngine` of
+    ``n_threads`` workers, created on first use and reused across calls
+    — thread spawn/join is pure overhead on small buffers, and the
+    paper's pthread baseline keeps its workers alive for the whole run.
+    Call :meth:`close` (or use the instance as a context manager) to
+    release the threads; a closed instance transparently re-opens on
+    next use.
     """
 
     def __init__(self, n_threads: int | None = None,
@@ -52,20 +51,22 @@ class PthreadLzss:
         self.format = fmt
         self.max_chain = max_chain
         self.parse = parse
-        self._pool: ThreadPoolExecutor | None = None
+        self._engine = None
 
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_threads,
-                thread_name_prefix="repro-pthread")
-        return self._pool
+    def _get_engine(self):
+        if self._engine is None:
+            # Imported here so ``import repro`` does not load the engine.
+            from repro.engine import ParallelEngine
+
+            self._engine = ParallelEngine(self.n_threads,
+                                          min_parallel_bytes=0)
+        return self._engine
 
     def close(self) -> None:
         """Shut the worker pool down; idempotent."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if self._engine is not None:
+            self._engine.close()
+            self._engine = None
 
     def __enter__(self) -> "PthreadLzss":
         return self
@@ -73,37 +74,14 @@ class PthreadLzss:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _chunk_bounds(self, n: int) -> list[tuple[int, int]]:
-        """Even split into one chunk per thread (the paper's division)."""
-        per = -(-n // self.n_threads)
-        return [(lo, min(lo + per, n)) for lo in range(0, n, per)]
-
     def compress(self, data) -> EncodeResult:
-        """Compress chunks concurrently; reassemble into one result."""
+        """Compress one chunk per thread concurrently; reassemble."""
         arr = as_u8(data)
-        n = arr.size
-        if n == 0:
+        if arr.size == 0:
             return encode(b"", self.format)
-        bounds = self._chunk_bounds(n)
-
-        def work(piece: np.ndarray) -> EncodeResult:
-            return encode(piece, self.format, max_chain=self.max_chain,
-                          parse=self.parse)
-
-        pool = self._executor()
-        results = list(pool.map(work, (arr[lo:hi] for lo, hi in bounds)))
-
-        payload = b"".join(r.payload for r in results)
-        chunk_sizes = np.array([len(r.payload) for r in results],
-                               dtype=np.int64)
-        stats: EncodeStats = results[0].stats
-        for r in results[1:]:
-            stats = stats.merged_with(r.stats)
-        stats.output_size = len(payload)
-        return EncodeResult(payload=payload, format=self.format,
-                            input_size=n, chunk_sizes=chunk_sizes,
-                            chunk_size=bounds[0][1] - bounds[0][0],
-                            stats=stats)
+        return self._get_engine().encode_chunked(
+            arr, self.format, -(-arr.size // self.n_threads),
+            max_chain=self.max_chain, parse=self.parse)
 
     def decompress(self, result_or_payload, chunk_sizes=None,
                    chunk_size: int | None = None,
@@ -118,14 +96,7 @@ class PthreadLzss:
             require(chunk_sizes is not None and chunk_size is not None
                     and output_size is not None,
                     "payload decompression needs chunk_sizes/chunk_size/size")
-        offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
-        arr = as_u8(payload)
-
-        def work(c: int) -> bytes:
-            lo = c * chunk_size
-            hi = min(lo + chunk_size, output_size)
-            return decode(arr[offsets[c]:offsets[c + 1]], self.format, hi - lo)
-
-        pool = self._executor()
-        pieces = list(pool.map(work, range(len(chunk_sizes))))
-        return b"".join(pieces)
+        if output_size == 0:
+            return b""  # compress(b"") is one empty, unchunked stream
+        return self._get_engine().decode_chunked(
+            payload, self.format, chunk_sizes, chunk_size, output_size)

@@ -7,10 +7,12 @@ position (V2) a GPU thread.  On the CPU we already exploit that shape
 ``gpu_compress`` call ran its whole match → parse → tokenize → pack
 pipeline on one core.  :class:`ParallelEngine` shards the chunk
 sequence across a persistent thread pool — NumPy releases the GIL
-inside the vector kernels, exactly as :class:`repro.cpu.PthreadLzss`
-demonstrates — and merges the per-shard token streams and chunk tables
-into an :class:`~repro.lzss.encoder.EncodeResult` that is
+inside the vector kernels — and merges the per-shard token streams and
+chunk tables into an :class:`~repro.lzss.encoder.EncodeResult` that is
 **byte-identical** to the serial :func:`~repro.lzss.encoder.encode_chunked`.
+It is the only thread pool in the package: the paper's Pthread baseline,
+:class:`repro.cpu.PthreadLzss`, is this engine over the serial token
+format with one chunk per thread.
 
 Byte-identity holds because every stage is chunk-local: matches never
 cross chunk boundaries (the lag matcher zeroes window prefixes, the
@@ -30,16 +32,13 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from collections import defaultdict
-from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
 
 from repro import obs
 from repro.codecs.dispatch import encode_chunked_auto as _encode_auto_serial
-from repro.errors import WorkerCrashError
-from repro.obs import log as obslog
 from repro.obs import trace
 from repro.lzss.decoder import (
     SalvageReport,
@@ -61,12 +60,6 @@ __all__ = ["ParallelEngine", "get_engine", "merge_encode_results",
 #: Below this many input bytes the fork/join overhead outweighs the
 #: parallel win; the engine falls through to the serial codec.
 MIN_PARALLEL_BYTES = 1 << 17
-
-#: A shard failing with one of these means the *worker* died, not the
-#: work: ``BrokenExecutor`` covers ``BrokenProcessPool``/
-#: ``BrokenThreadPool`` (and injected crashes), ``WorkerCrashError``
-#: the fault-injection harness.  Anything else propagates unchanged.
-_CRASH_ERRORS = (BrokenExecutor, WorkerCrashError)
 
 
 def _shard_bytes(args) -> int | None:
@@ -180,73 +173,39 @@ class ParallelEngine:
     Close explicitly (or use it as a context manager); the process-wide
     engines from :func:`get_engine` are closed atexit.
 
-    Worker death is survivable: a shard whose future fails with a
-    broken-pool error is re-run serially in the caller's thread (output
-    stays byte-identical — shards are independent) and the pool is
-    rebuilt for subsequent calls.  Incidents are counted in
-    :attr:`counters` as ``worker_crashes`` and ``serial_fallbacks``.
-    ``executor_factory`` exists for exactly that failure path: the
-    fault-injection harness substitutes a crash-on-Nth-call executor.
+    A shard's exception reaches the caller unchanged.  There is no
+    crash fallback: a thread cannot die under its job the way a process
+    pool worker can, and a ``ThreadPoolExecutor`` only breaks when a
+    thread initializer fails — the engine installs none.
     """
 
     def __init__(self, workers: int | None = None,
-                 min_parallel_bytes: int = MIN_PARALLEL_BYTES,
-                 executor_factory=None) -> None:
+                 min_parallel_bytes: int = MIN_PARALLEL_BYTES) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         require_range(workers, 1, 1024, "workers")
         self.workers = workers
         self.min_parallel_bytes = min_parallel_bytes
-        self._executor_factory = executor_factory
-        self._pool: Executor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._closed = False
-        self.counters: dict[str, int] = defaultdict(int)
 
     # ---------------------------------------------------------- plumbing
 
-    def _make_pool(self) -> Executor:
-        if self._executor_factory is not None:
-            return self._executor_factory()
-        return ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="repro-engine")
-
-    def _get_pool(self) -> Executor:
+    def _get_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             require(not self._closed, "engine is closed")
             if self._pool is None:
-                self._pool = self._make_pool()
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.workers,
+                    thread_name_prefix="repro-engine")
             return self._pool
 
-    def _note_crash(self, broken: Executor) -> None:
-        """Record a worker death and retire the broken pool.
-
-        The next :meth:`_get_pool` builds a fresh pool, so one crash
-        costs one rebuild — not a rebuild per failed shard: every
-        pending future on the same broken pool fails into the serial
-        path without touching the replacement.
-        """
-        self.counters["worker_crashes"] += 1
-        obs.inc("engine.worker_crashes")
-        obslog.event("engine", "worker_crash", workers=self.workers)
-        with self._lock:
-            if self._pool is broken:
-                self._pool = None
-        try:
-            broken.shutdown(wait=False)
-        except Exception:
-            pass
-
-    def _run_shards(self, pool: Executor, calls: list) -> list:
-        """Submit ``(fn, args, kwargs)`` per shard; fall back serially.
-
-        Returns per-shard results in order.  A shard lost to a worker
-        crash — at submit time or at result time — is recomputed inline
-        (``serial_fallbacks``); shards are independent so the merged
-        result is unchanged.
-        """
-        instrumented = obs.enabled()
-        if instrumented:
+    def _run_shards(self, calls: list) -> list:
+        """Run ``(fn, args, kwargs)`` per shard on the pool; results in
+        shard order."""
+        pool = self._get_pool()
+        if obs.enabled():
             obs.inc("engine.shards", len(calls))
             # Contextvars do not cross thread-pool boundaries on their
             # own: capture the submitter's span context once and attach
@@ -264,38 +223,11 @@ class ParallelEngine:
                             return fn(*args, **kwargs)
                 return run
 
-            submits = [(_instrument(fn, args, kwargs, i), (), {})
-                       for i, (fn, args, kwargs) in enumerate(calls)]
-        else:
-            submits = calls
-
-        futures = []
-        for fn, args, kwargs in submits:
-            try:
-                futures.append(pool.submit(fn, *args, **kwargs))
-            except _CRASH_ERRORS:
-                futures.append(None)
-        results = []
-        crashed = False
-        for i, ((fn, args, kwargs), fut) in enumerate(zip(calls, futures)):
-            res = None
-            if fut is not None:
-                try:
-                    res = fut.result()
-                except _CRASH_ERRORS:
-                    res = None
-            if res is None:
-                if not crashed:
-                    crashed = True
-                    self._note_crash(pool)
-                self.counters["serial_fallbacks"] += 1
-                obs.inc("engine.serial_fallbacks")
-                obslog.event("engine", "serial_fallback", shard=i)
-                with obs.stage("engine.shard", shard=i, fallback=True,
-                               bytes=_shard_bytes(args)):
-                    res = fn(*args, **kwargs)
-            results.append(res)
-        return results
+            calls = [(_instrument(fn, args, kwargs, i), (), {})
+                     for i, (fn, args, kwargs) in enumerate(calls)]
+        futures = [pool.submit(fn, *args, **kwargs)
+                   for fn, args, kwargs in calls]
+        return [fut.result() for fut in futures]
 
     def close(self) -> None:
         """Shut the pool down; idempotent."""
@@ -340,12 +272,11 @@ class ParallelEngine:
             return _encode_serial(arr, fmt, chunk_size, max_chain=max_chain,
                                   collect_detail=collect_detail,
                                   slice_size=slice_size, parse=parse)
-        pool = self._get_pool()
-        calls = [(_encode_serial, (arr[lo:hi], fmt, chunk_size),
-                  dict(max_chain=max_chain, collect_detail=collect_detail,
-                       slice_size=slice_size, parse=parse))
-                 for lo, hi in bounds]
-        parts = self._run_shards(pool, calls)
+        parts = self._run_shards(
+            [(_encode_serial, (arr[lo:hi], fmt, chunk_size),
+              dict(max_chain=max_chain, collect_detail=collect_detail,
+                   slice_size=slice_size, parse=parse))
+             for lo, hi in bounds])
         return merge_encode_results(parts, fmt, chunk_size, n)
 
     def encode_chunked_auto(self, data, fmt: TokenFormat, chunk_size: int, *,
@@ -365,12 +296,11 @@ class ParallelEngine:
             return _encode_auto_serial(arr, fmt, chunk_size, codec=codec,
                                        max_chain=max_chain,
                                        probe_threshold=probe_threshold)
-        pool = self._get_pool()
-        calls = [(_encode_auto_serial, (arr[lo:hi], fmt, chunk_size),
-                  dict(codec=codec, max_chain=max_chain,
-                       probe_threshold=probe_threshold))
-                 for lo, hi in bounds]
-        parts = self._run_shards(pool, calls)
+        parts = self._run_shards(
+            [(_encode_auto_serial, (arr[lo:hi], fmt, chunk_size),
+              dict(codec=codec, max_chain=max_chain,
+                   probe_threshold=probe_threshold))
+             for lo, hi in bounds])
         return merge_encode_results(parts, fmt, chunk_size, n)
 
     def decode_chunked_with_stats(self, payload, fmt: TokenFormat,
@@ -415,9 +345,7 @@ class ParallelEngine:
                 chunk_crcs=None if chunk_crcs is None else chunk_crcs[c0:c1],
                 first_chunk=first_chunk + c0, **policy)
 
-        pool = self._get_pool()
-        parts = self._run_shards(pool, [(work, (lo, hi), {})
-                                        for lo, hi in bounds])
+        parts = self._run_shards([(work, (lo, hi), {}) for lo, hi in bounds])
         out = b"".join(p[0] for p in parts)
         tokens = np.concatenate([p[1] for p in parts])
         if errors == "strict":

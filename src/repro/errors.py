@@ -17,10 +17,12 @@ messages:
 - :class:`CorruptPayloadError` — a whole-payload checksum mismatch on
   a container without per-chunk CRCs (v1): corruption is certain but
   cannot be localized.
-- :class:`WorkerCrashError` — a pool worker died mid-job; the work
-  item is intact and can be re-run serially.
 - :class:`FrameError` — a malformed, corrupted, or truncated gateway
   protocol frame (re-parented here from ``repro.service.protocol``).
+
+A process-pool worker dying is not in the taxonomy: the service
+pipelines catch the standard library's ``BrokenExecutor`` and re-run
+the frame (``docs/robustness.md`` §3).
 
 :class:`ReproError` deliberately subclasses :class:`ValueError`: the
 pre-taxonomy API raised ``ValueError`` everywhere, so existing
@@ -37,7 +39,6 @@ __all__ = [
     "FrameError",
     "ReproError",
     "TruncatedContainerError",
-    "WorkerCrashError",
 ]
 
 
@@ -89,10 +90,6 @@ class CorruptChunkError(ContainerError):
 
 class CorruptPayloadError(ContainerError):
     """Whole-payload checksum mismatch (no per-chunk CRCs to localize)."""
-
-
-class WorkerCrashError(ReproError):
-    """A pool worker died (or was killed) while holding a job."""
 
 
 class FrameError(ReproError):

@@ -59,18 +59,3 @@ class EncodeStats:
     @property
     def mean_match_length(self) -> float:
         return self.sum_match_length / self.n_pairs if self.n_pairs else 0.0
-
-    def merged_with(self, other: "EncodeStats") -> "EncodeStats":
-        """Combine statistics of two independent streams (detail dropped)."""
-        cc = (None if self.compare_count is None or other.compare_count is None
-              else self.compare_count + other.compare_count)
-        return EncodeStats(
-            input_size=self.input_size + other.input_size,
-            output_size=self.output_size + other.output_size,
-            n_tokens=self.n_tokens + other.n_tokens,
-            n_literals=self.n_literals + other.n_literals,
-            n_pairs=self.n_pairs + other.n_pairs,
-            sum_match_length=self.sum_match_length + other.sum_match_length,
-            total_bits=self.total_bits + other.total_bits,
-            compare_count=cc,
-        )

@@ -88,7 +88,7 @@ __all__ = [
 
 #: Counter families the whole stack reports into.  Preregistered so an
 #: exporter always shows the full schema — a scrape taken before the
-#: first crash still carries ``engine.worker_crashes 0``.
+#: first CRC failure still carries ``container.crc_failures 0``.
 COUNTER_KEYS = (
     "codec.chunks_lz4s",
     "codec.chunks_lzss",
@@ -114,10 +114,8 @@ COUNTER_KEYS = (
     "encode.match_bytes",
     "encode.pack_bytes",
     "encode.parse_bytes",
-    "engine.serial_fallbacks",
     "engine.shard_bytes",
     "engine.shards",
-    "engine.worker_crashes",
     "matcher.hash_calls",
     "matcher.hash_rounds",
     "matcher.lag_calls",

@@ -26,9 +26,9 @@ Call sites use :func:`event`::
 
     from repro.obs import log as obslog
 
-    obslog.event("engine", "worker_crash", shard=3, trace_id=tid)
+    obslog.event("service", "worker_crash", stage="ingress", trace_id=tid)
 
-which logs at WARNING through the ``repro.engine`` logger.  Nothing is
+which logs at WARNING through the ``repro.service`` logger.  Nothing is
 emitted unless a handler is installed: :func:`configure` (the
 ``culzss serve --log-json`` path, also triggered by ``REPRO_LOG_JSON=1``
 at import) attaches a stderr JSON handler to the ``repro`` root;

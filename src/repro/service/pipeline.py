@@ -32,18 +32,16 @@ from time import perf_counter
 from typing import AsyncIterator, Awaitable, Callable, Iterable
 
 from repro import obs
-from repro.errors import WorkerCrashError
 from repro.obs import log as obslog
 from repro.obs import trace
 from repro.service.metrics import Metrics
 from repro.service.protocol import FLAG_RAW, FRAME_HEADER_SIZE, Frame
 from repro.util.validation import require_range
 
-#: Failures that mean the pool worker died rather than the job failing:
-#: ``BrokenExecutor`` covers ``BrokenProcessPool`` (a worker killed
-#: mid-frame poisons the whole pool) and the fault-injection harness
-#: raises ``WorkerCrashError``.  Both are survivable per frame.
-_CRASH_ERRORS = (BrokenExecutor, WorkerCrashError)
+#: The pool worker died rather than the job failing: a worker killed
+#: mid-frame poisons the whole pool (``BrokenProcessPool``).  Survivable
+#: per frame, since the frame's input is still in hand.
+_CRASH_ERRORS = BrokenExecutor
 
 __all__ = [
     "EgressPipeline",
@@ -156,7 +154,8 @@ async def _run_both(a: Awaitable, b: Awaitable) -> tuple:
 
 
 class _PooledStage:
-    """Shared executor plumbing for the two halves."""
+    """Shared executor plumbing for the two halves: the process pool,
+    its one submit path and its one crash fallback."""
 
     def __init__(self, workers: int, queue_depth: int,
                  metrics: Metrics | None, executor: Executor | None) -> None:
@@ -210,6 +209,43 @@ class _PooledStage:
         if self._pool_rebuilt:
             self._pool_dead = True
         self._pool_rebuilt = True
+
+    def _submit(self, stage: str, tid: int, pooled: Callable,
+                local: Callable) -> asyncio.Future:
+        """Hand one frame's job to the pool; returns its future.
+
+        ``pooled`` is the job as the pool runs it, ``local`` the same
+        work as the parent runs it.  A broken pool at submit time counts
+        a crash and retries once on the rebuilt pool; if that fails too,
+        the frame degrades to the loop's default thread pool
+        (``{stage}.serial_fallbacks``).
+        """
+        loop = asyncio.get_running_loop()
+        for _attempt in range(2):
+            try:
+                return loop.run_in_executor(self._pool(), pooled)
+            except _CRASH_ERRORS:
+                self._crashed(stage, tid)
+        return self._serial(stage, tid, local, at="submit")
+
+    async def _result(self, fut: asyncio.Future, stage: str, tid: int,
+                      seq: int, local: Callable):
+        """Await a :meth:`_submit` future; if the worker died holding the
+        frame, re-run ``local`` serially (the input is still in hand)."""
+        try:
+            return await fut
+        except _CRASH_ERRORS:
+            self._crashed(stage, tid)
+            return await self._serial(stage, tid, local, at="result",
+                                      seq=seq)
+
+    def _serial(self, stage: str, tid: int, local: Callable,
+                **where) -> asyncio.Future:
+        """Count, log and run one frame on the loop's default pool."""
+        self.metrics.inc(f"{stage}.serial_fallbacks")
+        obslog.event("service", "serial_fallback", stage=stage,
+                     trace_id=tid, **where)
+        return asyncio.get_running_loop().run_in_executor(None, local)
 
     def close(self) -> None:
         if self._owns_executor and self._executor is not None:
@@ -272,37 +308,12 @@ class IngressPipeline(_PooledStage):
         else:
             job = self._job
 
-        def dispatch(data: bytes, tid: int):
-            """Submit one frame to the pool; returns its future.
-
-            A broken pool at submit time counts a crash, retries once on
-            the rebuilt pool, then degrades this frame to the loop's
-            default thread pool (``ingress.serial_fallbacks``).
-            """
-            try:
-                if traced:
-                    return loop.run_in_executor(
-                        self._pool(), encode_payload_obs, data,
-                        self.version, tid, codec, threshold)
-                return loop.run_in_executor(self._pool(), job, data,
-                                            self.version)
-            except _CRASH_ERRORS:
-                self._crashed("ingress", tid)
-            try:
-                return loop.run_in_executor(self._pool(), job, data,
-                                            self.version)
-            except _CRASH_ERRORS:
-                self._crashed("ingress", tid)
-                m.inc("ingress.serial_fallbacks")
-                obslog.event("service", "serial_fallback", stage="ingress",
-                             trace_id=tid, at="submit")
-                return loop.run_in_executor(None, job, data, self.version)
-
         async def submit() -> int:
             seq = 0
             async for raw in _aiter(buffers):
                 data = bytes(raw)
                 tid = trace.new_trace_id() if traced else 0
+                local = partial(job, data, self.version)
                 if self._stock_job and probe_incompressible(
                         data, byte_entropy_bits=threshold):
                     # Near-random buffer: the codec would only rediscover
@@ -314,9 +325,13 @@ class IngressPipeline(_PooledStage):
                                  reason="probe", size=len(data),
                                  trace_id=tid, threshold=threshold)
                 else:
-                    fut = dispatch(data, tid)
+                    fut = self._submit(
+                        "ingress", tid,
+                        partial(encode_payload_obs, data, self.version, tid,
+                                codec, threshold) if traced else local,
+                        local)
                 enq = perf_counter()
-                await jobs.put((seq, data, enq, fut, tid))
+                await jobs.put((seq, data, enq, fut, tid, local))
                 m.gauge("ingress.queue_depth", jobs.qsize())
                 seq += 1
             await jobs.put(None)
@@ -324,20 +339,9 @@ class IngressPipeline(_PooledStage):
 
         async def drain() -> None:
             while (item := await jobs.get()) is not None:
-                seq, data, enq, fut, tid = item
+                seq, data, enq, fut, tid, local = item
                 n_in = len(data)
-                try:
-                    out = await fut
-                except _CRASH_ERRORS:
-                    # The worker died holding this frame; the input is
-                    # still in hand, so re-run it serially.
-                    self._crashed("ingress", tid)
-                    m.inc("ingress.serial_fallbacks")
-                    obslog.event("service", "serial_fallback",
-                                 stage="ingress", trace_id=tid,
-                                 at="result", seq=seq)
-                    out = await loop.run_in_executor(
-                        None, job, data, self.version)
+                out = await self._result(fut, "ingress", tid, seq, local)
                 if len(out) == 3:  # obs-carrying job: fold the delta in
                     flags, payload, worker_delta = out
                     obs.merge_delta(worker_delta)
@@ -400,46 +404,23 @@ class EgressPipeline(_PooledStage):
         been delivered — that is what makes the ACK a delivery receipt
         rather than a reception receipt.
         """
-        loop = asyncio.get_running_loop()
         self._pool()  # build eagerly so the first frame pays no setup
         jobs: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
         m = self.metrics
         traced = self._stock_job and obs.enabled()
 
-        def dispatch(frame: Frame):
-            """Submit one frame to the pool; returns its future.
-
-            Mirrors the ingress dispatch: a broken pool at submit time
-            counts a crash, retries once on the rebuilt pool, then
-            degrades this frame to the loop's default thread pool.
-            """
-            try:
-                if traced:
-                    return loop.run_in_executor(
-                        self._pool(), decode_payload_obs, frame.flags,
-                        frame.payload, frame.trace_id)
-                return loop.run_in_executor(self._pool(), self._job,
-                                            frame.flags, frame.payload)
-            except _CRASH_ERRORS:
-                self._crashed("egress", frame.trace_id)
-            try:
-                return loop.run_in_executor(self._pool(), self._job,
-                                            frame.flags, frame.payload)
-            except _CRASH_ERRORS:
-                self._crashed("egress", frame.trace_id)
-                m.inc("egress.serial_fallbacks")
-                obslog.event("service", "serial_fallback", stage="egress",
-                             trace_id=frame.trace_id, at="submit")
-                return loop.run_in_executor(None, self._job, frame.flags,
-                                            frame.payload)
-
         async def submit() -> None:
             async for frame in _aiter(frames):
                 if frame.is_end:
-                    await jobs.put((frame, None, None))
+                    await jobs.put((frame, None, None, None))
                     continue
-                fut = dispatch(frame)
-                await jobs.put((frame, perf_counter(), fut))
+                local = partial(self._job, frame.flags, frame.payload)
+                fut = self._submit(
+                    "egress", frame.trace_id,
+                    partial(decode_payload_obs, frame.flags, frame.payload,
+                            frame.trace_id) if traced else local,
+                    local)
+                await jobs.put((frame, perf_counter(), fut, local))
                 m.gauge("egress.queue_depth", jobs.qsize())
             await jobs.put(None)
 
@@ -448,24 +429,14 @@ class EgressPipeline(_PooledStage):
             held: dict[int, dict[int, bytes]] = {}
             delivered = 0
             while (item := await jobs.get()) is not None:
-                frame, enq, fut = item
+                frame, enq, fut, local = item
                 sid = frame.stream_id
                 if frame.is_end:
                     if on_end is not None:
                         await on_end(sid, frame.seq)
                     continue
-                try:
-                    data = await fut
-                except _CRASH_ERRORS:
-                    # The worker died holding this frame; the frame
-                    # bytes are still in hand, so re-run serially.
-                    self._crashed("egress", frame.trace_id)
-                    m.inc("egress.serial_fallbacks")
-                    obslog.event("service", "serial_fallback",
-                                 stage="egress", trace_id=frame.trace_id,
-                                 at="result", seq=frame.seq)
-                    data = await loop.run_in_executor(
-                        None, self._job, frame.flags, frame.payload)
+                data = await self._result(fut, "egress", frame.trace_id,
+                                          frame.seq, local)
                 if isinstance(data, tuple):  # obs-carrying job: fold delta in
                     data, worker_delta = data
                     obs.merge_delta(worker_delta)

@@ -10,11 +10,9 @@ from repro.testing.faults import (
     DEFAULT_CHAOS_SEEDS,
     CrashingExecutor,
     FlakyWriter,
-    InlineExecutor,
     chaos_seed,
     corrupt_chunk_table,
     corrupt_chunks,
-    crash_factory,
     crash_worker_job,
     flip_bits,
     tag_crash_buffer,
@@ -25,11 +23,9 @@ __all__ = [
     "DEFAULT_CHAOS_SEEDS",
     "CrashingExecutor",
     "FlakyWriter",
-    "InlineExecutor",
     "chaos_seed",
     "corrupt_chunk_table",
     "corrupt_chunks",
-    "crash_factory",
     "crash_worker_job",
     "flip_bits",
     "tag_crash_buffer",

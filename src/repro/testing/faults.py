@@ -8,15 +8,14 @@ from a seed, so a CI failure at seed 202 reproduces locally with
   :func:`corrupt_chunk_table`, :func:`truncate` damage container bytes
   at chosen structural locations (payload of chunk *k*, the size
   table, the tail).
-* **Executor faults** — :class:`CrashingExecutor` emulates a worker
-  death: the Nth submitted job "kills its worker", failing that future
-  and poisoning the pool exactly like ``BrokenProcessPool`` does.
-  :func:`crash_factory` plugs it into
-  :class:`repro.engine.ParallelEngine`'s ``executor_factory`` so the
-  first pool crashes and its replacement behaves.
-  :func:`crash_worker_job` is the real-process variant: a picklable
-  pipeline job that hard-kills any pool worker it lands in but
-  completes in the parent — so the serial fallback succeeds.
+* **Executor faults** — :class:`CrashingExecutor` emulates a process
+  pool worker's death: the Nth submitted job "kills its worker",
+  failing that future and poisoning the pool exactly like
+  ``BrokenProcessPool`` does; the service pipelines take it as an
+  injected ``executor``.  :func:`crash_worker_job` is the real-process
+  variant: a picklable pipeline job that hard-kills any pool worker it
+  lands in but completes in the parent — so the serial fallback
+  succeeds.
 * **Transport faults** — :class:`FlakyWriter` wraps an asyncio
   ``StreamWriter`` and garbles or drops every Nth write.
 
@@ -38,11 +37,9 @@ __all__ = [
     "DEFAULT_CHAOS_SEEDS",
     "CrashingExecutor",
     "FlakyWriter",
-    "InlineExecutor",
     "chaos_seed",
     "corrupt_chunk_table",
     "corrupt_chunks",
-    "crash_factory",
     "crash_worker_job",
     "flip_bits",
     "slow_call",
@@ -137,31 +134,6 @@ def truncate(blob: bytes, n: int) -> bytes:
 
 # ------------------------------------------------------- executor faults
 
-class InlineExecutor(Executor):
-    """Runs every job synchronously in ``submit`` — no threads at all.
-
-    Deterministic scheduling for tests; also the well-behaved
-    replacement :func:`crash_factory` hands out after the crash.
-    """
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.shut_down = False
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        self.calls += 1
-        fut: Future = Future()
-        try:
-            fut.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # the future carries it, as a pool would
-            fut.set_exception(exc)
-        return fut
-
-    def shutdown(self, wait: bool = True, *,
-                 cancel_futures: bool = False) -> None:
-        self.shut_down = True
-
-
 class CrashingExecutor(Executor):
     """Inline executor whose ``crash_on``-th submit kills its "worker".
 
@@ -199,25 +171,6 @@ class CrashingExecutor(Executor):
     def shutdown(self, wait: bool = True, *,
                  cancel_futures: bool = False) -> None:
         self.shut_down = True
-
-
-def crash_factory(crash_on: int = 1):
-    """An ``executor_factory`` whose first pool crashes, then behaves.
-
-    The shape :class:`repro.engine.ParallelEngine` recovery expects:
-    crash → retire the pool → rebuild once → the replacement works.
-    The returned factory records every executor it built in its
-    ``built`` list attribute for assertions.
-    """
-    built: list[Executor] = []
-
-    def factory() -> Executor:
-        pool = CrashingExecutor(crash_on) if not built else InlineExecutor()
-        built.append(pool)
-        return pool
-
-    factory.built = built
-    return factory
 
 
 _CRASH_PREFIX = b"crash-unless-pid="

@@ -174,3 +174,37 @@ def test_every_codec_v3_container_frozen():
         if codec == "auto":
             assert result.chunk_codecs.tolist() == AUTO_GOLDEN_COLUMN
         assert gpu_decompress(blob).data == data
+
+
+# --- Pthread containers (serial format, one chunk per thread) -----------
+
+#: (len(blob), SHA-256) of ``pack_container(PthreadLzss(threads,
+#: parse=parse).compress(_codec_corpus()))``, keyed (threads, parse).
+PTHREAD_GOLDENS = {
+    (1, "greedy"): (12039, "56e32396176981c34252c3f9d0a07033d444ff228f70"
+                           "4700216021c61855165d"),
+    (1, "lazy"): (12062, "153ace832d53c3bb36f4e1e54a96b20ecfd0a6714ccc7d"
+                         "5e7fe28e7613938a09"),
+    (1, "optimal"): (11973, "883f0872b1dbbf48bcb2017c8c54a30629388bf909d0"
+                            "34f4bd6589f7d49dc5be"),
+    (3, "greedy"): (12103, "3d26da97e9a3aa1947ccce64b750df95a1e602b93701"
+                           "09bb920ad30d0897da81"),
+    (3, "lazy"): (12125, "68095a5a16799e2fc7dcf4b68ec03eaa46dc64f9176d0b"
+                         "f4e4966fedd4b4e8e7"),
+    (3, "optimal"): (12037, "9b68448d40671515aa1adba9b92ea472e2ee54f260fa"
+                            "93fe9055ee4b89eac97d"),
+}
+
+
+def test_pthread_containers_frozen():
+    import hashlib
+
+    from repro.cpu import PthreadLzss
+
+    data = _codec_corpus()
+    for (threads, parse), golden in PTHREAD_GOLDENS.items():
+        with PthreadLzss(threads, parse=parse) as coder:
+            blob = pack_container(coder.compress(data))
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == golden, \
+            (threads, parse)
+        assert gpu_decompress(blob).data == data

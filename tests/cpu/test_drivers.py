@@ -70,8 +70,10 @@ class TestPthread:
             PthreadLzss(0)
 
     def test_empty_input(self):
-        r = PthreadLzss(4).compress(b"")
+        p = PthreadLzss(4)
+        r = p.compress(b"")
         assert r.payload == b""
+        assert p.decompress(r) == b""
 
     def test_chunking_barely_hurts_ratio(self, text_data):
         # §III.A: chunked threading must not change the ratio much —

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import CompressionParams, gpu_compress, gpu_decompress
 from repro.engine import ParallelEngine, get_engine, shard_chunk_runs
+from repro.engine.parallel import MIN_PARALLEL_BYTES
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import CUDA_V2
@@ -118,12 +119,13 @@ def test_parallel_decode_round_trip(text_data, fmt):
 
 def test_gpu_compress_workers_container_identical(text_data):
     params = CompressionParams(version=2)
-    serial = gpu_compress(text_data, params)
-    with ParallelEngine(workers=3, min_parallel_bytes=0) as engine:
-        parallel = gpu_compress(text_data, params, engine=engine)
-        out = gpu_decompress(parallel.data, engine=engine)
+    data = text_data * -(-MIN_PARALLEL_BYTES // len(text_data))
+    assert len(data) >= MIN_PARALLEL_BYTES  # so the shared engine shards
+    serial = gpu_compress(data, params)
+    parallel = gpu_compress(data, params, workers=3)
+    out = gpu_decompress(parallel.data, workers=3)
     assert parallel.data == serial.data
-    assert out.data == text_data
+    assert out.data == data
 
 
 # ----------------------------------------------------- pool lifecycle
@@ -147,6 +149,21 @@ def test_closed_engine_refuses_parallel_work(text_data):
     engine.close()  # idempotent
     with pytest.raises(ValueError):
         engine.encode_chunked(as_u8(text_data), CUDA_V2, 1024)
+
+
+def test_shard_exception_reaches_caller(text_data, monkeypatch):
+    # No crash fallback: a shard's own error is neither swallowed nor
+    # re-run serially, it surfaces from the call.
+    from repro.engine import parallel
+
+    def job_bug(*args, **kwargs):
+        raise RuntimeError("job bug")
+
+    monkeypatch.setattr(parallel, "_encode_serial", job_bug)
+    with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
+        with pytest.raises(RuntimeError, match="job bug"):
+            engine.encode_chunked(as_u8(text_data), CUDA_V2, 1024)
+        assert engine._pool is not None  # the sharded path ran
 
 
 def test_small_buffers_stay_serial(text_data):

@@ -122,13 +122,6 @@ class TestStats:
         assert r.stats.compare_count and r.stats.compare_count > 0
         assert r.stats.per_warp_compares is not None
 
-    def test_merged_with(self, text_data):
-        a = encode(text_data[:1000], SERIAL).stats
-        b = encode(text_data[1000:2000], SERIAL).stats
-        m = a.merged_with(b)
-        assert m.input_size == 2000
-        assert m.n_tokens == a.n_tokens + b.n_tokens
-
 
 class TestSliceSemantics:
     def test_slice_tokens_never_cross(self, text_data):

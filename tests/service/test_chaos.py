@@ -9,11 +9,11 @@ the ACK delivery-receipt mismatch paths.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import BrokenExecutor
 from time import perf_counter
 
 import pytest
 
-from repro.errors import WorkerCrashError
 from repro.service import (
     FrameError,
     GatewayClient,
@@ -94,6 +94,18 @@ def test_server_survives_garbled_stream():
 
 
 # --------------------------------------------------- worker death (real)
+
+def test_crashing_executor_models_broken_pool():
+    # The harness itself: Nth submit fails its future, later submits
+    # raise synchronously — BrokenProcessPool's observable behavior.
+    pool = CrashingExecutor(crash_on=2)
+    assert pool.submit(lambda: 41).result() == 41
+    with pytest.raises(BrokenExecutor):
+        pool.submit(lambda: 42).result()
+    with pytest.raises(BrokenExecutor):
+        pool.submit(lambda: 43)
+    assert pool.broken
+
 
 @pytest.mark.slow
 def test_process_pool_worker_death_fails_over_serially():

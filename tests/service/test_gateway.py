@@ -307,7 +307,6 @@ def test_metrics_sidecar_serves_full_stack_scrape():
                 "culzss_encode_match_seconds_bucket",
                 "culzss_matcher_probe_calls",
                 "culzss_engine_shards",
-                "culzss_engine_worker_crashes",
                 "culzss_container_crc_checks",
                 "culzss_container_salvage_chunks_lost"):
         assert key in text, key

@@ -139,24 +139,6 @@ def test_salvage_log_line_is_trace_correlated():
     assert events[0]["trace_id"] != 0  # joined the api.decompress span
 
 
-def test_engine_crash_and_fallback_each_log_once():
-    from repro.engine import ParallelEngine
-    from repro.lzss.formats import CUDA_V2
-    from repro.testing import crash_factory
-
-    data = (b"engine crash logging " * 64 + bytes(range(256))) * 96
-    with obslog.capture() as cap:
-        with ParallelEngine(workers=2, min_parallel_bytes=0,
-                            executor_factory=crash_factory(crash_on=1)) \
-                as engine:
-            engine.encode_chunked(data, CUDA_V2, 4096)
-    snap = obs.get_registry().snapshot()
-    crashes = [e for e in cap.events() if e["event"] == "worker_crash"]
-    fallbacks = [e for e in cap.events() if e["event"] == "serial_fallback"]
-    assert len(crashes) == snap["counters"]["engine.worker_crashes"] == 1
-    assert len(fallbacks) == snap["counters"]["engine.serial_fallbacks"] >= 1
-
-
 # ------------------------------------------------- slo live sidecar
 
 async def _http_get(host, port, path):

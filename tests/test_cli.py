@@ -28,6 +28,21 @@ def test_compress_decompress_every_system(system, sample_file, tmp_path,
     assert "->" in out
 
 
+@pytest.mark.parametrize("salvage", [False, True], ids=["strict", "salvage"])
+@pytest.mark.parametrize("size", [1, 44])
+def test_pthread_tiny_file_round_trips(size, salvage, tmp_path):
+    # One chunk per thread: 4 threads cut 1 B and 44 B into 1 B and
+    # 11 B chunks, far below any CULZSS chunk size — decompress must
+    # not model such a container as a GPU one.
+    src, comp, restored = (tmp_path / n for n in ("in", "out.cz", "r"))
+    src.write_bytes((b"pthread " * 8)[:size])
+    assert main(["compress", str(src), str(comp), "--system", "pthread",
+                 "--workers", "4"]) == 0
+    assert main(["decompress", str(comp), str(restored)]
+                + ["--salvage"] * salvage) == 0
+    assert restored.read_bytes() == src.read_bytes()
+
+
 def test_version_flag_selects_culzss(sample_file, tmp_path, capsys):
     comp = tmp_path / "v1.cz"
     assert main(["compress", str(sample_file), str(comp),
