@@ -7,8 +7,9 @@ back can slot into the same container, engine sharding, salvage and
 service layers.  This module pins that contract down:
 
 * :class:`Codec` — the ABC every concrete coder implements:
-  ``encode_chunk``/``decode_chunk`` plus a stable wire ``codec_id``
-  (one byte in the container v3 codec column).
+  ``encode_run`` (a run of chunks in one pass; ``encode_chunk`` is
+  that run over a single chunk) and ``decode_chunk``, plus a stable
+  wire ``codec_id`` (one byte in the container v3 codec column).
 * a process-global registry mapping both names (CLI, service
   negotiation) and wire ids (container column) to codec instances.
 
@@ -58,8 +59,25 @@ class Codec(abc.ABC):
     codec_id: ClassVar[int]
 
     @abc.abstractmethod
+    def encode_run(self, data: np.ndarray, fmt: TokenFormat,
+                   chunk_size: int, *,
+                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
+        """Encode consecutive chunks; returns (payload, per-chunk sizes).
+
+        ``data`` is chunk-major: every chunk ``chunk_size`` bytes but
+        the last, which may be short.  The payload is the chunks'
+        self-contained payloads end to end, byte-identical to encoding
+        each chunk on its own; doing the whole run in one NumPy pass is
+        what the dispatcher, which groups chunks by codec, relies on.
+        """
+
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
-        """Compress one chunk (uint8 array) to a self-contained payload."""
+        """Compress one chunk (uint8 array) to a self-contained payload:
+        :meth:`encode_run` over the chunk alone."""
+        if chunk.size == 0:
+            return b""
+        payload, _sizes = self.encode_run(chunk, fmt, int(chunk.size))
+        return payload
 
     @abc.abstractmethod
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
@@ -70,26 +88,6 @@ class Codec(abc.ABC):
         ``chunk_index``) when the payload cannot produce a stream of
         the declared size — the hook per-chunk salvage relies on.
         """
-
-    # -- batch hook --------------------------------------------------
-    def encode_run(self, data: np.ndarray, fmt: TokenFormat,
-                   chunk_size: int, *,
-                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
-        """Encode a run of consecutive chunks; returns (payload, sizes).
-
-        The default is a per-chunk loop over :meth:`encode_chunk`;
-        vectorized codecs override it to process the whole run in one
-        NumPy pass (the dispatcher groups same-codec chunk runs and
-        calls this, so auto mode keeps batch throughput).
-        """
-        n = int(data.size)
-        parts: list[bytes] = []
-        sizes: list[int] = []
-        for lo in range(0, n, chunk_size):
-            part = self.encode_chunk(data[lo:lo + chunk_size], fmt)
-            parts.append(part)
-            sizes.append(len(part))
-        return b"".join(parts), np.asarray(sizes, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Codec {self.name} id={self.codec_id}>"

@@ -17,14 +17,22 @@ and routes the chunk:
 ``m`` low, ``h1`` high       ``lz4s`` (few matches: byte-aligned
                              literal runs at 8.07 bits/byte beat
                              LZSS's 9-bit literals, at higher speed)
-``h1`` low, ``m`` high       tokenize once, emit ``lzss`` *and*
-                             ``lzss-huffman``, keep the smaller
+``h1`` low, ``m`` high       ``trial``: emit ``lzss`` *and*
+                             ``lzss-huffman`` from one parse, keep
+                             the smaller (``lzss`` on a tie)
 everything else              ``lzss`` (the paper's format)
 ===========================  =======================================
 
 The trial branch is what makes ``auto`` never meaningfully worse than
 plain ``lzss``: on exactly the chunks where the entropy stage could
 plausibly win, the decision is made by measuring, not predicting.
+
+Chunks are then grouped by that choice, not by contiguous run, and
+each group is encoded as one chunk-major run: its chunks end to end,
+one match pass over all of them (matches never leave a chunk, so the
+bytes are those of a per-chunk encode).  A codec group is one
+``encode_run``; the trial group is one :func:`tokenize` and one
+:func:`pack_lzss`, plus one :func:`pack_lzss_huffman` per chunk.
 
 Decisions are recorded in the container v3 codec column, which
 :func:`repro.lzss.decoder.decode_chunked_with_stats` reads back
@@ -45,6 +53,7 @@ from repro.lzss.encoder import (
     EncodeResult,
     encode_chunked,
     pack_lzss,
+    split_tokens,
     tokenize,
 )
 from repro.lzss.formats import TokenFormat
@@ -175,45 +184,28 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
 
     parts: list[bytes] = [b""] * n_chunks
     ids = np.zeros(n_chunks, dtype=np.uint8)
-    i = 0
-    while i < n_chunks:
-        j = i
-        while j < n_chunks and names[j] == names[i]:
-            j += 1
-        lo, hi = i * chunk_size, min(j * chunk_size, n)
-        if names[i] == "trial":
-            # Measure, don't predict: tokenize the chunk once, emit it
-            # as lzss and as lzss-huffman, keep the smaller (lzss on a
-            # tie).  Per-codec ledger time goes to whichever codec won
-            # the chunk — the loser's emit is the price of the trial.
-            for c in range(i, j):
-                chunk = arr[c * chunk_size:min((c + 1) * chunk_size, n)]
-                t0 = perf_counter()
-                tokens, _stats = tokenize(chunk, fmt, None)
-                as_lzss, _sizes = pack_lzss(tokens, chunk, fmt, None)
-                as_huff = pack_lzss_huffman(tokens, chunk, fmt)
-                elapsed = perf_counter() - t0
-                if len(as_huff) < len(as_lzss):
-                    parts[c], ids[c] = as_huff, LZSS_HUFFMAN_CODEC_ID
-                else:
-                    parts[c], ids[c] = as_lzss, LZSS_CODEC_ID
-                key = metric_key(get_codec(int(ids[c])).name)
-                obs.observe(f"codec.encode_{key}_seconds", elapsed)
-                obs.inc(f"codec.encode_{key}_bytes", int(chunk.size))
+    for name in dict.fromkeys(names):
+        group = [c for c, chosen in enumerate(names) if chosen == name]
+        run = _gather(arr, group, chunk_size)
+        t0 = perf_counter()
+        if name == "trial":
+            encoded = _trial(run, fmt, chunk_size, max_chain)
         else:
-            run_codec = get_codec(names[i])
-            t0 = perf_counter()
-            payload, sizes = run_codec.encode_run(arr[lo:hi], fmt,
-                                                  chunk_size,
+            run_codec = get_codec(name)
+            payload, sizes = run_codec.encode_run(run, fmt, chunk_size,
                                                   max_chain=max_chain)
-            key = metric_key(run_codec.name)
-            obs.observe(f"codec.encode_{key}_seconds", perf_counter() - t0)
-            obs.inc(f"codec.encode_{key}_bytes", hi - lo)
-            offs = np.concatenate([[0], np.cumsum(sizes)])
-            for k, c in enumerate(range(i, j)):
-                parts[c] = payload[int(offs[k]):int(offs[k + 1])]
-                ids[c] = run_codec.codec_id
-        i = j
+            encoded = [(run_codec.codec_id, part)
+                       for part in _split(payload, sizes)]
+        elapsed = perf_counter() - t0
+        # The group's time is shared over its chunks by input bytes, and
+        # each share goes to the codec that encoded (or won) the chunk.
+        for c, (codec_id, part) in zip(group, encoded):
+            parts[c], ids[c] = part, codec_id
+            raw = min(chunk_size, n - c * chunk_size)
+            key = metric_key(get_codec(codec_id).name)
+            obs.observe(f"codec.encode_{key}_seconds",
+                        elapsed * raw / run.size)
+            obs.inc(f"codec.encode_{key}_bytes", raw)
 
     payload = b"".join(parts)
     chunk_sizes = np.asarray([len(p) for p in parts], dtype=np.int64)
@@ -222,6 +214,45 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
                         chunk_sizes=chunk_sizes, chunk_size=chunk_size,
                         stats=_empty_stats(n, len(payload)),
                         chunk_codecs=ids)
+
+
+def _gather(arr: np.ndarray, chunks: list[int],
+            chunk_size: int) -> np.ndarray:
+    """The given chunks of ``arr`` (ascending) end to end, chunk-major.
+
+    Only ``arr``'s last chunk may be short, and it sorts last, so every
+    gathered chunk but the last is full.
+    """
+    if chunks[-1] - chunks[0] == len(chunks) - 1:  # adjacent: a view
+        return arr[chunks[0] * chunk_size:(chunks[-1] + 1) * chunk_size]
+    return np.concatenate([arr[c * chunk_size:(c + 1) * chunk_size]
+                           for c in chunks])
+
+
+def _split(payload: bytes, sizes: np.ndarray) -> list[bytes]:
+    """A run's payload cut into its per-chunk payloads."""
+    ends = np.cumsum(sizes).tolist()
+    return [payload[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _trial(run: np.ndarray, fmt: TokenFormat, chunk_size: int,
+           max_chain: int) -> list[tuple[int, bytes]]:
+    """Measure, don't predict: ``(codec id, payload)`` per chunk of ``run``.
+
+    One parse of the whole run is emitted as lzss and, chunk by chunk,
+    as lzss-huffman; each chunk keeps the smaller (lzss on a tie).
+    """
+    tokens, _stats = tokenize(run, fmt, chunk_size, max_chain)
+    as_lzss, sizes = pack_lzss(tokens, run, fmt, chunk_size)
+    encoded = []
+    for lzss_part, (chunk, chunk_tokens) in zip(
+            _split(as_lzss, sizes), split_tokens(tokens, run, chunk_size)):
+        as_huff = pack_lzss_huffman(chunk_tokens, chunk, fmt)
+        if len(as_huff) < len(lzss_part):
+            encoded.append((LZSS_HUFFMAN_CODEC_ID, as_huff))
+        else:
+            encoded.append((LZSS_CODEC_ID, lzss_part))
+    return encoded
 
 
 def _account(ids: np.ndarray, chunk_sizes: np.ndarray, input_size: int,

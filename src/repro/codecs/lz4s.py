@@ -174,12 +174,6 @@ class Lz4sCodec(Codec):
     name = "lz4s"
     codec_id = LZ4S_CODEC_ID
 
-    def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
-        if chunk.size == 0:
-            return b""
-        payload, _sizes = lz4s_encode_chunked(chunk, int(chunk.size))
-        return payload
-
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
                      output_size: int, *, chunk_index: int = 0) -> np.ndarray:
         return lz4s_decode_chunk(payload, output_size, chunk_index)

@@ -1,7 +1,7 @@
 """The ``lzss`` codec: the paper's token format behind the Codec ABC.
 
-A thin adapter — per-chunk encode/decode delegate to the existing
-vectorized encoder and decoder, and the batch hook is exactly
+A thin adapter — encode and decode delegate to the existing vectorized
+encoder and decoder: ``encode_run`` is exactly
 :func:`repro.lzss.encoder.encode_chunked`, so a run of lzss chunks
 under the dispatcher is byte-identical to (and as fast as) the classic
 single-codec path.
@@ -24,14 +24,6 @@ LZSS_CODEC_ID = 2
 class LzssCodec(Codec):
     name = "lzss"
     codec_id = LZSS_CODEC_ID
-
-    def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
-        if chunk.size == 0:
-            return b""
-        # chunk_size == len(chunk) keeps matches chunk-confined and pads
-        # to a byte boundary — identical bytes to this chunk's slice of
-        # a full encode_chunked stream.
-        return encode_chunked(chunk, fmt, int(chunk.size)).payload
 
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
                      output_size: int, *, chunk_index: int = 0) -> np.ndarray:

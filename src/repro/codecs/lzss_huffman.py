@@ -3,8 +3,10 @@
 LZSS spends a flat 9 bits per literal; on text (~4.5 bits of actual
 entropy per byte) that is the dominant waste.  Following the classic
 LZSS+Huffman pairing (cf. arXiv:1107.1525), this codec tokenizes a
-chunk exactly like ``lzss`` and then entropy-codes the token stream
-with the canonical length-limited Huffman coder from
+run of chunks exactly like ``lzss``, in one chunk-major
+:func:`~repro.lzss.encoder.tokenize` call, and then entropy-codes each
+chunk's token stream (:func:`~repro.lzss.encoder.split_tokens`) on its
+own with the canonical length-limited Huffman coder from
 :mod:`repro.bzip2.huffman`:
 
 * a 257-symbol alphabet — byte values 0..255 for literals plus a
@@ -38,7 +40,7 @@ from repro.bzip2.huffman import HuffmanCode, huffman_decode, huffman_encode
 from repro.codecs.base import Codec, register_codec
 from repro.errors import CorruptChunkError
 from repro.lzss.decoder import reconstruct
-from repro.lzss.encoder import tokenize
+from repro.lzss.encoder import split_tokens, tokenize
 from repro.lzss.formats import TokenFormat
 from repro.lzss.parse import Tokens
 from repro.util.bitio import gather_fields, pack_tokens, unpack_bits
@@ -87,12 +89,15 @@ class LzssHuffmanCodec(Codec):
     name = "lzss-huffman"
     codec_id = LZSS_HUFFMAN_CODEC_ID
 
-    def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat,
-                     *, max_chain: int = 64) -> bytes:
-        if chunk.size == 0:
-            return b""
-        tokens, _stats = tokenize(chunk, fmt, None, max_chain)
-        return pack_lzss_huffman(tokens, chunk, fmt)
+    def encode_run(self, data: np.ndarray, fmt: TokenFormat,
+                   chunk_size: int, *,
+                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
+        tokens, _stats = tokenize(data, fmt, chunk_size, max_chain)
+        parts = [pack_lzss_huffman(chunk_tokens, chunk, fmt)
+                 for chunk, chunk_tokens in split_tokens(tokens, data,
+                                                         chunk_size)]
+        return b"".join(parts), np.array([len(p) for p in parts],
+                                         dtype=np.int64)
 
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
                      output_size: int, *, chunk_index: int = 0) -> np.ndarray:

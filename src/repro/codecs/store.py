@@ -25,9 +25,6 @@ class StoreCodec(Codec):
     name = "store"
     codec_id = STORE_CODEC_ID
 
-    def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:
-        return chunk.tobytes()
-
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
                      output_size: int, *, chunk_index: int = 0) -> np.ndarray:
         if payload.size != output_size:

@@ -7,14 +7,16 @@ The encode pipeline is four vector stages — no per-byte Python:
 2. greedy parse → :class:`~repro.lzss.parse.Tokens` (chunk-seeded jump
    doubling, :func:`tokens_from_matches`);
 3. token field packing → ragged (value, nbits) arrays;
-4. one :func:`repro.util.bitio.pack_tokens` scatter into bytes, with
-   per-chunk byte alignment injected as zero-width pad entries so the
+4. one :func:`repro.util.bitio.pack_tokens` call, which places each
+   field's few bytes with one ``bincount`` (O(tokens), not O(bits)),
+   with per-chunk byte alignment injected as pad entries so the
    chunked container can slice chunks on byte boundaries.
 
 Stages 1–2 are :func:`tokenize`, stages 3–4 :func:`pack_lzss`.  The
 other codecs emit their own wire formats from the same tokens:
-lzss-huffman from :func:`tokenize`, lz4s from
-:func:`tokens_from_matches` over its own hash-chain matches.
+lzss-huffman per chunk from one chunk-major :func:`tokenize` of a
+whole run (:func:`split_tokens` hands each chunk its own tokens), lz4s
+from :func:`tokens_from_matches` over its own hash-chain matches.
 
 ``encode`` produces one continuous stream (the serial format);
 ``encode_chunked`` produces independently-decodable chunk streams (the
@@ -38,7 +40,7 @@ from repro.util.buffers import as_u8
 from repro.util.validation import require_range
 
 __all__ = ["EncodeResult", "best_matches", "encode", "encode_chunked",
-           "pack_lzss", "tokenize", "tokens_from_matches"]
+           "pack_lzss", "split_tokens", "tokenize", "tokens_from_matches"]
 
 #: Largest window for which the exact per-lag scan is the matcher of
 #: choice; beyond this the hash chain wins by a mile.
@@ -179,13 +181,32 @@ def tokenize(arr: np.ndarray, fmt: TokenFormat, chunk_size: int | None,
     return tokens, stats
 
 
+def split_tokens(tokens: Tokens, arr: np.ndarray, chunk_size: int
+                 ) -> list[tuple[np.ndarray, Tokens]]:
+    """Each chunk of a chunk-major run, paired with its own tokens.
+
+    ``tokens`` is the :func:`tokenize` of ``arr`` with ``chunk_size``,
+    so no token crosses a chunk end.  Every chunk's slice of the stream
+    comes back with its starts rebased to the chunk: what tokenizing
+    the chunk alone gives, since the matchers are chunk-local too.
+    """
+    los = range(0, arr.size, chunk_size)
+    cuts = np.searchsorted(tokens.starts, [*los, arr.size]).tolist()
+    return [(arr[lo:lo + chunk_size],
+             Tokens(starts=tokens.starts[a:b] - lo,
+                    is_pair=tokens.is_pair[a:b],
+                    lengths=tokens.lengths[a:b],
+                    distances=tokens.distances[a:b]))
+            for lo, a, b in zip(los, cuts, cuts[1:])]
+
+
 def pack_lzss(tokens: Tokens, arr: np.ndarray, fmt: TokenFormat,
               chunk_size: int | None) -> tuple[bytes, np.ndarray | None]:
     """Stages 3–4: the lzss bit packer; returns ``(payload, chunk_bytes)``.
 
     Every token becomes one (value, nbits) field — flag plus byte for a
     literal, flag plus (distance − 1, length − min_match) for a pair —
-    and one :func:`pack_tokens` scatter writes them all.  With
+    and one :func:`pack_tokens` call writes them all.  With
     ``chunk_size`` every chunk's stream is padded to a byte boundary by
     a zero-valued pad entry, so the container can slice chunks on byte
     boundaries; ``chunk_bytes`` is then the per-chunk byte table

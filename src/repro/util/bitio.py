@@ -11,9 +11,10 @@ Two API levels are provided:
   header serialization.  Simple and obviously correct.
 * :func:`pack_tokens` / :func:`unpack_bits` / :func:`gather_fields` —
   vectorized NumPy kernels used by the fast codecs.  ``pack_tokens``
-  scatters a ragged sequence of ``(value, nbits)`` items into a packed
-  bit array in O(total_bits) vector work; ``gather_fields`` extracts
-  fixed-width big-endian fields at arbitrary bit offsets.
+  writes a ragged sequence of ``(value, nbits)`` items into packed
+  bytes in O(fields) vector work, a few bytes per field rather than
+  arrays per bit; ``gather_fields`` extracts fixed-width big-endian
+  fields at arbitrary bit offsets.
 
 Bit order is MSB-first within each byte (the order ``np.packbits`` and
 ``np.unpackbits`` use), matching Dipperstein's LZSS stream layout.
@@ -156,8 +157,13 @@ def pack_tokens(values: np.ndarray, nbits: np.ndarray) -> tuple[bytes, int]:
     concatenated in order.  Returns ``(packed_bytes, total_bits)``; the
     final byte is zero-padded.
 
-    This is the fast codecs' entire serialization step: one vectorized
-    scatter regardless of how many tokens there are.
+    This is the fast codecs' entire serialization step, and its work is
+    O(fields), not O(total_bits).  A field starting ``r`` bits into a
+    byte touches at most ``span = ceil((7 + max width) / 8)`` bytes from
+    there (8 at the 57-bit limit), so it is shifted into place in a
+    ``span``-byte big-endian word, and one ``np.bincount`` adds every
+    word's bytes into the output.  Fields share no bits, so the sum of
+    a byte's contributions is their OR.
     """
     values = np.asarray(values, dtype=np.int64)
     nbits = np.asarray(nbits, dtype=np.int64)
@@ -166,19 +172,30 @@ def pack_tokens(values: np.ndarray, nbits: np.ndarray) -> tuple[bytes, int]:
         return b"", 0
     if np.any(nbits < 0) or np.any(nbits > _MAX_FIELD_BITS):
         raise ValueError("field widths must be in [0, 57]")
-    limit = np.int64(1) << nbits.clip(0, _MAX_FIELD_BITS)
-    if np.any(values < 0) or np.any(values >= limit):
+    if np.any(values < 0) or np.any(values >= np.int64(1) << nbits):
         raise ValueError("token value does not fit its declared width")
 
-    total = int(nbits.sum())
-    # Within-token bit index, MSB first: bit j of token i is
-    # (values[i] >> (nbits[i]-1-j)) & 1.
-    j = ragged_arange(nbits)
-    vrep = np.repeat(values, nbits)
-    shift = np.repeat(nbits, nbits) - 1 - j
-    bits = ((vrep >> shift) & 1).astype(np.uint8)
-    packed = np.packbits(bits)  # MSB-first, zero-padded
-    return packed.tobytes(), total
+    # Each temporary array is dropped once used: the peak stays a few
+    # words per field.
+    start = np.cumsum(nbits)
+    total = int(start[-1])
+    start -= nbits
+    span = (int(nbits.max()) + 14) // 8
+    # A field fills bits r .. r + width of a span-byte word, counted
+    # from the top (r = start % 8): shift it past the bits below that.
+    shift = 8 * span - nbits
+    shift -= start & 7
+    words = values.astype(np.uint64) << shift.view(np.uint64)
+    del shift
+    lanes = words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - span:]
+    first = start >> 3
+    del start, words
+    where = (first[:, None] + np.arange(span, dtype=np.int64)).ravel()
+    del first
+    nbytes = (total + 7) // 8
+    packed = np.bincount(where, weights=lanes.ravel(),
+                         minlength=nbytes + span)[:nbytes]
+    return packed.astype(np.uint8).tobytes(), total
 
 
 def unpack_bits(data: bytes | np.ndarray, nbits: int | None = None) -> np.ndarray:

@@ -11,17 +11,20 @@ from repro.codecs import (
     LZSS_CODEC_ID,
     LZSS_HUFFMAN_CODEC_ID,
     STORE_CODEC_ID,
+    get_codec,
 )
+from repro.codecs.base import metric_key
 from repro.codecs.dispatch import (
     MIN_PROBE_CHUNK,
     choose_chunk_codec,
     encode_chunked_auto,
     match_density,
 )
+from repro.datasets import generate
 from repro.errors import CorruptChunkError
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
-from repro.lzss.formats import CUDA_V2
+from repro.lzss.formats import CUDA_V1, CUDA_V2
 from repro.lzss.matcher import (
     PROBE_BYTE_ENTROPY_BITS,
     PROBE_THRESHOLD_ENV,
@@ -155,6 +158,18 @@ def test_auto_never_meaningfully_worse_than_lzss():
     assert len(auto.payload) <= len(lzss.payload) * 1.01
 
 
+@pytest.mark.parametrize("codec", ["auto", "lzss-huffman", "lzss"])
+def test_max_chain_reaches_every_token_codec(codec):
+    """A hash-chain format's chain depth changes the payload whichever
+    path tokenizes it: the trial, lzss-huffman's runs and plain lzss."""
+    data = generate("cfiles", 16384, seed=3)
+    shallow, deep = (
+        encode_chunked_auto(data, CUDA_V1, CHUNK, codec=codec, max_chain=m)
+        for m in (1, 64))
+    assert shallow.payload != deep.payload
+    assert len(shallow.payload) > len(deep.payload)
+
+
 def test_empty_and_unknown_inputs():
     empty = encode_chunked_auto(b"", CUDA_V2, CHUNK, codec="auto")
     assert empty.payload == b""
@@ -196,6 +211,16 @@ def test_per_codec_accounting():
     assert delta["codec.chunks_store"] == 1
     assert delta["codec.chunks_lz4s"] == 1
     assert sum(delta.values()) == result.chunk_codecs.size
+    # Encoded bytes are exact per chunk, under the codec each chunk got
+    # (the trial's winner), however the chunks were grouped.
+    encoded = {k: after["counters"][k] - before["counters"].get(k, 0)
+               for k in after["counters"] if k.startswith("codec.encode_")}
+    assert sum(encoded.values()) == data.size
+    for codec_id in set(result.chunk_codecs.tolist()):
+        key = metric_key(get_codec(codec_id).name)
+        raw = sum(min(CHUNK, data.size - c * CHUNK)
+                  for c in np.nonzero(result.chunk_codecs == codec_id)[0])
+        assert encoded[f"codec.encode_{key}_bytes"] == raw
     ratios = after["histograms"]["codec.ratio_store"]
     assert ratios["count"] >= 1
     assert ratios["max"] <= 1.01  # store never expands

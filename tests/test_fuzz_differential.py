@@ -53,6 +53,30 @@ periodic = st.tuples(st.binary(min_size=1, max_size=25),
 structured = st.one_of(st.binary(max_size=800), run_blocks, phrase_soup,
                        periodic)
 
+def _interleaved_chunk_kinds(chunk: int) -> bytes:
+    """Chunks of five kinds in turn, twice over, then a short tail.
+
+    In order, the kinds route to lzss (half repeats), the trial (Zipf
+    word text, which lzss-huffman wins at 3000 bytes), store or lz4s
+    (random bytes), the trial again (zeros, which lzss wins) and lz4s
+    (bytes below 181), so no two adjacent chunks share a route.
+    """
+    rng = np.random.default_rng(chunk)
+    words = [bytes(rng.integers(97, 123, int(rng.integers(2, 9)),
+                                dtype=np.uint8)) for _ in range(250)]
+    pieces = []
+    for _ in range(2):
+        text = b" ".join(words[i] for i in rng.zipf(1.3, chunk) % 250)
+        half = rng.integers(0, 256, chunk, dtype=np.uint8)
+        half[:chunk // 2] = np.resize(half[:16], chunk // 2)
+        pieces += [half.tobytes(),
+                   text[:chunk],
+                   rng.integers(0, 256, chunk, dtype=np.uint8).tobytes(),
+                   bytes(chunk),
+                   rng.integers(0, 181, chunk, dtype=np.uint8).tobytes()]
+    return b"".join(pieces) + b"short tail"
+
+
 SWEEP_FORMATS = [
     SERIAL,
     CUDA_V2,
@@ -208,6 +232,42 @@ class TestCodecOracle:
             r.payload, CUDA_V2, r.chunk_sizes, chunk, len(data),
             chunk_codecs=r.chunk_codecs)
         assert out == data
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    @pytest.mark.parametrize("chunk", [1000, 3000])
+    @pytest.mark.parametrize("fmt", [CUDA_V1, CUDA_V2, SERIAL],
+                             ids=lambda f: f.name)
+    def test_chunk_payloads_independent_of_grouping(self, fmt, chunk,
+                                                    codec):
+        """Each chunk's payload is what its codec makes of the chunk
+        alone, however the dispatcher groups chunks; a trial chunk keeps
+        the smaller of lzss and lzss-huffman, lzss on a tie."""
+        from repro.codecs import get_codec
+        from repro.codecs.dispatch import (
+            choose_chunk_codec,
+            encode_chunked_auto,
+        )
+
+        data = _interleaved_chunk_kinds(chunk)
+        r = encode_chunked_auto(data, fmt, chunk, codec=codec)
+        arr = as_u8(data)
+        offs = np.concatenate([[0], np.cumsum(r.chunk_sizes)])
+        routes = []
+        for c, codec_id in enumerate(r.chunk_codecs):
+            piece = arr[c * chunk:(c + 1) * chunk]
+            got = r.payload[offs[c]:offs[c + 1]]
+            route = codec if codec != "auto" else choose_chunk_codec(piece)
+            routes.append(route)
+            if route == "trial":
+                as_lzss = get_codec("lzss").encode_chunk(piece, fmt)
+                as_huff = get_codec("lzss-huffman").encode_chunk(piece, fmt)
+                route = ("lzss-huffman" if len(as_huff) < len(as_lzss)
+                         else "lzss")
+            assert get_codec(int(codec_id)).name == route
+            assert got == get_codec(route).encode_chunk(piece, fmt)
+        if codec == "auto":  # the input really interleaves the routes
+            assert len(set(routes)) >= 3
+            assert all(a != b for a, b in zip(routes, routes[1:]))
 
     @settings(max_examples=20, deadline=None)
     @given(structured, st.sampled_from(ALL_CODECS))

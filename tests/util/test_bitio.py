@@ -1,5 +1,7 @@
 """Bit-stream I/O: scalar writer/reader, vectorized pack/gather."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,8 +121,8 @@ class TestPackTokens:
         assert total == 14
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 30),
-                              st.integers(0, (1 << 30) - 1)),
+    @given(st.lists(st.tuples(st.integers(0, 57),
+                              st.integers(0, (1 << 57) - 1)),
                     min_size=0, max_size=200))
     def test_property_equivalent_to_scalar(self, items):
         items = [(nb, v & ((1 << nb) - 1) if nb else 0) for nb, v in items]
@@ -132,6 +134,32 @@ class TestPackTokens:
             w.write_bits(v, nb)
         assert packed == w.getvalue()
         assert total == len(w)
+
+    def test_zero_width_fields_and_57_bit_fields(self):
+        values = np.array([0, (1 << 57) - 1, 0, 1, 0, 0x155], dtype=np.int64)
+        nbits = np.array([0, 57, 0, 1, 0, 9], dtype=np.int64)
+        w = BitWriter()
+        for v, nb in zip(values, nbits):
+            w.write_bits(int(v), int(nb))
+        assert pack_tokens(values, nbits) == (w.getvalue(), 67)
+        assert pack_tokens(np.zeros(5, np.int64),
+                           np.zeros(5, np.int64)) == (b"", 0)
+
+    def test_memory_is_per_field_not_per_bit(self):
+        """40,000 17-bit fields (an lzss pair each) must peak under 256
+        bytes of allocations per field; a per-bit packer holds several
+        int64 arrays for every bit, about 570 bytes per field."""
+        n = 40_000
+        values = np.random.default_rng(17).integers(0, 1 << 17, n)
+        nbits = np.full(n, 17, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            packed, total = pack_tokens(values, nbits)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == 17 * n and len(packed) == (total + 7) // 8
+        assert peak / n < 256
 
     def test_oversized_value_rejected(self):
         with pytest.raises(ValueError):
