@@ -21,7 +21,8 @@ import pytest
 from benchmarks.conftest import report
 from benchmarks.harness import publish, summarize
 from repro.datasets import generate
-from repro.service import GatewayClient, GatewayServer, Metrics
+from repro.obs import MetricRegistry
+from repro.service import GatewayClient, GatewayServer
 
 WORKER_COUNTS = (1, 2, 4)
 N_FRAMES = 12
@@ -34,8 +35,9 @@ def _traffic() -> list[bytes]:
             for i in range(N_FRAMES)]
 
 
-async def _push(buffers: list[bytes], workers: int) -> tuple[float, Metrics]:
-    metrics = Metrics()
+async def _push(buffers: list[bytes],
+                workers: int) -> tuple[float, MetricRegistry]:
+    metrics = MetricRegistry()
 
     async def deliver(sid, seq, data):
         pass

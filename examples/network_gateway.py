@@ -20,7 +20,8 @@ Run:  python examples/network_gateway.py
 import asyncio
 
 from repro.datasets import generate
-from repro.service import FRAME_HEADER_SIZE, GatewayClient, GatewayServer, Metrics
+from repro.obs import MetricRegistry
+from repro.service import FRAME_HEADER_SIZE, GatewayClient, GatewayServer
 
 LINK_BYTES_PER_S = 1e9 / 8  # a 2011-era 1 Gb/s WAN link
 BUFFER_BYTES = 64 * 1024
@@ -30,7 +31,7 @@ QUEUE_DEPTH = 4
 
 
 async def run_pair() -> None:
-    metrics = Metrics()
+    metrics = MetricRegistry()
     delivered: list[tuple[int, bytes]] = []
 
     async def deliver(stream_id: int, seq: int, data: bytes) -> None:

@@ -93,9 +93,12 @@ def gather_artifacts(name: str, size: int | None = None,
 
 def run_dataset(arts: Artifacts, cal: Calibration) -> DatasetRun:
     """Feed one dataset's artifacts through all timing models."""
-    # Imported here: repro.model.gpu wraps repro.core, which imports
-    # repro.model.calibration — a module-level import would cycle.
-    from repro.model.gpu import GpuCompressModel, GpuDecompressModel
+    # Imported here: repro.core imports repro.model.calibration, and
+    # repro.model.fitting imports this module — a module-level import
+    # would cycle.
+    from repro.core.decompress import GpuDecompressor
+    from repro.core.v1 import V1Compressor
+    from repro.core.v2 import V2Compressor
 
     run = DatasetRun(name=arts.name, size=arts.size)
     scale = PAPER_INPUT_BYTES / arts.size
@@ -108,11 +111,10 @@ def run_dataset(arts: Artifacts, cal: Calibration) -> DatasetRun:
         serial_s, int(arts.serial.stats.output_size * scale))
     run.compress_seconds["bzip2"] = Bzip2Model(cal).compress_seconds(
         arts.bzip2) * scale
-    v1_model = GpuCompressModel(1, cal)
-    v2_model = GpuCompressModel(2, cal)
-    run.compress_seconds["culzss_v1"] = v1_model.paper_seconds(
-        arts.v1, arts.sample)
-    run.compress_seconds["culzss_v2"] = v2_model.paper_seconds(arts.v2)
+    run.compress_seconds["culzss_v1"] = V1Compressor().profile(
+        arts.v1, cal, arts.sample).total_seconds * scale
+    run.compress_seconds["culzss_v2"] = V2Compressor().profile(
+        arts.v2, cal).total_seconds * scale
 
     run.ratios = {
         "serial": arts.serial.stats.ratio,
@@ -126,8 +128,8 @@ def run_dataset(arts: Artifacts, cal: Calibration) -> DatasetRun:
     # stream (both versions share the decompressor, §III.C).
     run.decompress_seconds["serial"] = serial_model.decompress_seconds(
         int(arts.size * scale), int(arts.serial.stats.n_tokens * scale))
-    run.decompress_seconds["culzss"] = GpuDecompressModel(cal).paper_seconds(
-        arts.v1)
+    run.decompress_seconds["culzss"] = GpuDecompressor().profile_encoded(
+        arts.v1, cal).total_seconds * scale
     return run
 
 

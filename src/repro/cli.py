@@ -308,13 +308,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import GatewayServer, Metrics
+    from repro.obs import MetricRegistry
+    from repro.service import GatewayServer
 
     if args.log_json:
         from repro.obs import log as obslog
 
         obslog.configure()
-    metrics = Metrics()
+    metrics = MetricRegistry()
     out_dir = Path(args.output_dir) if args.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +361,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _cmd_send(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import GatewayClient, Metrics
+    from repro.obs import MetricRegistry
+    from repro.service import GatewayClient
 
     if (err := _check_probe_threshold(args.probe_threshold)) is not None:
         print(err, file=sys.stderr)
@@ -372,7 +374,7 @@ def _cmd_send(args: argparse.Namespace) -> int:
 
         buffers = [generate(args.dataset, args.buffer_size, seed=1000 + i)
                    for i in range(args.count)]
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def run():
         client = GatewayClient(args.host, args.port, version=args.version,

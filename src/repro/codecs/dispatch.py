@@ -49,13 +49,7 @@ from repro import obs
 from repro.codecs.base import get_codec, metric_key
 from repro.codecs.lzss import LZSS_CODEC_ID
 from repro.codecs.lzss_huffman import LZSS_HUFFMAN_CODEC_ID, pack_lzss_huffman
-from repro.lzss.encoder import (
-    EncodeResult,
-    encode_chunked,
-    pack_lzss,
-    split_tokens,
-    tokenize,
-)
+from repro.lzss.encoder import EncodeResult, pack_lzss, split_tokens, tokenize
 from repro.lzss.formats import TokenFormat
 from repro.lzss.matcher import probe_incompressible, resolve_probe_threshold
 from repro.lzss.stats import EncodeStats
@@ -147,17 +141,6 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
     threshold = resolve_probe_threshold(probe_threshold)
     n_chunks = (n + chunk_size - 1) // chunk_size if n else 0
 
-    if codec == "lzss":
-        # Byte-identical to the classic path, plus the codec column.
-        t0 = perf_counter()
-        result = encode_chunked(arr, fmt, chunk_size, max_chain=max_chain)
-        obs.observe("codec.encode_lzss_seconds", perf_counter() - t0)
-        obs.inc("codec.encode_lzss_bytes", n)
-        result.chunk_codecs = np.full(n_chunks, LZSS_CODEC_ID,
-                                      dtype=np.uint8)
-        _account(result.chunk_codecs, result.chunk_sizes, arr.size,
-                 chunk_size)
-        return result
     if codec != "auto":
         get_codec(codec)  # raises KeyError on unknown names
 

@@ -103,6 +103,18 @@ def _compressor_for(params: CompressionParams, engine=None):
             else V2Compressor(params, engine=engine))
 
 
+def _model_profile(compressor, result: EncodeResult, data,
+                   cal: Calibration) -> GpuProfile:
+    """The modeled GTX-480 profile of one ``compressor.compress(data)``.
+
+    V1's model also reads the input's sampled search statistics (κ,
+    p_cap); V2's reads only the encode result.
+    """
+    if compressor.params.version == 1:
+        return compressor.profile(result, cal, sample_match_statistics(data))
+    return compressor.profile(result, cal)
+
+
 def gpu_compress(buffer, params: CompressionParams | None = None,
                  calibration: Calibration | None = None, *,
                  workers: int | None = None, codec: str = "lzss",
@@ -160,11 +172,7 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
     if result.input_size == 0:
         return CompressedBuffer(data=pack_container(result), result=result,
                                 profile=GpuProfile())
-    if params.version == 1:
-        sample = sample_match_statistics(data)
-        profile = compressor.profile(result, cal, sample)
-    else:
-        profile = compressor.profile(result, cal)
+    profile = _model_profile(compressor, result, data, cal)
     return CompressedBuffer(data=pack_container(result), result=result,
                             profile=profile)
 

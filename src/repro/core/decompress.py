@@ -7,11 +7,12 @@ corresponding decompressed data block.  To achieve this, we keep a
 list of block compression sizes."
 
 Functionally: :func:`repro.lzss.decoder.decode_chunked` driven by the
-container's chunk table.  Cost model: one thread per chunk decodes its
-token stream serially — decompression "is not computation intensive …
-mainly reading from and writing to memory" (§IV.D), so the model is
-dominated by per-token decode work, per-byte copies, and the global
-traffic of reading the compressed stream and writing the output.
+container's chunk table.  This module holds the cost model: one thread
+per chunk decodes its token stream serially — decompression "is not
+computation intensive … mainly reading from and writing to memory"
+(§IV.D), so the model is dominated by per-token decode work, per-byte
+copies, and the global traffic of reading the compressed stream and
+writing the output.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from repro.core.params import CompressionParams
 from repro.gpusim.kernel import BlockCost, KernelLaunch, launch_kernel
 from repro.gpusim.profiler import GpuProfile
 from repro.gpusim.timing import transfer_time
-from repro.lzss.decoder import decode_chunked
-from repro.lzss.formats import TokenFormat
+from repro.lzss.encoder import EncodeResult
 from repro.model.calibration import Calibration
 from repro.util.validation import require
 
@@ -32,19 +32,10 @@ __all__ = ["GpuDecompressor"]
 
 
 class GpuDecompressor:
-    """Functional chunked decode plus its GTX-480 cost model."""
+    """The GTX-480 cost model of the chunk-parallel decode."""
 
     def __init__(self, params: CompressionParams | None = None) -> None:
         self.params = params or CompressionParams()
-
-    def decompress(self, payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
-                   chunk_size: int, output_size: int) -> bytes:
-        return decode_chunked(payload, fmt, chunk_sizes, chunk_size,
-                              output_size)
-
-    # ------------------------------------------------------------------
-    # cost model
-    # ------------------------------------------------------------------
 
     def kernel_launch(self, per_chunk_tokens: np.ndarray,
                       per_chunk_out_bytes: np.ndarray,
@@ -101,3 +92,18 @@ class GpuDecompressor:
         prof.add("kernel_decode", timing.seconds)
         prof.add("d2h_output", transfer_time(p.device, output_size))
         return prof
+
+    def profile_encoded(self, result: EncodeResult,
+                        cal: Calibration) -> GpuProfile:
+        """:meth:`profile` of decoding ``result``'s stream, from its
+        encode-side stats: per-chunk token counts come from the token
+        starts (so the encode must have collected its detail arrays)."""
+        stats = result.stats
+        require(stats.token_starts is not None,
+                "decompress model needs collect_detail=True encode stats")
+        cs = self.params.chunk_size
+        n_chunks = (result.input_size + cs - 1) // cs
+        per_chunk_tokens = np.bincount(stats.token_starts // cs,
+                                       minlength=n_chunks)
+        return self.profile(per_chunk_tokens, stats.output_size,
+                            result.input_size, result.chunk_sizes, cal)

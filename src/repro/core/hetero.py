@@ -18,9 +18,8 @@ import struct
 from dataclasses import dataclass
 
 from repro.container import pack_container, unpack_container
+from repro.core.api import _compressor_for, _model_profile
 from repro.core.params import CompressionParams
-from repro.core.v1 import V1Compressor
-from repro.core.v2 import V2Compressor
 from repro.cpu.threads import PthreadLzss
 from repro.lzss.decoder import decode_chunked
 from repro.model.calibration import Calibration, default_calibration
@@ -58,8 +57,7 @@ class HeterogeneousCompressor:
                  n_threads: int | None = None) -> None:
         self.params = params or CompressionParams()
         self.cal = calibration or default_calibration()
-        self.gpu = (V1Compressor(self.params) if self.params.version == 1
-                    else V2Compressor(self.params))
+        self.gpu = _compressor_for(self.params)
         self.cpu = PthreadLzss(n_threads)
 
     # ------------------------------------------------------------------
@@ -68,11 +66,7 @@ class HeterogeneousCompressor:
 
     def _gpu_seconds_per_byte(self, probe: bytes) -> float:
         result = self.gpu.compress(probe)
-        if self.params.version == 1:
-            sample = sample_match_statistics(probe)
-            prof = self.gpu.profile(result, self.cal, sample)
-        else:
-            prof = self.gpu.profile(result, self.cal)
+        prof = _model_profile(self.gpu, result, probe, self.cal)
         return prof.total_seconds / len(probe)
 
     def _cpu_seconds_per_byte(self, probe: bytes) -> float:

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.container import pack_container
+from repro.core.api import _compressor_for, _model_profile
 from repro.core.params import CompressionParams
-from repro.core.v1 import V1Compressor
-from repro.core.v2 import V2Compressor
 from repro.model.calibration import Calibration, default_calibration
-from repro.model.cpu import sample_match_statistics
 from repro.util.buffers import as_bytes
 from repro.util.validation import require
 
@@ -85,23 +83,14 @@ class StreamingPipeline:
                  calibration: Calibration | None = None) -> None:
         self.params = params or CompressionParams()
         self.cal = calibration or default_calibration()
-        self._compressor = (V1Compressor(self.params)
-                            if self.params.version == 1
-                            else V2Compressor(self.params))
+        self._compressor = _compressor_for(self.params)
 
     def _buffer_stages(self, data: bytes) -> tuple[bytes, dict[str, float]]:
         result = self._compressor.compress(data)
-        if self.params.version == 1:
-            sample = sample_match_statistics(data)
-            prof = self._compressor.profile(result, self.cal, sample)
-            names = {"h2d": "h2d_input", "kernel": "kernel_match_encode",
-                     "d2h": "d2h_buckets", "cpu": "cpu_concat"}
-        else:
-            prof = self._compressor.profile(result, self.cal)
-            names = {"h2d": "h2d_input", "kernel": "kernel_match",
-                     "d2h": "d2h_match_records", "cpu": "cpu_fixup"}
-        stages = {stage: prof.phase_seconds(name)
-                  for stage, name in names.items()}
+        prof = _model_profile(self._compressor, result, data, self.cal)
+        # Both versions' profiles are these four phases, in this order.
+        stages = dict(zip(STAGES, (p.seconds for p in prof.phases),
+                          strict=True))
         return pack_container(result), stages
 
     def compress_stream(self, buffers: Iterable[bytes]) -> PipelineResult:

@@ -7,6 +7,10 @@ exactly how many byte comparisons, tokens, bytes and transactions it
 executed, and the models here convert those counts into modeled seconds
 on the paper's i7 920 + GTX 480.
 
+The GPU models are the ``profile`` methods of :mod:`repro.core`'s V1,
+V2 and decompressor classes; :mod:`repro.model.gpu` only extrapolates
+their times to the paper's 128 MB inputs.
+
 Calibration discipline (see :mod:`repro.model.calibration`): each
 platform/code path gets exactly one anchor cell, always from the
 C-files column of the published tables; every other cell of every table
@@ -23,22 +27,9 @@ from repro.model.cpu import (
 )
 from repro.model.bzip2 import Bzip2Model
 
-
-def __getattr__(name: str):
-    # GpuCompressModel/GpuDecompressModel wrap repro.core, which itself
-    # imports repro.model.calibration — resolve lazily to keep the
-    # import graph acyclic.
-    if name in ("GpuCompressModel", "GpuDecompressModel"):
-        from repro.model import gpu
-
-        return getattr(gpu, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Bzip2Model",
     "Calibration",
-    "GpuCompressModel",
-    "GpuDecompressModel",
     "PthreadModel",
     "SerialCpuModel",
     "default_calibration",

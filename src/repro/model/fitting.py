@@ -32,10 +32,12 @@ from dataclasses import replace
 
 from repro.bench.harness import Artifacts
 from repro.bench.paper import PAPER_INPUT_BYTES, TABLE1_SECONDS, TABLE3_SECONDS
+from repro.core.decompress import GpuDecompressor
+from repro.core.v1 import V1Compressor
+from repro.core.v2 import V2Compressor
 from repro.model.bzip2 import LINEAR_CYCLES_PER_BYTE, sort_compares
 from repro.model.calibration import CPU_CLOCK_HZ, Calibration
 from repro.model.cpu import estimate_serial_compares
-from repro.model.gpu import GpuCompressModel, GpuDecompressModel
 from repro.util.validation import require
 
 __all__ = ["fit_calibration"]
@@ -98,7 +100,8 @@ def fit_calibration(arts: Artifacts,
     # --- GPU kernel efficiency (V1 anchor; V2 shares the factor) ------
     def v1_total(eff: float) -> float:
         c = replace(cal, gpu_kernel_efficiency=eff)
-        return GpuCompressModel(1, c).paper_seconds(arts.v1, arts.sample)
+        return V1Compressor().profile(arts.v1, c,
+                                     arts.sample).total_seconds * scale
 
     eff = _affine_solve(v1_total, t1["culzss_v1"], 0.5, 2.0, floor=0.05)
     cal = replace(cal, gpu_kernel_efficiency=eff)
@@ -107,7 +110,7 @@ def fit_calibration(arts: Artifacts,
     # paper's V2 leaves un-overlapped CPU work the profile cannot see)
     def v2_total(eff2: float) -> float:
         c = replace(cal, gpu_v2_kernel_efficiency=eff2)
-        return GpuCompressModel(2, c).paper_seconds(arts.v2)
+        return V2Compressor().profile(arts.v2, c).total_seconds * scale
 
     eff2 = _affine_solve(v2_total, t1["culzss_v2"], 1.0, 4.0, floor=0.05)
     cal = replace(cal, gpu_v2_kernel_efficiency=eff2)
@@ -116,7 +119,8 @@ def fit_calibration(arts: Artifacts,
     def decomp_total(tok_cycles: float) -> float:
         c = replace(cal, gpu=replace(cal.gpu,
                                      decomp_cycles_per_token=tok_cycles))
-        return GpuDecompressModel(c).paper_seconds(arts.v1)
+        return GpuDecompressor().profile_encoded(
+            arts.v1, c).total_seconds * scale
 
     tok = _affine_solve(decomp_total, t3["culzss"], 10.0, 40.0, floor=1.0)
     cal = replace(cal, gpu=replace(cal.gpu, decomp_cycles_per_token=tok))

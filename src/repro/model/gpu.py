@@ -1,29 +1,21 @@
-"""GPU timing model wrappers used by the benchmark harness.
+"""Paper-scale extrapolation of the modeled GPU times.
 
-The physics lives in :mod:`repro.core.v1` / :mod:`repro.core.v2` /
-:mod:`repro.core.decompress`; these wrappers run a compression at
-benchmark scale, produce the modeled GTX-480 profile, and scale the
-result linearly to the paper's 128 MB inputs (every term in the
-pipeline — kernel cycles, PCIe bytes, CPU post-processing — is linear
-in the input size; occupancy and per-transaction effects are
-size-independent).
+The GPU cost models live next to the code they model
+(:meth:`repro.core.v1.V1Compressor.profile`,
+:meth:`repro.core.v2.V2Compressor.profile`,
+:meth:`repro.core.decompress.GpuDecompressor.profile`); they run at
+benchmark scale, and :func:`scale_to_paper` extrapolates a modeled time
+linearly to the paper's 128 MB inputs (every term in the pipeline —
+kernel cycles, PCIe bytes, CPU post-processing — is linear in the input
+size; occupancy and per-transaction effects are size-independent).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.paper import PAPER_INPUT_BYTES
-from repro.core.decompress import GpuDecompressor
-from repro.core.params import CompressionParams
-from repro.core.v1 import V1Compressor
-from repro.core.v2 import V2Compressor
-from repro.gpusim.profiler import GpuProfile
-from repro.lzss.encoder import EncodeResult
-from repro.model.calibration import Calibration
 from repro.util.validation import require
 
-__all__ = ["GpuCompressModel", "GpuDecompressModel", "scale_to_paper"]
+__all__ = ["scale_to_paper"]
 
 
 def scale_to_paper(seconds: float, measured_bytes: int,
@@ -31,56 +23,3 @@ def scale_to_paper(seconds: float, measured_bytes: int,
     """Linear size extrapolation from benchmark scale to 128 MB."""
     require(measured_bytes > 0, "cannot scale an empty measurement")
     return seconds * (paper_bytes / measured_bytes)
-
-
-class GpuCompressModel:
-    """Run V1 or V2 functionally, return its modeled paper-scale time.
-
-    The V1 cost model additionally needs the dataset's measured search
-    statistics (κ, p_cap) — pass ``sample`` for version 1.
-    """
-
-    def __init__(self, version: int, calibration: Calibration,
-                 params: CompressionParams | None = None) -> None:
-        self.cal = calibration
-        self.params = params or CompressionParams(version=version)
-        require(self.params.version == version, "params/version mismatch")
-        self.compressor = (V1Compressor(self.params) if version == 1
-                           else V2Compressor(self.params))
-
-    def compress(self, data) -> EncodeResult:
-        return self.compressor.compress(data)
-
-    def profile(self, result: EncodeResult, sample=None) -> GpuProfile:
-        if self.params.version == 1:
-            require(sample is not None, "V1 model needs MatchSampleStats")
-            return self.compressor.profile(result, self.cal, sample)
-        return self.compressor.profile(result, self.cal)
-
-    def paper_seconds(self, result: EncodeResult, sample=None) -> float:
-        prof = self.profile(result, sample)
-        return scale_to_paper(prof.total_seconds, result.input_size)
-
-
-class GpuDecompressModel:
-    """Modeled paper-scale time of the chunk-parallel decompression."""
-
-    def __init__(self, calibration: Calibration,
-                 params: CompressionParams | None = None) -> None:
-        self.cal = calibration
-        self.params = params or CompressionParams()
-        self.decompressor = GpuDecompressor(self.params)
-
-    def paper_seconds(self, result: EncodeResult) -> float:
-        """Model from encode-side stats (per-chunk token counts)."""
-        stats = result.stats
-        require(stats.token_starts is not None,
-                "decompress model needs collect_detail=True encode stats")
-        cs = self.params.chunk_size
-        n_chunks = (result.input_size + cs - 1) // cs
-        per_chunk_tokens = np.bincount(stats.token_starts // cs,
-                                       minlength=n_chunks)
-        prof = self.decompressor.profile(
-            per_chunk_tokens, stats.output_size, result.input_size,
-            result.chunk_sizes, self.cal)
-        return scale_to_paper(prof.total_seconds, result.input_size)

@@ -338,34 +338,23 @@ def format_ledger(rows: list[dict]) -> str:
 
 
 def stage_breakdown(before: dict, after: dict) -> dict[str, dict]:
-    """Ledger-stage deltas between two registry snapshots.
+    """:func:`ledger` of what was recorded between two registry snapshots.
 
     The benchgate capture primitive: snapshot around one case's
-    measurement and keep only what that case spent.  Same inclusion
-    rule as :func:`ledger` (stages carrying the ``bytes=`` dimension),
-    so shares stay disjoint.  Returns ``{stage: {seconds, bytes,
-    calls, share}}`` for stages active in the window.
+    measurement and keep only what that case spent.  The ledger runs
+    over the difference of the two snapshots' counters and histogram
+    count/sum, so its row rule is the only one.  Returns ``{stage:
+    row}`` (``seconds``, ``bytes``, ``calls``, ``mb_s``, ``share``) for
+    the stages active in the window.
     """
     b_counters = before.get("counters", {})
     b_hists = before.get("histograms", {})
-    out: dict[str, dict] = {}
-    for cname, a_total in after.get("counters", {}).items():
-        if not cname.endswith("_bytes"):
-            continue
-        stage = cname[: -len("_bytes")]
-        h = after.get("histograms", {}).get(f"{stage}_seconds")
-        if not h:
-            continue
-        hb = b_hists.get(f"{stage}_seconds") or {"count": 0, "sum": 0.0}
-        calls = int(h["count"]) - int(hb["count"])
-        if calls <= 0:
-            continue
-        out[stage] = {
-            "seconds": float(h["sum"]) - float(hb["sum"]),
-            "bytes": int(a_total) - int(b_counters.get(cname, 0)),
-            "calls": calls,
-        }
-    total = sum(v["seconds"] for v in out.values())
-    for v in out.values():
-        v["share"] = (v["seconds"] / total) if total > 0 else 0.0
-    return out
+    counters = {name: total - b_counters.get(name, 0)
+                for name, total in after.get("counters", {}).items()}
+    hists = {}
+    for name, h in after.get("histograms", {}).items():
+        b = b_hists.get(name) or {"count": 0, "sum": 0.0}
+        hists[name] = {"count": h["count"] - b["count"],
+                       "sum": h["sum"] - b["sum"]}
+    rows = ledger({"counters": counters, "histograms": hists})
+    return {row.pop("stage"): row for row in rows}

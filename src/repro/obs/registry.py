@@ -18,9 +18,9 @@ design constraints come from where it sits:
   registry at pool join, so per-worker counts surface in one place.
 
 :class:`Histogram` is the log-bucket histogram that started life in
-``repro.service.metrics`` (PR 1), promoted here so every layer shares
-one shape.  Zero handling is now explicit: **every** sample — zero
-included — counts toward ``count``/``sum`` and updates ``min``/``max``;
+the gateway service, promoted here so every layer shares one shape.
+Zero handling is now explicit: **every** sample — zero included —
+counts toward ``count``/``sum`` and updates ``min``/``max``;
 non-positive values land in the underflow bucket ``le_2^-24``.  (The
 old docstring promised zeros were "kept out of min only when no other
 sample exists", which neither the code nor any caller wanted.)

@@ -293,8 +293,8 @@ class SloMonitor:
 
         Prometheus export prefixes and sanitizes, so these surface as
         ``culzss_slo_<objective>_ok_last`` etc. in ``/metrics``.
-        ``metrics`` is anything with a ``gauge(name, value)`` method
-        (:class:`repro.service.metrics.Metrics` or a registry).
+        ``metrics`` is anything with a ``gauge(name, value)`` method,
+        e.g. a gateway's :class:`repro.obs.MetricRegistry`.
         """
         if report is None:
             report = self.evaluate(snapshot or {})

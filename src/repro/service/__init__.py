@@ -12,9 +12,13 @@ this package turns it into a long-running, traffic-serving pipeline:
   while frame reassembly preserves sequence order;
 - :mod:`repro.service.gateway` — an asyncio TCP gateway server and
   client with per-connection timeouts, bounded retry-with-backoff, and
-  graceful drain on shutdown;
-- :mod:`repro.service.metrics` — frame/byte counters, queue-depth
-  gauges, and ratio/latency histograms behind one ``snapshot()`` dict.
+  graceful drain on shutdown.
+
+Each pipeline and endpoint records its frame/byte counters, queue-depth
+gauges and ratio/latency histograms into a
+:class:`repro.obs.MetricRegistry` — its own by default, or the one
+passed as ``metrics=`` — and everything comes out of one
+``snapshot()`` dict.
 """
 
 from repro.service.gateway import (
@@ -23,7 +27,6 @@ from repro.service.gateway import (
     StreamAck,
     retry_with_backoff,
 )
-from repro.service.metrics import Histogram, Metrics
 from repro.service.pipeline import (
     EgressPipeline,
     IngressPipeline,
@@ -53,9 +56,7 @@ __all__ = [
     "FrameError",
     "GatewayClient",
     "GatewayServer",
-    "Histogram",
     "IngressPipeline",
-    "Metrics",
     "StreamAck",
     "decode_frame",
     "decode_payload",

@@ -37,8 +37,8 @@ from repro.obs.export import (
     prometheus_text,
     speedscope_doc,
 )
+from repro.obs.registry import MetricRegistry
 from repro.obs.slo import SloMonitor
-from repro.service.metrics import Metrics
 from repro.service.pipeline import EgressPipeline, IngressPipeline
 from repro.service.protocol import (
     FLAG_ACK,
@@ -80,25 +80,33 @@ TRANSIENT_ERRORS = (ConnectionError, OSError, TimeoutError,
 _PROFILE_MAX_SECONDS = 30.0
 
 
-def _profile_window(path: str) -> float:
-    """Extra render-budget seconds a sidecar request needs: the sampling
-    window for ``/profile``, zero for every other path."""
-    path, _, query = path.partition("?")
-    if path != "/profile":
-        return 0.0
+def _profile_params(query: str) -> tuple[float, float | None]:
+    """``seconds`` (default 2, clamped to [0.1, 30]) and ``hz`` (``None``
+    for the profiler's default) of a ``/profile?seconds=&hz=`` query."""
     params = dict(p.split("=", 1) for p in query.split("&") if "=" in p)
     try:
         seconds = float(params.get("seconds", 2.0))
     except ValueError:
         seconds = 2.0
-    return min(max(seconds, 0.1), _PROFILE_MAX_SECONDS)
+    try:
+        hz = float(params.get("hz", 0)) or None
+    except ValueError:
+        hz = None
+    return min(max(seconds, 0.1), _PROFILE_MAX_SECONDS), hz
+
+
+def _profile_window(path: str) -> float:
+    """Extra render-budget seconds a sidecar request needs: the sampling
+    window for ``/profile``, zero for every other path."""
+    path, _, query = path.partition("?")
+    return _profile_params(query)[0] if path == "/profile" else 0.0
 
 
 async def retry_with_backoff(fn: Callable[[], Awaitable], *,
                              retries: int = 3, base_delay: float = 0.05,
                              max_delay: float = 2.0,
                              transient: tuple = TRANSIENT_ERRORS,
-                             metrics: Metrics | None = None,
+                             metrics: MetricRegistry | None = None,
                              name: str = "op"):
     """Run ``fn`` with up to ``retries`` retries on transient errors.
 
@@ -174,8 +182,8 @@ class GatewayServer:
     ``GET /slo.json`` (the SLO monitor's judgement),
     ``GET /healthz`` (200 + uptime JSON, cheap enough for fleet
     probes), and ``GET /profile?seconds=N`` (sample the process for N
-    seconds, answer a speedscope document).  The scrape is
-    the union of the gateway's own :class:`Metrics` registry and the
+    seconds, answer a speedscope document).  The scrape is the union
+    of the gateway's own :class:`~repro.obs.MetricRegistry` and the
     process-global :mod:`repro.obs` registry, so gateway counters and
     codec-layer counters (matcher probes, encoder stage timings,
     container CRC events, engine shard stats) land in one page.  Pass
@@ -207,7 +215,7 @@ class GatewayServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 0, queue_depth: int = 8,
-                 timeout: float = 30.0, metrics: Metrics | None = None,
+                 timeout: float = 30.0, metrics: MetricRegistry | None = None,
                  metrics_port: int | None = None,
                  metrics_timeout: float = 2.0,
                  slo: SloMonitor | None = None,
@@ -220,7 +228,7 @@ class GatewayServer:
         self.accept_codecs = accept_codecs
         self.queue_depth = queue_depth
         self.timeout = timeout
-        self.metrics = metrics or Metrics()
+        self.metrics = metrics or MetricRegistry()
         self.metrics_port = metrics_port
         self.metrics_timeout = metrics_timeout
         self.slo = slo if slo is not None else SloMonitor()
@@ -275,17 +283,7 @@ class GatewayServer:
 
         from repro.obs import prof
 
-        params = dict(p.split("=", 1) for p in query.split("&")
-                      if "=" in p)
-        try:
-            seconds = float(params.get("seconds", 2.0))
-        except ValueError:
-            seconds = 2.0
-        seconds = min(max(seconds, 0.1), _PROFILE_MAX_SECONDS)
-        try:
-            hz = float(params.get("hz", 0)) or None
-        except ValueError:
-            hz = None
+        seconds, hz = _profile_params(query)
         owned = not prof.running()
         if owned:
             prof.start(hz)
@@ -532,7 +530,7 @@ class GatewayClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  version: int = 2, workers: int = 2, queue_depth: int = 8,
                  timeout: float = 30.0, retries: int = 3,
-                 backoff: float = 0.05, metrics: Metrics | None = None,
+                 backoff: float = 0.05, metrics: MetricRegistry | None = None,
                  executor=None,
                  codec: str = "lzss",
                  probe_threshold: float | None = None) -> None:
@@ -544,7 +542,7 @@ class GatewayClient:
         self.backoff = backoff
         self.codec = codec
         self.accepted_codecs: frozenset[int] | None = None
-        self.metrics = metrics or Metrics()
+        self.metrics = metrics or MetricRegistry()
         self._ingress = IngressPipeline(version=version, workers=workers,
                                         queue_depth=queue_depth,
                                         metrics=self.metrics,

@@ -34,7 +34,7 @@ from typing import AsyncIterator, Awaitable, Callable, Iterable
 from repro import obs
 from repro.obs import log as obslog
 from repro.obs import trace
-from repro.service.metrics import Metrics
+from repro.obs.registry import MetricRegistry
 from repro.service.protocol import FLAG_RAW, FRAME_HEADER_SIZE, Frame
 from repro.util.validation import require_range
 
@@ -47,9 +47,7 @@ __all__ = [
     "EgressPipeline",
     "IngressPipeline",
     "decode_payload",
-    "decode_payload_obs",
     "encode_payload",
-    "encode_payload_obs",
 ]
 
 
@@ -110,21 +108,17 @@ def decode_payload(flags: int, payload: bytes, *,
         return gpu_decompress(payload, workers=workers).data
 
 
-def encode_payload_obs(data: bytes, version: int = 2,
-                       trace_id: int = 0, codec: str = "lzss",
-                       probe_threshold: float | None = None,
-                       ) -> tuple[int, bytes, dict]:
-    """Pool-worker job: stock encode + the worker's obs delta."""
-    flags, payload = encode_payload(data, version, trace_id=trace_id,
-                                    codec=codec,
-                                    probe_threshold=probe_threshold)
-    return flags, payload, obs.delta()
+def _with_delta(job: Callable[[], object]) -> tuple[object, dict | None]:
+    """Run one frame job; return its result and this process's obs delta.
 
-
-def decode_payload_obs(flags: int, payload: bytes,
-                       trace_id: int = 0) -> tuple[bytes, dict]:
-    """Pool-worker job: stock decode + the worker's obs delta."""
-    return decode_payload(flags, payload, trace_id=trace_id), obs.delta()
+    Every frame job runs through here — in a pool worker, on the loop's
+    default pool and in the serial fallback — so what a worker recorded
+    (metrics, spans, profiler samples) rides home with the result
+    (``None`` while instrumentation is off).  In the parent's own
+    process the metric merge no-ops and the drained spans are restored.
+    """
+    result = job()
+    return result, (obs.delta() if obs.enabled() else None)
 
 
 async def _aiter(items) -> AsyncIterator:
@@ -158,12 +152,13 @@ class _PooledStage:
     its one submit path and its one crash fallback."""
 
     def __init__(self, workers: int, queue_depth: int,
-                 metrics: Metrics | None, executor: Executor | None) -> None:
+                 metrics: MetricRegistry | None,
+                 executor: Executor | None) -> None:
         require_range(queue_depth, 1, 1 << 16, "queue_depth")
         require_range(workers, 0, 256, "workers")
         self.workers = workers
         self.queue_depth = queue_depth
-        self.metrics = metrics or Metrics()
+        self.metrics = metrics or MetricRegistry()
         self._executor = executor
         self._owns_executor = executor is None
         self._pool_rebuilt = False
@@ -210,42 +205,45 @@ class _PooledStage:
             self._pool_dead = True
         self._pool_rebuilt = True
 
-    def _submit(self, stage: str, tid: int, pooled: Callable,
-                local: Callable) -> asyncio.Future:
-        """Hand one frame's job to the pool; returns its future.
+    def _submit(self, stage: str, tid: int, job: Callable) -> asyncio.Future:
+        """Hand one frame's job (a picklable no-argument callable) to the
+        pool; returns the future of its :func:`_with_delta` pair.
 
-        ``pooled`` is the job as the pool runs it, ``local`` the same
-        work as the parent runs it.  A broken pool at submit time counts
-        a crash and retries once on the rebuilt pool; if that fails too,
-        the frame degrades to the loop's default thread pool
-        (``{stage}.serial_fallbacks``).
+        A broken pool at submit time counts a crash and retries once on
+        the rebuilt pool; if that fails too, the frame degrades to the
+        loop's default thread pool (``{stage}.serial_fallbacks``).
         """
         loop = asyncio.get_running_loop()
         for _attempt in range(2):
             try:
-                return loop.run_in_executor(self._pool(), pooled)
+                return loop.run_in_executor(self._pool(),
+                                            partial(_with_delta, job))
             except _CRASH_ERRORS:
                 self._crashed(stage, tid)
-        return self._serial(stage, tid, local, at="submit")
+        return self._serial(stage, tid, job, at="submit")
 
     async def _result(self, fut: asyncio.Future, stage: str, tid: int,
-                      seq: int, local: Callable):
-        """Await a :meth:`_submit` future; if the worker died holding the
-        frame, re-run ``local`` serially (the input is still in hand)."""
+                      seq: int, job: Callable):
+        """Await a :meth:`_submit` future, fold its obs delta in and
+        return the job's result; if the worker died holding the frame,
+        re-run ``job`` serially (the input is still in hand)."""
         try:
-            return await fut
+            result, delta = await fut
         except _CRASH_ERRORS:
             self._crashed(stage, tid)
-            return await self._serial(stage, tid, local, at="result",
-                                      seq=seq)
+            result, delta = await self._serial(stage, tid, job, at="result",
+                                               seq=seq)
+        obs.merge_delta(delta)
+        return result
 
-    def _serial(self, stage: str, tid: int, local: Callable,
+    def _serial(self, stage: str, tid: int, job: Callable,
                 **where) -> asyncio.Future:
         """Count, log and run one frame on the loop's default pool."""
         self.metrics.inc(f"{stage}.serial_fallbacks")
         obslog.event("service", "serial_fallback", stage=stage,
                      trace_id=tid, **where)
-        return asyncio.get_running_loop().run_in_executor(None, local)
+        return asyncio.get_running_loop().run_in_executor(
+            None, partial(_with_delta, job))
 
     def close(self) -> None:
         if self._owns_executor and self._executor is not None:
@@ -275,7 +273,7 @@ class IngressPipeline(_PooledStage):
     """
 
     def __init__(self, version: int = 2, workers: int = 2,
-                 queue_depth: int = 8, metrics: Metrics | None = None,
+                 queue_depth: int = 8, metrics: MetricRegistry | None = None,
                  executor: Executor | None = None,
                  job: Callable[[bytes, int], tuple[int, bytes]] | None = None,
                  codec: str = "lzss",
@@ -284,8 +282,7 @@ class IngressPipeline(_PooledStage):
         self.version = version
         self.codec = codec
         self.probe_threshold = probe_threshold
-        self._job = job or encode_payload
-        self._stock_job = job is None
+        self._job = job
 
     async def run(self, stream_id: int,
                   buffers: Iterable[bytes] | AsyncIterator[bytes],
@@ -298,40 +295,36 @@ class IngressPipeline(_PooledStage):
         self._pool()  # build eagerly so the first frame pays no setup
         jobs: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
         m = self.metrics
-        # Stock jobs ship an obs delta (worker metrics + spans) home with
-        # each result; custom jobs keep their two-tuple contract.
-        traced = self._stock_job and obs.enabled()
+        stock = self._job is None
+        # Stock frames get a trace id, stamped on the wire header.
+        traced = stock and obs.enabled()
         codec, threshold = self.codec, self.probe_threshold
-        if self._stock_job and (codec != "lzss" or threshold is not None):
-            job = partial(encode_payload, codec=codec,
-                          probe_threshold=threshold)
-        else:
-            job = self._job
 
         async def submit() -> int:
             seq = 0
             async for raw in _aiter(buffers):
                 data = bytes(raw)
                 tid = trace.new_trace_id() if traced else 0
-                local = partial(job, data, self.version)
-                if self._stock_job and probe_incompressible(
+                if stock:
+                    job = partial(encode_payload, data, self.version,
+                                  trace_id=tid, codec=codec,
+                                  probe_threshold=threshold)
+                else:
+                    job = partial(self._job, data, self.version)
+                if stock and probe_incompressible(
                         data, byte_entropy_bits=threshold):
                     # Near-random buffer: the codec would only rediscover
                     # FLAG_RAW the expensive way — skip the pool outright.
                     fut = loop.create_future()
-                    fut.set_result((FLAG_RAW, data))
+                    fut.set_result(((FLAG_RAW, data), None))
                     m.inc("ingress.probe_raw_frames")
                     obslog.event("codec", "store_fallback", scope="frame",
                                  reason="probe", size=len(data),
                                  trace_id=tid, threshold=threshold)
                 else:
-                    fut = self._submit(
-                        "ingress", tid,
-                        partial(encode_payload_obs, data, self.version, tid,
-                                codec, threshold) if traced else local,
-                        local)
+                    fut = self._submit("ingress", tid, job)
                 enq = perf_counter()
-                await jobs.put((seq, data, enq, fut, tid, local))
+                await jobs.put((seq, data, enq, fut, tid, job))
                 m.gauge("ingress.queue_depth", jobs.qsize())
                 seq += 1
             await jobs.put(None)
@@ -339,14 +332,10 @@ class IngressPipeline(_PooledStage):
 
         async def drain() -> None:
             while (item := await jobs.get()) is not None:
-                seq, data, enq, fut, tid, local = item
+                seq, data, enq, fut, tid, job = item
                 n_in = len(data)
-                out = await self._result(fut, "ingress", tid, seq, local)
-                if len(out) == 3:  # obs-carrying job: fold the delta in
-                    flags, payload, worker_delta = out
-                    obs.merge_delta(worker_delta)
-                else:
-                    flags, payload = out
+                flags, payload = await self._result(fut, "ingress", tid, seq,
+                                                    job)
                 m.observe("ingress.stage_wait_seconds", perf_counter() - enq)
                 frame = Frame(stream_id=stream_id, seq=seq, flags=flags,
                               payload=payload, trace_id=tid)
@@ -386,12 +375,11 @@ class EgressPipeline(_PooledStage):
     """
 
     def __init__(self, workers: int = 0, queue_depth: int = 8,
-                 metrics: Metrics | None = None,
+                 metrics: MetricRegistry | None = None,
                  executor: Executor | None = None,
                  job: Callable[[int, bytes], bytes] | None = None) -> None:
         super().__init__(workers, queue_depth, metrics, executor)
-        self._job = job or decode_payload
-        self._stock_job = job is None
+        self._job = job
 
     async def run(self, frames: Iterable[Frame] | AsyncIterator[Frame],
                   deliver: Callable[[int, int, bytes], Awaitable[None]],
@@ -407,20 +395,21 @@ class EgressPipeline(_PooledStage):
         self._pool()  # build eagerly so the first frame pays no setup
         jobs: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
         m = self.metrics
-        traced = self._stock_job and obs.enabled()
 
         async def submit() -> None:
             async for frame in _aiter(frames):
                 if frame.is_end:
                     await jobs.put((frame, None, None, None))
                     continue
-                local = partial(self._job, frame.flags, frame.payload)
-                fut = self._submit(
-                    "egress", frame.trace_id,
-                    partial(decode_payload_obs, frame.flags, frame.payload,
-                            frame.trace_id) if traced else local,
-                    local)
-                await jobs.put((frame, perf_counter(), fut, local))
+                if self._job is None:
+                    # Looked up per frame, so a wrapper installed on the
+                    # module attribute is seen.
+                    job = partial(decode_payload, frame.flags, frame.payload,
+                                  trace_id=frame.trace_id)
+                else:
+                    job = partial(self._job, frame.flags, frame.payload)
+                fut = self._submit("egress", frame.trace_id, job)
+                await jobs.put((frame, perf_counter(), fut, job))
                 m.gauge("egress.queue_depth", jobs.qsize())
             await jobs.put(None)
 
@@ -429,17 +418,14 @@ class EgressPipeline(_PooledStage):
             held: dict[int, dict[int, bytes]] = {}
             delivered = 0
             while (item := await jobs.get()) is not None:
-                frame, enq, fut, local = item
+                frame, enq, fut, job = item
                 sid = frame.stream_id
                 if frame.is_end:
                     if on_end is not None:
                         await on_end(sid, frame.seq)
                     continue
                 data = await self._result(fut, "egress", frame.trace_id,
-                                          frame.seq, local)
-                if isinstance(data, tuple):  # obs-carrying job: fold delta in
-                    data, worker_delta = data
-                    obs.merge_delta(worker_delta)
+                                          frame.seq, job)
                 m.observe("egress.stage_wait_seconds", perf_counter() - enq)
                 m.inc("egress.frames_in")
                 m.inc("egress.bytes_in", frame.wire_size)

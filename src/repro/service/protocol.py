@@ -161,13 +161,14 @@ def encode_frame(frame: Frame) -> bytes:
     return head + struct.pack("<I", crc32(head)) + frame.payload
 
 
-def decode_frame(buf: bytes | bytearray | memoryview) -> tuple[Frame, int]:
-    """Parse one frame off the front of ``buf``.
+def _check_header(buf: memoryview) -> tuple:
+    """Validate the frame header at the front of ``buf``.
 
-    Returns ``(frame, bytes_consumed)``; raises :class:`FrameError` on
-    corruption or if ``buf`` holds less than one whole frame.
+    Checks magic, version, the header CRC, flags and the length bound,
+    in that order, so no header field is trusted before its CRC.
+    Returns ``(header_size, flags, stream_id, seq, length, payload_crc,
+    trace_id)``.
     """
-    buf = memoryview(buf)
     if len(buf) < FRAME_HEADER_SIZE:
         raise FrameError("truncated before frame header")
     (magic, version, flags, _reserved, stream_id, seq, length,
@@ -193,6 +194,18 @@ def decode_frame(buf: bytes | bytearray | memoryview) -> tuple[Frame, int]:
         raise FrameError(f"unknown frame flags {flags:#x}")
     if length > MAX_PAYLOAD:
         raise FrameError(f"frame length {length} exceeds bound")
+    return header_size, flags, stream_id, seq, length, payload_crc, trace_id
+
+
+def decode_frame(buf: bytes | bytearray | memoryview) -> tuple[Frame, int]:
+    """Parse one frame off the front of ``buf``.
+
+    Returns ``(frame, bytes_consumed)``; raises :class:`FrameError` on
+    corruption or if ``buf`` holds less than one whole frame.
+    """
+    buf = memoryview(buf)
+    (header_size, flags, stream_id, seq, length, payload_crc,
+     trace_id) = _check_header(buf)
     end = header_size + length
     if len(buf) < end:
         raise FrameError("truncated inside frame payload")
@@ -245,18 +258,18 @@ async def read_frame(reader: asyncio.StreamReader,
             if not exc.partial:
                 return None
             raise FrameError("connection closed mid-header") from exc
-        (magic, version, _, _, _, _, length, _) = struct.unpack_from(
-            _HEADER_FMT, head)
-        if magic != FRAME_MAGIC:
+        if head[:4] != FRAME_MAGIC:
             raise FrameError("bad frame magic")
-        if version == PROTOCOL_VERSION_V2:
+        if head[4] == PROTOCOL_VERSION_V2:
             try:
                 head += await reader.readexactly(
                     FRAME_HEADER_SIZE_V2 - FRAME_HEADER_SIZE)
             except asyncio.IncompleteReadError as exc:
                 raise FrameError("connection closed mid-header") from exc
-        if length > MAX_PAYLOAD:
-            raise FrameError(f"frame length {length} exceeds bound")
+        # The length field is trusted only after the header CRC passes:
+        # a corrupted length fails here instead of stalling on, or
+        # swallowing, bytes that belong to the next frame.
+        length = _check_header(memoryview(head))[4]
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:

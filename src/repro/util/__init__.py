@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bit streams, checksums, buffers, timing.
+"""Shared low-level utilities: bit streams, checksums, buffers, validation.
 
 These are the common substrate under every codec in the package.  They are
 deliberately dependency-free (NumPy only) and individually unit-tested.
@@ -11,19 +11,16 @@ from repro.util.bitio import (
     pack_tokens,
     unpack_bits,
 )
-from repro.util.buffers import as_bytes, as_u8, concat_u8
+from repro.util.buffers import as_bytes, as_u8
 from repro.util.checksum import adler32, crc32, crc32_reference
-from repro.util.timer import Timer
 from repro.util.validation import require, require_range, require_type
 
 __all__ = [
     "BitReader",
     "BitWriter",
-    "Timer",
     "adler32",
     "as_bytes",
     "as_u8",
-    "concat_u8",
     "crc32",
     "crc32_reference",
     "gather_fields",

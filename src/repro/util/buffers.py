@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_bytes", "as_u8", "concat_u8"]
+__all__ = ["as_bytes", "as_u8"]
 
 BufferLike = bytes | bytearray | memoryview | np.ndarray
 
@@ -43,11 +43,3 @@ def as_bytes(data: BufferLike) -> bytes:
     if isinstance(data, np.ndarray):
         return as_u8(data).tobytes()
     raise TypeError(f"unsupported buffer type {type(data).__name__}")
-
-
-def concat_u8(parts: list[np.ndarray] | list[bytes]) -> np.ndarray:
-    """Concatenate byte buffers into one uint8 array (empty-safe)."""
-    arrays = [as_u8(p) for p in parts]
-    if not arrays:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(arrays)

@@ -131,9 +131,8 @@ class TestGpuDecompressor:
     def test_functional_identity(self, text_data):
         v2 = V2Compressor()
         r = v2.compress(text_data)
-        d = GpuDecompressor(v2.params)
-        out = d.decompress(r.payload, r.format, r.chunk_sizes,
-                           v2.params.chunk_size, len(text_data))
+        out = decode_chunked(r.payload, r.format, r.chunk_sizes,
+                             v2.params.chunk_size, len(text_data))
         assert out == text_data
 
     def test_profile(self, text_data, cal):

@@ -6,6 +6,10 @@ counts (V2) and the sampled κ / p_cap (V1).  A matcher rewrite that
 kept the bytes but moved one compare would shift ``modeled_seconds``
 without failing any container golden, so those inputs are frozen here
 for one seeded 64 KiB buffer per compressor version.
+
+The modeled outputs are frozen too: the paper-table cells the harness
+derives (under the shipped and the fitted calibration), the streaming
+pipeline's containers and stage times, and the heterogeneous split.
 """
 
 import hashlib
@@ -13,10 +17,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.bench.harness import gather_artifacts, run_dataset
 from repro.core.api import gpu_compress
+from repro.core.hetero import HeterogeneousCompressor
 from repro.core.params import CompressionParams
+from repro.core.pipeline import StreamingPipeline
 from repro.datasets import generate
+from repro.model.calibration import default_calibration
 from repro.model.cpu import sample_match_statistics
+from repro.model.fitting import fit_calibration
 
 SEED = 2011
 SIZE = 64 << 10
@@ -60,3 +69,61 @@ def test_sampled_kappa_frozen(name, kappa, p_cap, request):
     stats = sample_match_statistics(request.getfixturevalue(name))
     assert (repr(stats.kappa), repr(stats.p_cap)) == (kappa, p_cap)
     assert stats.sample_bytes == SIZE
+
+
+@pytest.fixture(scope="module")
+def cfiles_artifacts():
+    return gather_artifacts("cfiles", SIZE, seed=SEED)
+
+
+@pytest.mark.parametrize("fitted, v1, v2, decompress", [
+    (False, "13.154402678027028", "11.075836922352087", "1.2906011866142364"),
+    (True, "12.067921074003287", "4.260000000000001", "0.8404918708683409"),
+])
+def test_paper_cells_frozen(cfiles_artifacts, fitted, v1, v2, decompress):
+    cal = (fit_calibration(cfiles_artifacts) if fitted
+           else default_calibration())
+    run = run_dataset(cfiles_artifacts, cal)
+    assert (repr(run.compress_seconds["culzss_v1"]),
+            repr(run.compress_seconds["culzss_v2"]),
+            repr(run.decompress_seconds["culzss"])) == (v1, v2, decompress)
+
+
+@pytest.mark.parametrize("version, sha, sequential, pipelined, stages", [
+    (1, "3bd0f84076c0e34c38f065a8a39ab1a8964a62b206505fdb8c8f71ef92e51af6",
+     "0.008171126785000567", "0.0081168416729815",
+     {"h2d": "3.893672727272728e-05", "kernel": "0.008088803892252864",
+      "d2h": "3.893672727272728e-05", "cpu": "4.449438202247191e-06"}),
+    (2, "0d1ac9618c5352f62de3744c501839c851f37d9de112196733879f66f50b0495",
+     "0.008065080631095985", "0.007875940509883864",
+     {"h2d": "3.893672727272728e-05", "kernel": "0.007756136366880799",
+      "d2h": "4.787345454545455e-05", "cpu": "0.00022213408239700374"}),
+])
+def test_streaming_pipeline_frozen(version, sha, sequential, pipelined,
+                                   stages):
+    buffers = [generate(name, 16 << 10, seed=SEED)
+               for name in ("cfiles", "highly_compressible", "dictionary")]
+    res = StreamingPipeline(CompressionParams(version=version)) \
+        .compress_stream(buffers)
+    assert hashlib.sha256(b"".join(res.containers)).hexdigest() == sha
+    assert repr(res.sequential_seconds) == sequential
+    assert repr(res.pipelined_seconds) == pipelined
+    assert {k: repr(v) for k, v in res.stage_seconds.items()} == stages
+
+
+@pytest.mark.parametrize("params, plan", [
+    (CompressionParams(version=1),
+     ("0.4100642920411721", "0.002633862705756666",
+      "0.0026338627057566656")),
+    (CompressionParams(version=2),
+     ("0.4522190043214655", "0.002445656223170403",
+      "0.002445656223170403")),
+    # A tuning-sweep window: no container allowed, but the plan is.
+    (CompressionParams(version=2, window=256),
+     ("0.35573153864552426", "0.002876440008569904",
+      "0.0028764400085699044")),
+])
+def test_hetero_plan_frozen(cfiles, params, plan):
+    got = HeterogeneousCompressor(params).plan(cfiles)
+    assert (repr(got.gpu_fraction), repr(got.gpu_seconds),
+            repr(got.cpu_seconds)) == plan

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.obs.export import prometheus_text
-from repro.obs.registry import Histogram
+from repro.obs.registry import Histogram, MetricRegistry
 from repro.obs.slo import (
     DEFAULT_WINDOWS,
     Objective,
@@ -15,7 +15,6 @@ from repro.obs.slo import (
     default_objectives,
     quantile_from_hist,
 )
-from repro.service.metrics import Metrics
 
 
 def hist_snapshot(values: list[float]) -> dict:
@@ -183,7 +182,7 @@ def test_default_windows_sorted_and_positive():
 def test_record_gauges_surface_as_culzss_slo_metrics():
     clock = FakeClock()
     mon = SloMonitor(clock=clock)
-    metrics = Metrics()
+    metrics = MetricRegistry()
     bad = snap({"server.connections": 100, "server.connection_errors": 50})
     mon.observe(bad)
     clock.t += 61.0

@@ -14,11 +14,11 @@ from time import perf_counter
 
 import pytest
 
+from repro.obs import MetricRegistry
 from repro.service import (
     FrameError,
     GatewayClient,
     GatewayServer,
-    Metrics,
     StreamAck,
 )
 from repro.service.pipeline import IngressPipeline, decode_payload
@@ -61,7 +61,7 @@ def test_server_survives_garbled_stream():
     """A client behind a bit-flipping socket cannot take the server
     down: the poisoned connection is counted and closed, and the next
     clean client gets full service."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
     delivered: list[bytes] = []
 
     async def deliver(sid, seq, data):
@@ -112,7 +112,7 @@ def test_process_pool_worker_death_fails_over_serially():
     """A pool worker hard-killed mid-frame (genuine BrokenProcessPool):
     the frame re-runs serially in the parent, the pool rebuilds, and
     every byte still arrives."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
     buffers = [tag_crash_buffer(BUFFERS[0])] + BUFFERS[1:]
     pipe = IngressPipeline(workers=1, queue_depth=4, metrics=metrics,
                            job=crash_worker_job)
@@ -134,7 +134,7 @@ def test_process_pool_worker_death_fails_over_serially():
 def test_injected_executor_crash_degrades_without_rebuild():
     """With a caller-owned executor the pipeline cannot rebuild — every
     frame after the crash degrades to the serial path instead."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
     pipe = IngressPipeline(workers=2, queue_depth=4, metrics=metrics,
                            executor=CrashingExecutor(crash_on=2))
     frames, send = collect_frames()
@@ -148,7 +148,7 @@ def test_injected_executor_crash_degrades_without_rebuild():
 def test_second_crash_marks_pool_dead():
     """The rebuild happens at most once: after a second crash the stage
     runs permanently serial rather than churning replacement pools."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
     pipe = IngressPipeline(workers=1, queue_depth=4, metrics=metrics)
     assert pipe._pool() is not None
     pipe._crashed("ingress")
@@ -170,7 +170,7 @@ def test_second_crash_marks_pool_dead():
 def test_server_close_drain_timeout_cancels_hung_handler():
     """A handler pinned by a never-returning deliver callback cannot
     stall shutdown past ``drain_timeout``."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario() -> float:
         started = asyncio.Event()

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import REGISTRY, generate
+from repro.obs import MetricRegistry
 from repro.service import (
     FrameError,
     GatewayClient,
     GatewayServer,
-    Metrics,
     StreamAck,
     retry_with_backoff,
 )
@@ -36,7 +36,7 @@ def test_end_to_end_mixed_traffic_bit_exact_in_order():
     in order, with compression fanned across >= 2 worker processes and
     nonzero, bounded metrics."""
     buffers = mixed_traffic()
-    metrics = Metrics()
+    metrics = MetricRegistry()
     delivered: list[tuple[int, int, bytes]] = []
 
     async def deliver(sid, seq, data):
@@ -71,7 +71,7 @@ def test_end_to_end_mixed_traffic_bit_exact_in_order():
 
 
 def test_multiple_streams_on_one_connection():
-    metrics = Metrics()
+    metrics = MetricRegistry()
     streams = {1: [generate("cfiles", 2048, seed=1), b"one"],
                2: [generate("demap", 2048, seed=2), b"", b"two"]}
     delivered: dict[int, list[bytes]] = {1: [], 2: []}
@@ -99,7 +99,7 @@ def test_multiple_streams_on_one_connection():
 
 def test_graceful_drain_on_close():
     """close(drain=True) lets the in-flight stream finish delivering."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
     first_delivered = asyncio.Event()
     delivered = []
 
@@ -132,7 +132,7 @@ def test_graceful_drain_on_close():
 def test_client_retries_until_server_appears():
     """Connection refused is transient: the client's bounded
     retry-with-backoff rides out a server that starts late."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario():
         probe = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
@@ -216,7 +216,7 @@ def test_retry_with_backoff_bounded():
 def test_server_times_out_silent_connection():
     """A peer that connects and goes silent must not pin the handler:
     the per-connection timeout trips and the connection is dropped."""
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario():
         async with GatewayServer(metrics=metrics, timeout=0.1) as server:
@@ -234,7 +234,7 @@ def test_server_times_out_silent_connection():
 
 
 def test_corrupt_frame_drops_connection_not_server():
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario():
         async with GatewayServer(metrics=metrics) as server:
@@ -279,7 +279,7 @@ def test_metrics_sidecar_serves_full_stack_scrape():
 
     from repro import obs
 
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario() -> tuple[int, bytes, int, bytes, int]:
         async with GatewayServer(metrics=metrics,
@@ -377,3 +377,16 @@ def test_sidecar_profile_endpoint_returns_speedscope_window():
     from repro.obs import prof
 
     assert not prof.running()
+
+
+@pytest.mark.parametrize("path, window", [
+    ("/profile?seconds=0.5", 0.5), ("/profile?seconds=99", 30.0),
+    ("/profile?seconds=0", 0.1), ("/profile?seconds=banana&hz=x", 2.0),
+    ("/profile", 2.0), ("/metrics?seconds=5", 0.0),
+])
+def test_sidecar_profile_window_is_the_clamped_sampling_window(path, window):
+    """The render budget a request gets is the window ``/profile``
+    samples: one parser clamps ``seconds`` for both."""
+    from repro.service.gateway import _profile_window
+
+    assert _profile_window(path) == window

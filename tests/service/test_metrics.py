@@ -1,14 +1,19 @@
-"""Metrics layer: counters, gauges, histograms, snapshot shape."""
+"""The gateway's metrics: counters, gauges, histograms, snapshot shape.
+
+Every pipeline and endpoint records into a :class:`MetricRegistry` of
+its own (or the one passed as ``metrics=``); these tests pin the
+behaviour and the key spellings the gateway relies on.
+"""
 
 from __future__ import annotations
 
 import json
 
-from repro.service.metrics import Histogram, Metrics
+from repro.obs import Histogram, MetricRegistry
 
 
 def test_counters_accumulate():
-    m = Metrics()
+    m = MetricRegistry()
     m.inc("frames")
     m.inc("frames", 4)
     assert m.count("frames") == 5
@@ -16,7 +21,7 @@ def test_counters_accumulate():
 
 
 def test_gauge_tracks_last_and_high_water():
-    m = Metrics()
+    m = MetricRegistry()
     for depth in (1, 5, 3):
         m.gauge("queue", depth)
     snap = m.snapshot()["gauges"]["queue"]
@@ -48,7 +53,7 @@ def test_histogram_handles_zero_and_tiny():
 
 
 def test_snapshot_is_json_dumpable():
-    m = Metrics()
+    m = MetricRegistry()
     m.inc("a")
     m.gauge("b", 2)
     m.observe("c", 0.5)
@@ -58,20 +63,12 @@ def test_snapshot_is_json_dumpable():
 
 
 def test_observe_builds_named_histograms():
-    m = Metrics()
+    m = MetricRegistry()
     for v in (0.1, 0.2, 0.4):
         m.observe("wait", v)
     hist = m.snapshot()["histograms"]["wait"]
     assert hist["count"] == 3
     assert abs(hist["sum"] - 0.7) < 1e-12
-
-
-# ------------------------------------------------ obs-adapter contract
-
-def test_histogram_is_the_shared_obs_histogram():
-    from repro.obs.registry import Histogram as ObsHistogram
-
-    assert Histogram is ObsHistogram
 
 
 def test_histogram_zero_counts_everywhere():
@@ -86,20 +83,9 @@ def test_histogram_zero_counts_everywhere():
 
 
 def test_metrics_instances_stay_independent():
-    a, b = Metrics(), Metrics()
+    a, b = MetricRegistry(), MetricRegistry()
     a.inc("frames")
     assert b.count("frames") == 0
-
-
-def test_metrics_can_share_an_explicit_registry():
-    from repro.obs.registry import MetricRegistry
-
-    reg = MetricRegistry()
-    m1, m2 = Metrics(reg), Metrics(reg)
-    m1.inc("frames")
-    m2.inc("frames")
-    assert m1.count("frames") == 2
-    assert reg.count("frames") == 2
 
 
 #: Every metric name the PR-1 gateway stack reported; the obs refactor
@@ -124,7 +110,7 @@ GATEWAY_METRIC_KEYS = (
 def test_every_preexisting_gateway_key_still_recordable():
     """Snapshot shape back-compat: the historical key spellings land in
     the historical sections with the historical sub-keys."""
-    m = Metrics()
+    m = MetricRegistry()
     for name in GATEWAY_METRIC_KEYS:
         if name.endswith(("_seconds", "_ratio")):
             m.observe(name, 0.5)
@@ -149,7 +135,7 @@ def test_every_preexisting_gateway_key_still_recordable():
 def test_gateway_keys_survive_into_prometheus_scrape():
     from repro.obs.export import prometheus_text
 
-    m = Metrics()
+    m = MetricRegistry()
     for name in GATEWAY_METRIC_KEYS:
         if not name.endswith(("_seconds", "_ratio", "_depth")):
             m.inc(name)
@@ -157,3 +143,18 @@ def test_gateway_keys_survive_into_prometheus_scrape():
     for name in GATEWAY_METRIC_KEYS:
         if not name.endswith(("_seconds", "_ratio", "_depth")):
             assert f"culzss_{name.replace('.', '_')} 1" in text
+
+
+def test_gateway_parts_default_to_private_registries():
+    from repro import obs
+    from repro.service import (
+        EgressPipeline,
+        GatewayClient,
+        GatewayServer,
+        IngressPipeline,
+    )
+
+    regs = [IngressPipeline(workers=0).metrics, EgressPipeline().metrics,
+            GatewayServer().metrics, GatewayClient().metrics]
+    assert all(isinstance(r, MetricRegistry) for r in regs)
+    assert len({id(r) for r in [*regs, obs.get_registry()]}) == 5

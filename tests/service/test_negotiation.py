@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.codecs import known_codec_ids
-from repro.service import GatewayClient, GatewayServer, Metrics
+from repro.obs import MetricRegistry
+from repro.service import GatewayClient, GatewayServer
 from repro.service.protocol import (
     FLAG_NEG,
     Frame,
@@ -78,7 +79,7 @@ def _traffic() -> list[bytes]:
 
 
 def test_auto_client_offers_everything_and_is_accepted():
-    metrics = Metrics()
+    metrics = MetricRegistry()
     got: list[bytes] = []
 
     async def scenario():
@@ -100,7 +101,7 @@ def test_auto_client_offers_everything_and_is_accepted():
 
 
 def test_restricted_server_forces_lzss_fallback():
-    metrics = Metrics()
+    metrics = MetricRegistry()
     got: list[bytes] = []
 
     async def scenario():
@@ -123,7 +124,7 @@ def test_restricted_server_forces_lzss_fallback():
 
 def test_lzss_client_skips_the_exchange():
     # The compatibility promise: classic streams carry zero NEG frames.
-    metrics = Metrics()
+    metrics = MetricRegistry()
     got: list[bytes] = []
 
     async def scenario():
@@ -144,7 +145,7 @@ def test_lzss_client_skips_the_exchange():
 def test_negotiated_codec_delivers_mixed_content():
     # lz4s accepted end-to-end: random payloads (stored/raw frames) and
     # compressible ones arrive byte-identical.
-    metrics = Metrics()
+    metrics = MetricRegistry()
     got: list[bytes] = []
 
     async def scenario():

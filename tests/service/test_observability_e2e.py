@@ -21,9 +21,10 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import MetricRegistry
 from repro.obs import log as obslog
 from repro.obs import trace
-from repro.service import GatewayClient, GatewayServer, Metrics
+from repro.service import GatewayClient, GatewayServer
 from repro.service.pipeline import IngressPipeline, decode_payload
 from repro.testing import CrashingExecutor
 
@@ -40,7 +41,7 @@ def clean_obs():
 
 
 def run_gateway_pair(buffers, *, client_workers=0, metrics=None):
-    metrics = metrics or Metrics()
+    metrics = metrics or MetricRegistry()
     delivered = []
 
     async def deliver(sid, seq, data):
@@ -154,7 +155,7 @@ async def _http_get(host, port, path):
 
 @pytest.mark.slow
 def test_induced_p99_breach_shows_on_slo_json_and_gauges():
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario():
         async with GatewayServer(metrics=metrics,
@@ -185,7 +186,7 @@ def test_induced_p99_breach_shows_on_slo_json_and_gauges():
 
 @pytest.mark.slow
 def test_sidecar_concurrent_scrapes_and_404():
-    metrics = Metrics()
+    metrics = MetricRegistry()
 
     async def scenario():
         async with GatewayServer(metrics=metrics,
@@ -213,7 +214,7 @@ def test_top_renders_full_refresh_from_live_sidecar():
     live gateway sidecar shows throughput, latency, and SLO state."""
     from repro.obs.top import run_top
 
-    metrics = Metrics()
+    metrics = MetricRegistry()
     out: list[str] = []
 
     async def scenario():

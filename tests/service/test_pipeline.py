@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import REGISTRY, generate
-from repro.service.metrics import Metrics
+from repro.obs import MetricRegistry
 from repro.service.pipeline import (
     EgressPipeline,
     IngressPipeline,
@@ -111,7 +111,7 @@ def test_backpressure_bounds_producer_side_memory():
     configured bound."""
     depth = 3
     n = 24
-    metrics = Metrics()
+    metrics = MetricRegistry()
     pulled = 0
     consumed = 0
     max_lead = 0
@@ -153,7 +153,7 @@ def _raw_frames(payloads, stream_id=0, start=0):
 def _run_egress(frames, **kwargs):
     delivered = []
     ends = []
-    metrics = kwargs.pop("metrics", Metrics())
+    metrics = kwargs.pop("metrics", MetricRegistry())
 
     async def scenario():
         pipe = EgressPipeline(metrics=metrics, **kwargs)

@@ -138,3 +138,19 @@ def test_read_frame_timeout():
 
     with pytest.raises((asyncio.TimeoutError, TimeoutError)):
         asyncio.run(scenario())
+
+
+def test_read_frame_rejects_stale_header_crc_before_reading_payload():
+    """A length field rewritten without fixing the header CRC fails at
+    once, instead of waiting for (or swallowing) a payload that never
+    comes."""
+    blob = bytearray(encode_frame(Frame(1, 2, payload=b"payload")))
+    struct.pack_into("<I", blob, 24, 1 << 20)  # length: 1 MiB, CRC stale
+    valid = encode_frame(Frame(1, 3, payload=b"next frame"))
+
+    async def scenario():
+        reader = _fed_reader(bytes(blob), valid, eof=False)
+        await read_frame(reader, timeout=1.0)
+
+    with pytest.raises(FrameError, match="frame header checksum mismatch"):
+        asyncio.run(scenario())

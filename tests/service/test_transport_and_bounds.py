@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate
-from repro.service.metrics import Metrics
+from repro.obs import MetricRegistry
 from repro.service.pipeline import EgressPipeline, IngressPipeline
 from repro.service.protocol import FLAG_RAW, Frame
 
@@ -36,7 +36,7 @@ async def _collect_egress(pipe: EgressPipeline, frames):
 # ------------------------------------------------------- reorder bound
 
 def test_reorder_buffer_is_bounded_and_counts_evictions():
-    m = Metrics()
+    m = MetricRegistry()
     pipe = EgressPipeline(workers=0, queue_depth=2, metrics=m,
                           job=lambda flags, payload: payload)
     # want=0; seqs 2,3 get held, seq 4 arrives at a full bucket and is
@@ -52,7 +52,7 @@ def test_reorder_buffer_is_bounded_and_counts_evictions():
 
 
 def test_reorder_bound_does_not_break_normal_reordering():
-    m = Metrics()
+    m = MetricRegistry()
     pipe = EgressPipeline(workers=0, queue_depth=8, metrics=m,
                           job=lambda flags, payload: payload)
     order = [3, 1, 0, 2, 5, 4]
@@ -69,7 +69,7 @@ def test_probe_ships_incompressible_frames_raw_without_a_worker():
     rnd = np.random.default_rng(3).integers(0, 256, 8192,
                                             dtype=np.uint8).tobytes()
     text = generate("highly_compressible", 8192)
-    m = Metrics()
+    m = MetricRegistry()
     with IngressPipeline(workers=0, metrics=m) as pipe:
         frames = asyncio.run(_collect_ingress(pipe, [rnd, text]))
     assert frames[0].flags & FLAG_RAW and frames[0].payload == rnd
@@ -87,7 +87,7 @@ def test_probe_skipped_for_injected_jobs():
         seen.append(data)
         return FLAG_RAW, data
 
-    m = Metrics()
+    m = MetricRegistry()
     with IngressPipeline(workers=0, metrics=m, job=job) as pipe:
         asyncio.run(_collect_ingress(pipe, [rnd]))
     assert len(seen) == 1  # the custom job saw the buffer
@@ -117,7 +117,7 @@ def test_pool_egress_round_trip():
         flags, payload = encode_payload(data)
         frames.append(Frame(stream_id=2, seq=seq, flags=flags,
                             payload=payload))
-    m = Metrics()
+    m = MetricRegistry()
     with EgressPipeline(workers=1, metrics=m) as pipe:
         n, delivered = asyncio.run(_collect_egress(pipe, frames))
     assert n == len(buffers)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.buffers import as_bytes, as_u8, concat_u8
+from repro.util.buffers import as_bytes, as_u8
 
 
 class TestAsU8:
@@ -45,12 +45,3 @@ class TestAsBytes:
     def test_rejects_other(self):
         with pytest.raises(TypeError):
             as_bytes(123)
-
-
-class TestConcat:
-    def test_mixed_parts(self):
-        out = concat_u8([b"ab", np.array([99], dtype=np.uint8)])
-        assert out.tobytes() == b"abc"
-
-    def test_empty_list(self):
-        assert concat_u8([]).size == 0

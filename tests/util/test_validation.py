@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.util.timer import Timer
 from repro.util.validation import require, require_range, require_type
 
 
@@ -26,9 +25,3 @@ def test_require_type_single_and_tuple():
     require_type("x", (int, str))
     with pytest.raises(TypeError, match="must be int"):
         require_type("x", int, "field")
-
-
-def test_timer_measures_nonnegative_elapsed():
-    with Timer() as t:
-        sum(range(100))
-    assert t.elapsed >= 0.0
