@@ -6,8 +6,9 @@ share one entry point::
     PYTHONPATH=src python benchmarks/bench_engine.py            # full
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI lane
 
-Measures `ParallelEngine.encode_chunked`/`decode_chunked` throughput
-per worker count, per dataset, at the requested buffer size, through
+Measures `ParallelEngine.encode`/`decode` throughput over
+`encode_chunked`/`decode_chunked_with_stats` per worker count, per
+dataset, at the requested buffer size, through
 the statistical harness (``benchmarks/harness.py``: warmup + repeats,
 median + IQR, honest environment fingerprint); every parallel run is
 checked byte-identical against the serial path before its time is
@@ -42,6 +43,7 @@ from harness import (  # noqa: E402
 )
 from repro.datasets import generate  # noqa: E402
 from repro.engine import ParallelEngine  # noqa: E402
+from repro.lzss.decoder import decode_chunked_with_stats  # noqa: E402
 from repro.lzss.encoder import encode_chunked  # noqa: E402
 from repro.lzss.formats import CUDA_V2  # noqa: E402
 
@@ -70,21 +72,22 @@ def bench_engine(datasets: list[str], size_bytes: int,
         for workers in workers_list:
             with ParallelEngine(workers=workers,
                                 min_parallel_bytes=0) as engine:
-                enc = measure(
-                    lambda: engine.encode_chunked(data, CUDA_V2, CHUNK_SIZE),
-                    repeats=repeats, warmup=1)
-                result = engine.encode_chunked(data, CUDA_V2, CHUNK_SIZE)
+                def encode():
+                    return engine.encode(encode_chunked, data, CUDA_V2,
+                                         CHUNK_SIZE)
+
+                def decode():
+                    return engine.decode(
+                        decode_chunked_with_stats, result.payload, CUDA_V2,
+                        result.chunk_sizes, CHUNK_SIZE, result.input_size)[0]
+
+                enc = measure(encode, repeats=repeats, warmup=1)
+                result = encode()
                 identical = (result.payload == baseline.payload
                              and np.array_equal(result.chunk_sizes,
                                                 baseline.chunk_sizes))
-                dec = measure(
-                    lambda: engine.decode_chunked(
-                        result.payload, CUDA_V2, result.chunk_sizes,
-                        CHUNK_SIZE, result.input_size),
-                    repeats=repeats, warmup=1)
-                out = engine.decode_chunked(result.payload, CUDA_V2,
-                                            result.chunk_sizes, CHUNK_SIZE,
-                                            result.input_size)
+                dec = measure(decode, repeats=repeats, warmup=1)
+                out = decode()
                 identical = identical and out == data.tobytes()
             all_identical = all_identical and identical
             import statistics

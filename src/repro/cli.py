@@ -183,7 +183,9 @@ def _run_decompress(args: argparse.Namespace) -> int:
         elif blob[:4] == b"CLZS":
             from repro.container import unpack_container
 
-            info = unpack_container(blob, strict=not args.salvage)
+            # Route on header and chunk table only: the one CRC pass is
+            # gpu_decompress's, or the strict unpack below.
+            info = unpack_container(blob, strict=False)
             if info.is_chunked:
                 from repro.core import gpu_decompress
 
@@ -198,6 +200,7 @@ def _run_decompress(args: argparse.Namespace) -> int:
             else:
                 from repro.lzss import decode
 
+                info = unpack_container(blob, strict=not args.salvage)
                 out = decode(info.payload, info.format, info.original_size)
         else:
             print("unrecognized container magic", file=sys.stderr)

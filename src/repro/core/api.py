@@ -28,6 +28,7 @@ from repro.core.library import get_library
 from repro.core.params import CompressionParams
 from repro.core.v1 import V1Compressor
 from repro.core.v2 import V2Compressor
+from repro.engine import get_engine
 from repro.gpusim.profiler import GpuProfile
 from repro.lzss.decoder import SalvageReport, decode_chunked_with_stats
 from repro.lzss.encoder import EncodeResult
@@ -88,14 +89,10 @@ class DecompressResult:
 
 
 def _engine_for(workers):
-    """``workers > 1`` borrows the process-wide engine for that width
-    (persistent across calls); ``workers in (None, 0, 1)`` means the
-    serial path (``None``)."""
-    if workers is not None and workers > 1:
-        from repro.engine import get_engine
-
-        return get_engine(workers)
-    return None
+    """The process-wide engine for ``workers`` threads (persistent
+    across calls); ``workers in (None, 0, 1)`` is the one-thread engine,
+    the serial path."""
+    return get_engine(max(workers or 1, 1))
 
 
 def _compressor_for(params: CompressionParams, engine=None):
@@ -148,20 +145,12 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
         require(codec == "auto" or codec in codec_names(),
                 f"unknown codec {codec!r} (registered: "
                 f"{', '.join(codec_names())}, plus 'auto')")
-        eng = _engine_for(workers)
-        fmt = params.token_format
         with obs.stage("api.compress", size=len(data),
                        version=params.version, codec=codec):
-            if eng is not None:
-                result = eng.encode_chunked_auto(
-                    data, fmt, params.chunk_size, codec=codec,
-                    max_chain=params.max_chain,
-                    probe_threshold=probe_threshold)
-            else:
-                result = encode_chunked_auto(
-                    data, fmt, params.chunk_size, codec=codec,
-                    max_chain=params.max_chain,
-                    probe_threshold=probe_threshold)
+            result = _engine_for(workers).encode(
+                encode_chunked_auto, data, params.token_format,
+                params.chunk_size, codec=codec, max_chain=params.max_chain,
+                probe_threshold=probe_threshold)
         # Mixed-codec pipelines are outside the paper's single-kernel
         # cost model; the profile is deliberately empty.
         return CompressedBuffer(data=pack_container(result), result=result,
@@ -200,12 +189,13 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
     cal = calibration or default_calibration()
     info = unpack_container(as_bytes(blob), strict=errors == "strict")
     require(info.is_chunked, "CULZSS containers are always chunked")
-    engine = _engine_for(workers)
-    decode = (engine.decode_chunked_with_stats if engine is not None
-              else decode_chunked_with_stats)
     with obs.stage("api.decompress", size=info.original_size, errors=errors):
-        # Strict unpack has already verified the per-chunk CRCs.
-        out, per_chunk_tokens, report = decode(
+        # Strict unpack has already verified the per-chunk CRCs.  The
+        # decoder is looked up in this module per call, so a wrapper
+        # installed on ``repro.core.api.decode_chunked_with_stats``
+        # sees every shard.
+        out, per_chunk_tokens, report = _engine_for(workers).decode(
+            decode_chunked_with_stats,
             info.payload, info.format, info.chunk_sizes, info.chunk_size,
             info.original_size, chunk_codecs=info.chunk_codecs,
             chunk_crcs=info.chunk_crcs if errors == "salvage" else None,

@@ -33,13 +33,13 @@ import numpy as np
 
 from repro.core.kernels import per_block_sums, v1_conflict_degree, warp_max_sums
 from repro.core.params import CompressionParams
+from repro.engine import get_engine
 from repro.gpusim.kernel import BlockCost, KernelLaunch, launch_kernel
 from repro.gpusim.profiler import GpuProfile
 from repro.gpusim.timing import transfer_time
 from repro.lzss.encoder import EncodeResult, encode_chunked
 from repro.model.calibration import CPU_CLOCK_HZ, Calibration
 from repro.model.cpu import MatchSampleStats
-from repro.util.buffers import as_u8
 from repro.util.validation import require
 
 __all__ = ["V1Compressor"]
@@ -53,19 +53,17 @@ class V1Compressor:
         params = params or CompressionParams(version=1)
         require(params.version == 1, "V1Compressor needs version=1 params")
         self.params = params
-        #: Optional :class:`repro.engine.ParallelEngine` — shards the
-        #: encode across cores with byte-identical output.
-        self.engine = engine
+        #: The :class:`repro.engine.ParallelEngine` that runs the encode;
+        #: the one-thread default is the serial path, wider engines
+        #: shard it across cores with byte-identical output.
+        self.engine = engine or get_engine(1)
 
     def compress(self, data) -> EncodeResult:
         """Compress; always collects the detail arrays the model needs."""
-        encode = (self.engine.encode_chunked if self.engine is not None
-                  else encode_chunked)
-        return encode(as_u8(data), self.params.token_format,
-                      self.params.chunk_size,
-                      max_chain=self.params.max_chain,
-                      collect_detail=True,
-                      slice_size=self.params.slice_size)
+        p = self.params
+        return self.engine.encode(encode_chunked, data, p.token_format,
+                                  p.chunk_size, max_chain=p.max_chain,
+                                  collect_detail=True, slice_size=p.slice_size)
 
     # ------------------------------------------------------------------
     # cost model

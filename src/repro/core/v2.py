@@ -26,12 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import CompressionParams
+from repro.engine import get_engine
 from repro.gpusim.kernel import BlockCost, KernelLaunch, launch_kernel
 from repro.gpusim.profiler import GpuProfile
 from repro.gpusim.timing import transfer_time
 from repro.lzss.encoder import EncodeResult, encode_chunked
 from repro.model.calibration import CPU_CLOCK_HZ, Calibration
-from repro.util.buffers import as_u8
 from repro.util.validation import require
 
 __all__ = ["V2Compressor"]
@@ -49,18 +49,17 @@ class V2Compressor:
         params = params or CompressionParams(version=2)
         require(params.version == 2, "V2Compressor needs version=2 params")
         self.params = params
-        #: Optional :class:`repro.engine.ParallelEngine` — shards the
-        #: encode across cores with byte-identical output.
-        self.engine = engine
+        #: The :class:`repro.engine.ParallelEngine` that runs the encode;
+        #: the one-thread default is the serial path, wider engines
+        #: shard it across cores with byte-identical output.
+        self.engine = engine or get_engine(1)
 
     def compress(self, data) -> EncodeResult:
         """Compress; always collects the detail arrays the model needs."""
-        encode = (self.engine.encode_chunked if self.engine is not None
-                  else encode_chunked)
-        return encode(as_u8(data), self.params.token_format,
-                      self.params.chunk_size,
-                      max_chain=self.params.max_chain,
-                      collect_detail=True)
+        p = self.params
+        return self.engine.encode(encode_chunked, data, p.token_format,
+                                  p.chunk_size, max_chain=p.max_chain,
+                                  collect_detail=True)
 
     # ------------------------------------------------------------------
     # cost model

@@ -3,11 +3,13 @@
 §III.A: "Each thread is given with some chunk of the file and the
 chunks are compressed concurrently.  After each thread compresses the
 given data, individual compressed chunks are reassembled to form the
-final output."  That is :class:`repro.engine.ParallelEngine` over the
-serial token format with one chunk per thread: the engine's thread pool
-runs the chunks (the vectorized encoder releases the GIL inside NumPy,
-so threads genuinely overlap), and the reassembly is the container's
-chunk table.
+final output."  That is :class:`repro.engine.ParallelEngine` running the
+serial :func:`~repro.lzss.encoder.encode_chunked` and
+:func:`~repro.lzss.decoder.decode_chunked_with_stats` over the serial
+token format with one chunk per thread: the engine's thread pool runs
+the chunks (the vectorized encoder releases the GIL inside NumPy, so
+threads genuinely overlap), and the reassembly is the container's chunk
+table.
 
 The *timing model* for the 2011 testbed lives in
 :class:`repro.model.cpu.PthreadModel`; this class is the functional
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import os
 
-from repro.lzss.encoder import EncodeResult, encode
+from repro.engine import ParallelEngine
+from repro.lzss.decoder import decode_chunked_with_stats
+from repro.lzss.encoder import EncodeResult, encode, encode_chunked
 from repro.lzss.formats import SERIAL, TokenFormat
 from repro.util.buffers import as_u8
 from repro.util.validation import require, require_range
@@ -55,18 +59,15 @@ class PthreadLzss:
 
     def _get_engine(self):
         if self._engine is None:
-            # Imported here so ``import repro`` does not load the engine.
-            from repro.engine import ParallelEngine
-
             self._engine = ParallelEngine(self.n_threads,
                                           min_parallel_bytes=0)
         return self._engine
 
     def close(self) -> None:
         """Shut the worker pool down; idempotent."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        engine, self._engine = self._engine, None
+        if engine:
+            engine.close()
 
     def __enter__(self) -> "PthreadLzss":
         return self
@@ -79,8 +80,8 @@ class PthreadLzss:
         arr = as_u8(data)
         if arr.size == 0:
             return encode(b"", self.format)
-        return self._get_engine().encode_chunked(
-            arr, self.format, -(-arr.size // self.n_threads),
+        return self._get_engine().encode(
+            encode_chunked, arr, self.format, -(-arr.size // self.n_threads),
             max_chain=self.max_chain, parse=self.parse)
 
     def decompress(self, result_or_payload, chunk_sizes=None,
@@ -98,5 +99,6 @@ class PthreadLzss:
                     "payload decompression needs chunk_sizes/chunk_size/size")
         if output_size == 0:
             return b""  # compress(b"") is one empty, unchunked stream
-        return self._get_engine().decode_chunked(
-            payload, self.format, chunk_sizes, chunk_size, output_size)
+        return self._get_engine().decode(
+            decode_chunked_with_stats, payload, self.format, chunk_sizes,
+            chunk_size, output_size)[0]

@@ -1,9 +1,10 @@
-"""Multicore compression engine: the parallel chunk codec.
+"""Multicore compression engine: the package's one shard runner.
 
 :mod:`repro.engine.parallel` — :class:`ParallelEngine`, a persistent
-thread-pool codec that shards one buffer's chunked encode/decode across
-cores and merges the result **byte-identically** to the serial path
-(the in-memory API's ``workers=`` parameter).
+thread pool that runs the chunk-local encoder or decoder it is handed
+over chunk-aligned shards of one buffer and merges the result
+**byte-identically** to one serial call (the in-memory API's
+``workers=`` parameter; width 1 is the serial path).
 """
 
 from repro.engine.parallel import (

@@ -5,14 +5,16 @@ embarrassingly parallel — CULZSS gives every chunk (V1) or every
 position (V2) a GPU thread.  On the CPU we already exploit that shape
 *between* buffers (the service's process-pool fan-out) but a single
 ``gpu_compress`` call ran its whole match → parse → tokenize → pack
-pipeline on one core.  :class:`ParallelEngine` shards the chunk
-sequence across a persistent thread pool — NumPy releases the GIL
-inside the vector kernels — and merges the per-shard token streams and
-chunk tables into an :class:`~repro.lzss.encoder.EncodeResult` that is
-**byte-identical** to the serial :func:`~repro.lzss.encoder.encode_chunked`.
-It is the only thread pool in the package: the paper's Pthread baseline,
-:class:`repro.cpu.PthreadLzss`, is this engine over the serial token
-format with one chunk per thread.
+pipeline on one core.  :class:`ParallelEngine` runs whatever chunk-local
+encoder or decoder it is handed over chunk-aligned shards on a
+persistent thread pool — NumPy releases the GIL inside the vector
+kernels — and merges the per-shard token streams and chunk tables into
+an :class:`~repro.lzss.encoder.EncodeResult` that is **byte-identical**
+to one call of that encoder.  It is the only shard runner in the
+package: a one-thread engine is the serial path of ``gpu_compress``,
+``gpu_decompress`` and the V1/V2 compressors, and the paper's Pthread
+baseline, :class:`repro.cpu.PthreadLzss`, is this engine over the
+serial token format with one chunk per thread.
 
 Byte-identity holds because every stage is chunk-local: matches never
 cross chunk boundaries (the lag matcher zeroes window prefixes, the
@@ -38,19 +40,11 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.codecs.dispatch import encode_chunked_auto as _encode_auto_serial
-from repro.obs import trace
-from repro.lzss.decoder import (
-    SalvageReport,
-    decode_chunked_with_stats as _decode_serial,
-)
-from repro.lzss.encoder import (
-    DEFAULT_MAX_CHAIN,
-    EncodeResult,
-    encode_chunked as _encode_serial,
-)
+from repro.lzss.decoder import SalvageReport
+from repro.lzss.encoder import EncodeResult
 from repro.lzss.formats import TokenFormat
 from repro.lzss.stats import EncodeStats
+from repro.obs import trace
 from repro.util.buffers import as_u8
 from repro.util.validation import require, require_range
 
@@ -58,25 +52,8 @@ __all__ = ["ParallelEngine", "get_engine", "merge_encode_results",
            "shard_chunk_runs", "shutdown_default_engines"]
 
 #: Below this many input bytes the fork/join overhead outweighs the
-#: parallel win; the engine falls through to the serial codec.
+#: parallel win; the engine makes one direct call instead.
 MIN_PARALLEL_BYTES = 1 << 17
-
-
-def _shard_bytes(args) -> int | None:
-    """Ledger size of a shard call: the leading buffer argument's bytes.
-
-    Every shard job (encode slice, decode slice) takes its data buffer
-    first; anything without one simply stays out of the byte ledger.
-    """
-    if not args:
-        return None
-    first = args[0]
-    nbytes = getattr(first, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    if isinstance(first, (bytes, bytearray, memoryview)):
-        return len(first)
-    return None
 
 
 def shard_chunk_runs(n: int, chunk_size: int, shards: int) -> list[tuple[int, int]]:
@@ -165,13 +142,15 @@ def merge_encode_results(parts: list[EncodeResult], fmt: TokenFormat,
 
 
 class ParallelEngine:
-    """Persistent thread-pool codec over chunk-aligned shards.
+    """Persistent thread pool running chunk codecs over aligned shards.
 
     One engine owns one :class:`ThreadPoolExecutor`, created lazily on
-    first use and reused for every subsequent call — the pool-churn that
-    made per-call parallelism a wash on small buffers is paid once.
-    Close explicitly (or use it as a context manager); the process-wide
-    engines from :func:`get_engine` are closed atexit.
+    the first sharded call and reused for every subsequent one — the
+    pool-churn that made per-call parallelism a wash on small buffers
+    is paid once.  A one-thread engine is the serial path: every call
+    is one direct call of the codec function, and it never builds a
+    pool.  Close explicitly (or use it as a context manager); the
+    process-wide engines from :func:`get_engine` are closed atexit.
 
     A shard's exception reaches the caller unchanged.  There is no
     crash fallback: a thread cannot die under its job the way a process
@@ -201,32 +180,28 @@ class ParallelEngine:
                     thread_name_prefix="repro-engine")
             return self._pool
 
-    def _run_shards(self, calls: list) -> list:
-        """Run ``(fn, args, kwargs)`` per shard on the pool; results in
-        shard order."""
+    def _run_shards(self, work, bounds: list[tuple[int, int]]) -> list:
+        """Run ``work(lo, hi)`` for every shard on the pool; results in
+        shard order.
+
+        Contextvars do not cross thread-pool boundaries on their own:
+        the submitter's span context is captured once and attached
+        inside every worker, so shard spans parent correctly.
+        """
         pool = self._get_pool()
-        if obs.enabled():
-            obs.inc("engine.shards", len(calls))
-            # Contextvars do not cross thread-pool boundaries on their
-            # own: capture the submitter's span context once and attach
-            # it inside every worker, so shard spans parent correctly.
-            ctx = trace.current()
-            submit_t = perf_counter()
+        obs.inc("engine.shards", len(bounds))
+        ctx = trace.current()
+        submit_t = perf_counter()
 
-            def _instrument(fn, args, kwargs, idx):
-                def run():
-                    with trace.attach(ctx):
-                        obs.observe("engine.queue_wait_seconds",
-                                    perf_counter() - submit_t)
-                        with obs.stage("engine.shard", shard=idx,
-                                       bytes=_shard_bytes(args)):
-                            return fn(*args, **kwargs)
-                return run
+        def run(idx: int, lo: int, hi: int):
+            with trace.attach(ctx):
+                obs.observe("engine.queue_wait_seconds",
+                            perf_counter() - submit_t)
+                with obs.stage("engine.shard", shard=idx):
+                    return work(lo, hi)
 
-            calls = [(_instrument(fn, args, kwargs, i), (), {})
-                     for i, (fn, args, kwargs) in enumerate(calls)]
-        futures = [pool.submit(fn, *args, **kwargs)
-                   for fn, args, kwargs in calls]
+        futures = [pool.submit(run, i, lo, hi)
+                   for i, (lo, hi) in enumerate(bounds)]
         return [fut.result() for fut in futures]
 
     def close(self) -> None:
@@ -251,72 +226,42 @@ class ParallelEngine:
 
     # ------------------------------------------------------------- codec
 
-    def encode_chunked(self, data, fmt: TokenFormat, chunk_size: int,
-                       max_chain: int = DEFAULT_MAX_CHAIN,
-                       collect_detail: bool = False,
-                       slice_size: int | None = None,
-                       parse: str = "greedy") -> EncodeResult:
-        """Parallel drop-in for :func:`repro.lzss.encoder.encode_chunked`.
+    def encode(self, fn, data, fmt: TokenFormat, chunk_size: int,
+               **kwargs) -> EncodeResult:
+        """Run the chunk-local encoder ``fn`` over ``data``, sharded.
 
-        Output containers are byte-identical to the serial path for any
-        worker count.  Per-warp detail collection needs warp-aligned
-        shard boundaries, so ``collect_detail`` with a chunk size that
-        is not a multiple of 32 falls back to the serial codec.
+        ``fn(arr, fmt, chunk_size, **kwargs)`` is a serial chunked
+        encoder — :func:`repro.lzss.encoder.encode_chunked` or
+        :func:`repro.codecs.encode_chunked_auto`.  One run means one
+        direct ``fn`` call; otherwise ``fn`` encodes each shard on the
+        pool and :func:`merge_encode_results` joins the parts, byte-
+        identical to the direct call for any worker count.  Per-warp
+        detail rows need warp-aligned shard seams, so ``collect_detail``
+        with a chunk size that is not a multiple of 32 runs as one call.
         """
         arr = as_u8(data)
         n = arr.size
         bounds = self._shards(n, chunk_size)
-        if collect_detail and chunk_size % 32:
+        if kwargs.get("collect_detail") and chunk_size % 32:
             bounds = [(0, n)]  # warp rows would straddle shard seams
         if len(bounds) <= 1:
-            return _encode_serial(arr, fmt, chunk_size, max_chain=max_chain,
-                                  collect_detail=collect_detail,
-                                  slice_size=slice_size, parse=parse)
+            return fn(arr, fmt, chunk_size, **kwargs)
         parts = self._run_shards(
-            [(_encode_serial, (arr[lo:hi], fmt, chunk_size),
-              dict(max_chain=max_chain, collect_detail=collect_detail,
-                   slice_size=slice_size, parse=parse))
-             for lo, hi in bounds])
+            lambda lo, hi: fn(arr[lo:hi], fmt, chunk_size, **kwargs), bounds)
         return merge_encode_results(parts, fmt, chunk_size, n)
 
-    def encode_chunked_auto(self, data, fmt: TokenFormat, chunk_size: int, *,
-                            codec: str = "auto",
-                            max_chain: int = DEFAULT_MAX_CHAIN,
-                            probe_threshold: float | None = None
-                            ) -> EncodeResult:
-        """Parallel drop-in for :func:`repro.codecs.encode_chunked_auto`.
+    def decode(self, fn, payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
+               chunk_size: int, output_size: int, *,
+               chunk_codecs: np.ndarray | None = None,
+               chunk_crcs: np.ndarray | None = None,
+               errors: str = "strict", fill_byte: int = 0,
+               ) -> tuple[bytes, np.ndarray, SalvageReport | None]:
+        """Run the chunk decoder ``fn`` over a chunked payload, sharded.
 
-        Codec choices are chunk-local statistics, so sharding cannot
-        change them; sharded output is byte-identical to serial.
-        """
-        arr = as_u8(data)
-        n = arr.size
-        bounds = self._shards(n, chunk_size)
-        if len(bounds) <= 1:
-            return _encode_auto_serial(arr, fmt, chunk_size, codec=codec,
-                                       max_chain=max_chain,
-                                       probe_threshold=probe_threshold)
-        parts = self._run_shards(
-            [(_encode_auto_serial, (arr[lo:hi], fmt, chunk_size),
-              dict(codec=codec, max_chain=max_chain,
-                   probe_threshold=probe_threshold))
-             for lo, hi in bounds])
-        return merge_encode_results(parts, fmt, chunk_size, n)
-
-    def decode_chunked_with_stats(self, payload, fmt: TokenFormat,
-                                  chunk_sizes: np.ndarray, chunk_size: int,
-                                  output_size: int, *,
-                                  chunk_codecs: np.ndarray | None = None,
-                                  chunk_crcs: np.ndarray | None = None,
-                                  errors: str = "strict", fill_byte: int = 0,
-                                  first_chunk: int = 0,
-                                  ) -> tuple[bytes, np.ndarray,
-                                             SalvageReport | None]:
-        """Parallel drop-in for
-        :func:`repro.lzss.decoder.decode_chunked_with_stats`.
-
-        Chunks are independent, so both error policies shard the same
-        way; per-shard salvage reports merge into one (indices and byte
+        ``fn`` has the signature of
+        :func:`repro.lzss.decoder.decode_chunked_with_stats`.  Chunks
+        are independent, so both error policies shard the same way;
+        per-shard salvage reports merge into one (indices and byte
         ranges are rebased into full-buffer coordinates).
         """
         arr = as_u8(payload)
@@ -324,10 +269,9 @@ class ParallelEngine:
         policy = dict(errors=errors, fill_byte=fill_byte)
         bounds = self._shards(output_size, chunk_size)
         if len(bounds) <= 1:
-            return _decode_serial(arr, fmt, chunk_sizes, chunk_size,
-                                  output_size, chunk_codecs=chunk_codecs,
-                                  chunk_crcs=chunk_crcs,
-                                  first_chunk=first_chunk, **policy)
+            return fn(arr, fmt, chunk_sizes, chunk_size, output_size,
+                      chunk_codecs=chunk_codecs, chunk_crcs=chunk_crcs,
+                      **policy)
         require(errors == "salvage" or int(chunk_sizes.sum()) == arr.size,
                 "chunk size table does not cover the payload")
         payload_offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
@@ -338,14 +282,14 @@ class ParallelEngine:
             # salvage marks the chunks that ran past it as lost.
             piece = arr[min(payload_offsets[c0], arr.size):
                         min(payload_offsets[c1], arr.size)]
-            return _decode_serial(
+            return fn(
                 piece, fmt, chunk_sizes[c0:c1], chunk_size, hi - lo,
                 chunk_codecs=(None if chunk_codecs is None
                               else chunk_codecs[c0:c1]),
                 chunk_crcs=None if chunk_crcs is None else chunk_crcs[c0:c1],
-                first_chunk=first_chunk + c0, **policy)
+                first_chunk=c0, **policy)
 
-        parts = self._run_shards([(work, (lo, hi), {}) for lo, hi in bounds])
+        parts = self._run_shards(work, bounds)
         out = b"".join(p[0] for p in parts)
         tokens = np.concatenate([p[1] for p in parts])
         if errors == "strict":
@@ -359,12 +303,6 @@ class ParallelEngine:
             report.lost_ranges.extend((lo + a, lo + b)
                                       for a, b in part.lost_ranges)
         return out, tokens, report
-
-    def decode_chunked(self, payload, fmt: TokenFormat,
-                       chunk_sizes: np.ndarray, chunk_size: int,
-                       output_size: int) -> bytes:
-        return self.decode_chunked_with_stats(
-            payload, fmt, chunk_sizes, chunk_size, output_size)[0]
 
 
 # ------------------------------------------------------- default engines

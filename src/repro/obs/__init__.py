@@ -114,7 +114,6 @@ COUNTER_KEYS = (
     "encode.match_bytes",
     "encode.pack_bytes",
     "encode.parse_bytes",
-    "engine.shard_bytes",
     "engine.shards",
     "matcher.hash_calls",
     "matcher.hash_rounds",

@@ -40,7 +40,8 @@ def engine():
 def test_sharded_encode_is_byte_identical(engine, corpus, codec):
     data = np.frombuffer(corpus, dtype=np.uint8)
     serial = encode_chunked_auto(data, CUDA_V2, CHUNK, codec=codec)
-    sharded = engine.encode_chunked_auto(data, CUDA_V2, CHUNK, codec=codec)
+    sharded = engine.encode(encode_chunked_auto, data, CUDA_V2, CHUNK,
+                            codec=codec)
     assert sharded.payload == serial.payload
     assert list(sharded.chunk_sizes) == list(serial.chunk_sizes)
     assert list(sharded.chunk_codecs) == list(serial.chunk_codecs)
@@ -49,8 +50,9 @@ def test_sharded_encode_is_byte_identical(engine, corpus, codec):
 def test_sharded_multi_decode_round_trips(engine, corpus):
     data = np.frombuffer(corpus, dtype=np.uint8)
     result = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
-    out, _, _ = engine.decode_chunked_with_stats(
-        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
+    out, _, _ = engine.decode(
+        decode_chunked_with_stats, result.payload, CUDA_V2,
+        result.chunk_sizes, CHUNK, len(corpus),
         chunk_codecs=result.chunk_codecs)
     assert out == corpus
 
@@ -62,8 +64,9 @@ def test_sharded_salvage_merges_unknown_codec_reports(engine, corpus):
     victims = [0, int(bad.size) - 1]
     for v in victims:
         bad[v] = 0xEE
-    got, _, report = engine.decode_chunked_with_stats(
-        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
+    got, _, report = engine.decode(
+        decode_chunked_with_stats, result.payload, CUDA_V2,
+        result.chunk_sizes, CHUNK, len(corpus),
         chunk_codecs=bad, errors="salvage", fill_byte=0x5A)
     _, _, serial_report = decode_chunked_with_stats(
         result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
@@ -79,7 +82,7 @@ def test_probe_threshold_respected_when_sharded(engine, corpus):
     data = np.frombuffer(corpus, dtype=np.uint8)
     serial = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto",
                                  probe_threshold=8.0)
-    sharded = engine.encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto",
-                                         probe_threshold=8.0)
+    sharded = engine.encode(encode_chunked_auto, data, CUDA_V2, CHUNK,
+                            codec="auto", probe_threshold=8.0)
     assert list(sharded.chunk_codecs) == list(serial.chunk_codecs)
     assert sharded.payload == serial.payload

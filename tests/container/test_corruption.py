@@ -11,6 +11,8 @@ chunk.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -313,8 +315,9 @@ class TestErrorPolicies:
 
                 out, _, report = decode_chunked_with_stats(
                     *args, errors="salvage", **kwargs)
-                sharded, _, sharded_report = engine.decode_chunked_with_stats(
-                    *args, errors="salvage", **kwargs)
+                sharded, _, sharded_report = engine.decode(
+                    decode_chunked_with_stats, *args, errors="salvage",
+                    **kwargs)
                 assert sharded == out
                 assert sharded_report == report
                 assert report.lost
@@ -323,7 +326,8 @@ class TestErrorPolicies:
                     assert out[lo:hi] == payload[lo:hi]
 
                 for decode in (decode_chunked_with_stats,
-                               engine.decode_chunked_with_stats):
+                               partial(engine.decode,
+                                       decode_chunked_with_stats)):
                     with pytest.raises(CorruptChunkError) as err:
                         decode(*args, **kwargs)
                     assert err.value.chunk_index == report.lost[0]

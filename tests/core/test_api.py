@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import api
 from repro.core.api import gpu_compress, gpu_decompress
 from repro.core.params import CompressionParams
+from repro.datasets import generate
+from repro.engine import ParallelEngine, get_engine
 
 
 class TestRoundTrip:
@@ -77,3 +80,45 @@ class TestGatewayScenario:
         for payload in (text_data, binary_data, runny_data):
             wire = gpu_compress(payload).data
             assert gpu_decompress(wire).data == payload
+
+
+class TestOneShardRunner:
+    """Every call runs on an engine; the one-thread engine is the serial
+    path, and decode goes through ``repro.core.api``'s decoder attribute
+    (the name a tracer wraps) looked up per call."""
+
+    @pytest.fixture(scope="class")
+    def mib(self):
+        data = generate("highly_compressible", 1 << 20, seed=4)
+        return data, gpu_compress(data).data
+
+    def test_decompress_calls_the_api_decoder_once_per_shard(
+            self, mib, monkeypatch):
+        data, blob = mib
+        calls = []
+        real = api.decode_chunked_with_stats
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("first_chunk", 0))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(api, "decode_chunked_with_stats", counting)
+        assert gpu_decompress(blob).data == data
+        assert calls == [0]
+        assert gpu_decompress(blob, workers=2).data == data
+        assert calls == [0, 0, 128]  # 256 chunks over two shards
+
+    def test_one_thread_engine_is_the_serial_path(self, mib, monkeypatch):
+        data, blob = mib
+        calls = []
+        for name in ("encode", "decode"):
+            def recording(self, *args, _real=getattr(ParallelEngine, name),
+                          _name=name, **kwargs):
+                calls.append((_name, self.workers))
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(ParallelEngine, name, recording)
+        assert gpu_compress(data).data == blob
+        assert gpu_decompress(blob).data == data
+        assert calls == [("encode", 1), ("decode", 1)]
+        assert get_engine(1)._pool is None

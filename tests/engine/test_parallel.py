@@ -65,7 +65,7 @@ def test_parallel_encode_byte_identical(text_data, fmt, workers, chunk_size):
     arr = as_u8(text_data)
     serial = encode_chunked(arr, fmt, chunk_size)
     with ParallelEngine(workers=workers, min_parallel_bytes=0) as engine:
-        parallel = engine.encode_chunked(arr, fmt, chunk_size)
+        parallel = engine.encode(encode_chunked, arr, fmt, chunk_size)
     assert_results_identical(parallel, serial)
 
 
@@ -74,8 +74,8 @@ def test_parallel_encode_detail_arrays_identical(text_data, chunk_size):
     arr = as_u8(text_data)
     serial = encode_chunked(arr, CUDA_V2, chunk_size, collect_detail=True)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
-        parallel = engine.encode_chunked(arr, CUDA_V2, chunk_size,
-                                         collect_detail=True)
+        parallel = engine.encode(encode_chunked, arr, CUDA_V2, chunk_size,
+                                 collect_detail=True)
     assert_results_identical(parallel, serial, collect_detail=True)
 
 
@@ -85,8 +85,8 @@ def test_detail_with_unaligned_chunk_size_falls_back_to_serial(text_data):
     arr = as_u8(text_data)
     serial = encode_chunked(arr, CUDA_V2, 100, collect_detail=True)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
-        parallel = engine.encode_chunked(arr, CUDA_V2, 100,
-                                         collect_detail=True)
+        parallel = engine.encode(encode_chunked, arr, CUDA_V2, 100,
+                                 collect_detail=True)
     assert_results_identical(parallel, serial, collect_detail=True)
 
 
@@ -94,14 +94,15 @@ def test_detail_with_unaligned_chunk_size_falls_back_to_serial(text_data):
 def test_edge_buffers_match_serial(data, fmt):
     serial = encode_chunked(as_u8(data), fmt, 4096)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
-        parallel = engine.encode_chunked(as_u8(data), fmt, 4096)
+        parallel = engine.encode(encode_chunked, as_u8(data), fmt, 4096)
     assert_results_identical(parallel, serial)
 
 
 def test_incompressible_buffer_matches_serial(binary_data, fmt):
     serial = encode_chunked(as_u8(binary_data), fmt, 1024)
     with ParallelEngine(workers=3, min_parallel_bytes=0) as engine:
-        parallel = engine.encode_chunked(as_u8(binary_data), fmt, 1024)
+        parallel = engine.encode(encode_chunked, as_u8(binary_data), fmt,
+                                 1024)
     assert_results_identical(parallel, serial)
 
 
@@ -111,8 +112,9 @@ def test_parallel_decode_round_trip(text_data, fmt):
     serial_out, serial_tokens, _ = decode_chunked_with_stats(
         result.payload, fmt, result.chunk_sizes, 1024, result.input_size)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
-        out, tokens, _ = engine.decode_chunked_with_stats(
-            result.payload, fmt, result.chunk_sizes, 1024, result.input_size)
+        out, tokens, _ = engine.decode(
+            decode_chunked_with_stats, result.payload, fmt,
+            result.chunk_sizes, 1024, result.input_size)
     assert out == serial_out == text_data
     assert np.array_equal(tokens, serial_tokens)
 
@@ -133,10 +135,10 @@ def test_gpu_compress_workers_container_identical(text_data):
 def test_pool_is_created_once_and_reused(text_data):
     engine = ParallelEngine(workers=2, min_parallel_bytes=0)
     try:
-        engine.encode_chunked(as_u8(text_data), CUDA_V2, 1024)
+        engine.encode(encode_chunked, as_u8(text_data), CUDA_V2, 1024)
         pool = engine._pool
         assert pool is not None
-        engine.encode_chunked(as_u8(text_data), CUDA_V2, 1024)
+        engine.encode(encode_chunked, as_u8(text_data), CUDA_V2, 1024)
         assert engine._pool is pool
     finally:
         engine.close()
@@ -148,28 +150,25 @@ def test_closed_engine_refuses_parallel_work(text_data):
     engine.close()
     engine.close()  # idempotent
     with pytest.raises(ValueError):
-        engine.encode_chunked(as_u8(text_data), CUDA_V2, 1024)
+        engine.encode(encode_chunked, as_u8(text_data), CUDA_V2, 1024)
 
 
-def test_shard_exception_reaches_caller(text_data, monkeypatch):
+def test_shard_exception_reaches_caller(text_data):
     # No crash fallback: a shard's own error is neither swallowed nor
     # re-run serially, it surfaces from the call.
-    from repro.engine import parallel
-
     def job_bug(*args, **kwargs):
         raise RuntimeError("job bug")
 
-    monkeypatch.setattr(parallel, "_encode_serial", job_bug)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
         with pytest.raises(RuntimeError, match="job bug"):
-            engine.encode_chunked(as_u8(text_data), CUDA_V2, 1024)
+            engine.encode(job_bug, as_u8(text_data), CUDA_V2, 1024)
         assert engine._pool is not None  # the sharded path ran
 
 
 def test_small_buffers_stay_serial(text_data):
     # Below min_parallel_bytes the engine must not even spin a pool up.
     engine = ParallelEngine(workers=4)
-    result = engine.encode_chunked(as_u8(text_data), CUDA_V2, 4096)
+    result = engine.encode(encode_chunked, as_u8(text_data), CUDA_V2, 4096)
     assert engine._pool is None
     assert_results_identical(result, encode_chunked(as_u8(text_data),
                                                     CUDA_V2, 4096))

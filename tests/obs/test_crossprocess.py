@@ -16,7 +16,9 @@ import os
 import pytest
 
 from repro import obs
+from repro.core import CompressionParams, gpu_compress
 from repro.engine import ParallelEngine
+from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import CUDA_V2
 from repro.obs import trace
 from repro.service.pipeline import IngressPipeline, decode_payload
@@ -32,7 +34,7 @@ DATA = (b"observability crosses process boundaries " * 64
 def test_engine_shard_counters_and_spans_in_parent():
     with ParallelEngine(workers=2, min_parallel_bytes=0) as engine:
         with trace.span("caller"):
-            engine.encode_chunked(DATA, CUDA_V2, CHUNK)
+            engine.encode(encode_chunked, DATA, CUDA_V2, CHUNK)
     snap = obs.get_registry().snapshot()
     assert snap["counters"]["engine.shards"] >= 2
     assert snap["counters"]["matcher.lag_calls"] >= 2
@@ -45,6 +47,20 @@ def test_engine_shard_counters_and_spans_in_parent():
     caller = by_name["caller"][0]
     assert all(s.parent_id == caller.span_id
                for s in by_name["engine.shard"])
+
+
+def test_sharded_encode_ledger_has_the_serial_stage_set():
+    # An engine.shard row would contain its own shard's match, parse and
+    # pack rows: the shard stage must stay out of the byte ledger.
+    stage_sets = []
+    for workers in (None, 2):
+        obs.reset()
+        gpu_compress(DATA, CompressionParams(version=2), workers=workers)
+        snap = obs.get_registry().snapshot()
+        stage_sets.append({row["stage"] for row in obs.ledger(snap)})
+    assert snap["counters"]["engine.shards"] == 2
+    assert stage_sets[0] == stage_sets[1] == {
+        "encode.match", "encode.parse", "encode.pack", "container.pack"}
 
 
 # ---------------------------------------------------- pipeline (pool)

@@ -87,6 +87,23 @@ def test_decompress_strict_fails_on_corruption_with_hint(sample_file,
     assert "--salvage" in err
 
 
+def test_decompress_checks_each_chunk_crc_once(tmp_path):
+    from repro import obs
+    from repro.container import unpack_container
+    from repro.core import CompressionParams, gpu_compress
+
+    data = generate("cfiles", 1 << 16, seed=4)
+    blob = gpu_compress(data, CompressionParams(version=2)).data
+    n_chunks = len(unpack_container(blob, strict=False).chunk_sizes)
+    comp, back = tmp_path / "in.cz", tmp_path / "out.bin"
+    comp.write_bytes(blob)
+    before = obs.get_registry().snapshot()["counters"]["container.crc_checks"]
+    assert main(["decompress", str(comp), str(back)]) == 0
+    after = obs.get_registry().snapshot()["counters"]["container.crc_checks"]
+    assert after - before == n_chunks == 16
+    assert back.read_bytes() == data
+
+
 def test_decompress_salvage_recovers_partial(sample_file, tmp_path, capsys):
     from repro.testing import corrupt_chunks
 
