@@ -247,16 +247,29 @@ def attribute_regressions(baseline: dict, fresh: dict,
 
     Mutates the report in place: each regression entry gains either an
     ``attribution`` dict (see :func:`attribute_case`) or
-    ``attribution: None`` when the baseline predates stage recording.
+    ``attribution: None`` plus ``no_stages``, the side(s) —
+    ``"baseline"``, ``"fresh"`` — whose case has no stage breakdown.
     """
     base_cases = baseline.get("cases", {})
     fresh_cases = fresh.get("cases", {})
     for entry in report["cases"]:
         if entry.get("status") != "regression":
             continue
-        name = entry["name"]
-        entry["attribution"] = attribute_case(
-            base_cases.get(name, {}), fresh_cases.get(name, {}))
+        sides = {"baseline": base_cases.get(entry["name"], {}),
+                 "fresh": fresh_cases.get(entry["name"], {})}
+        entry["attribution"] = attribute_case(sides["baseline"],
+                                              sides["fresh"])
+        if entry["attribution"] is None:
+            entry["no_stages"] = [side for side, case in sides.items()
+                                  if not case.get("stages")]
+
+
+#: Why a side of an attribution can lack its stage breakdown.
+_NO_STAGES_HINT = {
+    "baseline": "refresh it with `culzss benchgate --update`",
+    "fresh": "observability is off (REPRO_OBS=0) or the case runs no "
+             "ledger stage",
+}
 
 
 def format_report(report: dict, baseline_meta: dict | None = None) -> str:
@@ -282,9 +295,9 @@ def format_report(report: dict, baseline_meta: dict | None = None) -> str:
             continue
         attribution = c["attribution"]
         if attribution is None:
-            lines.append(
-                "    attribution: no stage breakdown in the baseline run "
-                "— refresh it with `culzss benchgate --update`")
+            lines.extend(
+                f"    attribution: no stage breakdown in the {side} run "
+                f"— {_NO_STAGES_HINT[side]}" for side in c["no_stages"])
             continue
         suspects = set(attribution["suspects"])
         lines.append("    stage time shares (baseline -> fresh):")

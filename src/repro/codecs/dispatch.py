@@ -41,8 +41,6 @@ Decisions are recorded in the container v3 codec column, which
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro import obs
@@ -153,15 +151,16 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
 
     if codec == "auto":
         names = []
-        for c in range(n_chunks):
-            chunk = arr[c * chunk_size:(c + 1) * chunk_size]
-            name = choose_chunk_codec(chunk, probe_threshold=threshold)
-            if name == "store":
-                obs.inc("codec.store_fallbacks")
-                obslog.event("codec", "store_fallback", scope="chunk",
-                             chunk=c, size=int(chunk.size),
-                             threshold=threshold)
-            names.append(name)
+        with obs.stage("codecs.choose", bytes=n):
+            for c in range(n_chunks):
+                chunk = arr[c * chunk_size:(c + 1) * chunk_size]
+                name = choose_chunk_codec(chunk, probe_threshold=threshold)
+                if name == "store":
+                    obs.inc("codec.store_fallbacks")
+                    obslog.event("codec", "store_fallback", scope="chunk",
+                                 chunk=c, size=int(chunk.size),
+                                 threshold=threshold)
+                names.append(name)
     else:
         names = [codec] * n_chunks
 
@@ -170,7 +169,6 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
     for name in dict.fromkeys(names):
         group = [c for c, chosen in enumerate(names) if chosen == name]
         run = _gather(arr, group, chunk_size)
-        t0 = perf_counter()
         if name == "trial":
             encoded = _trial(run, fmt, chunk_size, max_chain)
         else:
@@ -179,16 +177,8 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
                                                   max_chain=max_chain)
             encoded = [(run_codec.codec_id, part)
                        for part in _split(payload, sizes)]
-        elapsed = perf_counter() - t0
-        # The group's time is shared over its chunks by input bytes, and
-        # each share goes to the codec that encoded (or won) the chunk.
         for c, (codec_id, part) in zip(group, encoded):
             parts[c], ids[c] = part, codec_id
-            raw = min(chunk_size, n - c * chunk_size)
-            key = metric_key(get_codec(codec_id).name)
-            obs.observe(f"codec.encode_{key}_seconds",
-                        elapsed * raw / run.size)
-            obs.inc(f"codec.encode_{key}_bytes", raw)
 
     payload = b"".join(parts)
     chunk_sizes = np.asarray([len(p) for p in parts], dtype=np.int64)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.codecs.base import Codec, register_codec
 from repro.errors import CorruptChunkError
 from repro.lzss.decoder import reconstruct
@@ -68,19 +69,29 @@ LZ4S_MAX_CHAIN = 8
 
 def lz4s_tokenize(arr: np.ndarray, chunk_size: int, *,
                   max_chain: int = LZ4S_MAX_CHAIN) -> Tokens:
-    """Chunk-local lz4s tokens: shallow hash-chain matches, min match 4."""
+    """Chunk-local lz4s tokens: shallow hash-chain matches, min match 4.
+
+    Reports the ``encode.match`` and ``encode.parse`` stages, the same
+    ledger rows as the lzss tokenizer.
+    """
     window = min(chunk_size, LZ4S_MAX_DIST)
-    blen, bdist = hash_chain_best_matches(arr, window, LZ4S_MAX_MATCH,
-                                          max_chain=max_chain,
-                                          chunk_size=chunk_size)
-    advance = np.where(blen >= LZ4S_MIN_MATCH, blen, 1).astype(np.int64)
-    return tokens_from_matches(bdist, advance, chunk_size)
+    with obs.stage("encode.match", bytes=arr.size):
+        blen, bdist = hash_chain_best_matches(arr, window, LZ4S_MAX_MATCH,
+                                              max_chain=max_chain,
+                                              chunk_size=chunk_size)
+    with obs.stage("encode.parse", bytes=arr.size):
+        advance = np.where(blen >= LZ4S_MIN_MATCH, blen, 1).astype(np.int64)
+        return tokens_from_matches(bdist, advance, chunk_size)
 
 
 def lz4s_encode_chunked(data, chunk_size: int, *,
                         max_chain: int = LZ4S_MAX_CHAIN
                         ) -> tuple[bytes, np.ndarray]:
-    """Encode consecutive chunks; returns (payload, per-chunk sizes)."""
+    """Encode consecutive chunks; returns (payload, per-chunk sizes).
+
+    The byte scatter after :func:`lz4s_tokenize` is the ``encode.pack``
+    stage.
+    """
     arr = as_u8(data)
     n = arr.size
     require_range(chunk_size, 1, 1 << 40, "chunk_size")
@@ -89,33 +100,34 @@ def lz4s_encode_chunked(data, chunk_size: int, *,
         return b"", np.zeros(0, dtype=np.int64)
 
     tokens = lz4s_tokenize(arr, chunk_size, max_chain=max_chain)
-    chunk_id = tokens.starts // chunk_size
-    lit = np.nonzero(~tokens.is_pair)[0]
-    m = np.nonzero(tokens.is_pair)[0]
+    with obs.stage("encode.pack", bytes=n, tokens=int(tokens.starts.size)):
+        chunk_id = tokens.starts // chunk_size
+        lit = np.nonzero(~tokens.is_pair)[0]
+        m = np.nonzero(tokens.is_pair)[0]
 
-    # Consecutive literal tokens of one chunk form a run.  The run's
-    # literals k = 0, 128, 256, ... each open a block behind a control
-    # byte holding the block size - 1.
-    run_head = np.ones(lit.size, dtype=bool)
-    run_head[1:] = (np.diff(lit) > 1) | (np.diff(chunk_id[lit]) != 0)
-    run = np.cumsum(run_head) - 1
-    k = np.arange(lit.size) - np.nonzero(run_head)[0][run]
-    left = np.bincount(run)[run] - k  # literals left in the run
-    opens = k % LZ4S_MAX_RUN == 0
+        # Consecutive literal tokens of one chunk form a run.  The run's
+        # literals k = 0, 128, 256, ... each open a block behind a
+        # control byte holding the block size - 1.
+        run_head = np.ones(lit.size, dtype=bool)
+        run_head[1:] = (np.diff(lit) > 1) | (np.diff(chunk_id[lit]) != 0)
+        run = np.cumsum(run_head) - 1
+        k = np.arange(lit.size) - np.nonzero(run_head)[0][run]
+        left = np.bincount(run)[run] - k  # literals left in the run
+        opens = k % LZ4S_MAX_RUN == 0
 
-    size = np.full(tokens.starts.size, 3, dtype=np.int64)
-    size[lit] = 1 + opens
-    off = np.cumsum(size) - size
-    chunk_sizes = np.bincount(chunk_id, weights=size,
-                              minlength=n_chunks).astype(np.int64)
+        size = np.full(tokens.starts.size, 3, dtype=np.int64)
+        size[lit] = 1 + opens
+        off = np.cumsum(size) - size
+        chunk_sizes = np.bincount(chunk_id, weights=size,
+                                  minlength=n_chunks).astype(np.int64)
 
-    out = np.empty(int(size.sum()), dtype=np.uint8)
-    out[off[lit][opens]] = np.minimum(left[opens], LZ4S_MAX_RUN) - 1
-    out[off[lit] + opens] = arr[tokens.starts[lit]]
-    out[off[m]] = 0x80 | (tokens.lengths[m] - LZ4S_MIN_MATCH)
-    out[off[m] + 1] = tokens.distances[m] & 0xFF
-    out[off[m] + 2] = tokens.distances[m] >> 8
-    return out.tobytes(), chunk_sizes
+        out = np.empty(int(size.sum()), dtype=np.uint8)
+        out[off[lit][opens]] = np.minimum(left[opens], LZ4S_MAX_RUN) - 1
+        out[off[lit] + opens] = arr[tokens.starts[lit]]
+        out[off[m]] = 0x80 | (tokens.lengths[m] - LZ4S_MIN_MATCH)
+        out[off[m] + 1] = tokens.distances[m] & 0xFF
+        out[off[m] + 2] = tokens.distances[m] >> 8
+        return out.tobytes(), chunk_sizes
 
 
 def lz4s_decode_chunk(payload: np.ndarray, output_size: int,

@@ -105,11 +105,14 @@ def _model_profile(compressor, result: EncodeResult, data,
     """The modeled GTX-480 profile of one ``compressor.compress(data)``.
 
     V1's model also reads the input's sampled search statistics (κ,
-    p_cap); V2's reads only the encode result.
+    p_cap); V2's reads only the encode result.  Timed as the ``model``
+    stage.
     """
-    if compressor.params.version == 1:
-        return compressor.profile(result, cal, sample_match_statistics(data))
-    return compressor.profile(result, cal)
+    with obs.stage("model", bytes=result.input_size):
+        if compressor.params.version == 1:
+            return compressor.profile(result, cal,
+                                      sample_match_statistics(data))
+        return compressor.profile(result, cal)
 
 
 def gpu_compress(buffer, params: CompressionParams | None = None,
@@ -218,7 +221,8 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
     params = params.with_overrides(
         chunk_size=info.chunk_size,
         window=min(params.window, info.chunk_size))
-    decomp = GpuDecompressor(params)
-    profile = decomp.profile(per_chunk_tokens, len(info.payload),
-                             info.original_size, info.chunk_sizes, cal)
+    with obs.stage("model", bytes=info.original_size):
+        profile = GpuDecompressor(params).profile(
+            per_chunk_tokens, len(info.payload), info.original_size,
+            info.chunk_sizes, cal)
     return DecompressResult(data=out, profile=profile, salvage=report)

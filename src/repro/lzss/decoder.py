@@ -31,7 +31,6 @@ fill bytes, every other chunk decodes byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -238,15 +237,12 @@ def decode_chunked_with_stats(
             f"expected {expected} chunks for {output_size} bytes, got {n_chunks}")
     if chunk_codecs is not None:
         # Imported here because repro.codecs imports this module.
-        from repro.codecs.base import get_codec, known_codec_ids, metric_key
+        from repro.codecs.base import get_codec, known_codec_ids
 
         chunk_codecs = np.asarray(chunk_codecs, dtype=np.uint8)
         require(chunk_codecs.size == n_chunks,
                 "codec column does not cover the chunks")
         known = known_codec_ids()
-        # Per-codec decode ledger: accumulate locally per codec id and
-        # record once after the loop, never per chunk.
-        per_codec: dict[int, list] = {}
 
     out = np.full(output_size, fill_byte, dtype=np.uint8)
     tokens = np.zeros(n_chunks, dtype=np.int64)
@@ -289,12 +285,8 @@ def decode_chunked_with_stats(
                         out[lo:hi], tokens[c] = _decode_stream(
                             piece, fmt, hi - lo, chunk_index=index)
                     else:
-                        t0 = perf_counter()
                         out[lo:hi] = get_codec(cid).decode_chunk(
                             piece, fmt, hi - lo, chunk_index=index)
-                        acc = per_codec.setdefault(cid, [0.0, 0])
-                        acc[0] += perf_counter() - t0
-                        acc[1] += hi - lo
                 except (CorruptChunkError, TruncatedContainerError):
                     if not salvage:
                         raise
@@ -303,11 +295,6 @@ def decode_chunked_with_stats(
                 else:
                     if salvage:
                         report.recovered.append(index)
-            if chunk_codecs is not None:
-                for cid, (secs, nbytes) in per_codec.items():
-                    key = metric_key(get_codec(cid).name)
-                    obs.observe(f"codec.decode_{key}_seconds", secs)
-                    obs.inc(f"codec.decode_{key}_bytes", nbytes)
     finally:
         if checks:
             obs.inc("container.crc_checks", checks)

@@ -48,14 +48,3 @@ class EncodeStats:
         if self.input_size == 0:
             return 1.0
         return self.output_size / self.input_size
-
-    @property
-    def coverage_by_pairs(self) -> float:
-        """Fraction of input bytes covered by encoded matches."""
-        if self.input_size == 0:
-            return 0.0
-        return self.sum_match_length / self.input_size
-
-    @property
-    def mean_match_length(self) -> float:
-        return self.sum_match_length / self.n_pairs if self.n_pairs else 0.0

@@ -94,16 +94,9 @@ COUNTER_KEYS = (
     "codec.chunks_lzss",
     "codec.chunks_lzss_huffman",
     "codec.chunks_store",
-    "codec.decode_lz4s_bytes",
-    "codec.decode_lzss_bytes",
-    "codec.decode_lzss_huffman_bytes",
-    "codec.decode_store_bytes",
-    "codec.encode_lz4s_bytes",
-    "codec.encode_lzss_bytes",
-    "codec.encode_lzss_huffman_bytes",
-    "codec.encode_store_bytes",
     "codec.huffman_bytes",
     "codec.store_fallbacks",
+    "codecs.choose_bytes",
     "container.crc_checks",
     "container.crc_failures",
     "container.pack_bytes",
@@ -122,24 +115,18 @@ COUNTER_KEYS = (
     "matcher.probe_calls",
     "matcher.probe_hits",
     "matcher.saturation_exits",
+    "model_bytes",
     "transport.send_bytes",
 )
 
 #: Histogram families (seconds unless named otherwise), same rationale.
 HISTOGRAM_KEYS = (
-    "codec.decode_lz4s_seconds",
-    "codec.decode_lzss_huffman_seconds",
-    "codec.decode_lzss_seconds",
-    "codec.decode_store_seconds",
-    "codec.encode_lz4s_seconds",
-    "codec.encode_lzss_huffman_seconds",
-    "codec.encode_lzss_seconds",
-    "codec.encode_store_seconds",
     "codec.huffman_seconds",
     "codec.ratio_lz4s",
     "codec.ratio_lzss",
     "codec.ratio_lzss_huffman",
     "codec.ratio_store",
+    "codecs.choose_seconds",
     "container.pack_seconds",
     "container.unpack_seconds",
     "decode.stream_seconds",
@@ -148,6 +135,7 @@ HISTOGRAM_KEYS = (
     "encode.parse_seconds",
     "engine.queue_wait_seconds",
     "engine.shard_seconds",
+    "model_seconds",
     "transport.send_seconds",
 )
 
@@ -210,11 +198,18 @@ class stage:
 
     Opens a :func:`trace.span` named ``name`` and, on exit, observes the
     elapsed seconds into the ``{name}_seconds`` histogram.  The
-    ``bytes=`` keyword is the throughput-ledger dimension: when given,
-    exit also adds it to the ``{name}_bytes`` counter, which is what
-    makes the stage appear in :func:`ledger` with an MB/s and a
-    share-of-wall-time.  A plain class rather than ``@contextmanager``
-    so the disabled path creates no generator.
+    ``bytes=`` keyword is the throughput-ledger dimension: when given
+    and the body returns normally, exit also adds it to the
+    ``{name}_bytes`` counter, which is what makes the stage appear in
+    :func:`ledger` with an MB/s and a share-of-wall-time.  A body that
+    raises still records its seconds (the time was spent) but no bytes
+    (they were not processed).
+
+    The ledger's rule: a stage that reports ``bytes=`` never encloses
+    another such stage, so no row's time contains another row's.
+    Stages that enclose others (``api.*``, ``engine.shard``) report no
+    bytes.  A plain class rather than ``@contextmanager`` so the
+    disabled path creates no generator.
     """
 
     __slots__ = ("_name", "_attrs", "_span", "_t0", "_bytes")
@@ -237,14 +232,14 @@ class stage:
             self._t0 = perf_counter()
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, exc, tb):
         if self._span is not None:
             from time import perf_counter
             _registry.observe(f"{self._name}_seconds",
                               perf_counter() - self._t0)
-            if self._bytes is not None:
+            if self._bytes is not None and exc_type is None:
                 _registry.inc(f"{self._name}_bytes", self._bytes)
-            self._span.__exit__(*exc)
+            self._span.__exit__(exc_type, exc, tb)
         return False
 
 

@@ -289,11 +289,15 @@ def ledger(snapshot: dict) -> list[dict]:
 
     A stage joins the ledger when it reports the ``bytes=`` dimension —
     i.e. a ``{stage}_bytes`` counter exists alongside a populated
-    ``{stage}_seconds`` histogram.  Those stages (match, parse, pack,
-    decode.stream, container, transport, per-codec) are the
-    disjoint leaf timings, so ``share`` — this stage's fraction of the
-    summed ledger seconds — reads as share-of-wall-time without
-    double-counting nested wrapper spans.  Rows sort by seconds
+    ``{stage}_seconds`` histogram.  Those stages (``encode.match``/
+    ``parse``/``pack``, ``codec.huffman``, ``codecs.choose``,
+    ``decode.stream``, ``container.pack``/``unpack``, ``model``,
+    ``transport.send``) are disjoint: a stage that reports ``bytes=``
+    never encloses another one, and wrapper stages (``api.*``,
+    ``engine.shard``) report no bytes.  So the rows' seconds sum to at
+    most the wall time, and ``share`` — this stage's fraction of the
+    summed ledger seconds — reads as share-of-wall-time.  Bytes count
+    only for bodies that returned normally.  Rows sort by seconds
     descending: the first row is where the time went.
     """
     counters = snapshot.get("counters", {})

@@ -157,6 +157,28 @@ def test_attribute_case_without_stage_data_is_none():
     assert gate.attribute_case({"stages": {"a": stage_row(1, 1)}}, {}) is None
 
 
+def test_report_names_the_side_without_a_stage_breakdown():
+    staged = {"stages": {"encode.match": stage_row(1.0, 0.1)}}
+    base = {"cases": {"enc": {**case(0.100, 0.098, 0.102), **staged},
+                      "dec": case(0.100, 0.098, 0.102)}}
+    fresh = {"cases": {"enc": {**case(0.200, 0.195, 0.205), "stages": {}},
+                       "dec": {**case(0.200, 0.195, 0.205), **staged}}}
+    report = gate.compare_runs(base, fresh)
+    gate.attribute_regressions(base, fresh, report)
+    lines = gate.format_report(report).splitlines()
+
+    def attribution(name: str) -> str:
+        at = next(i for i, line in enumerate(lines)
+                  if line.split()[:1] == [name])
+        return lines[at + 1]
+
+    # the fresh run has no breakdown: no baseline refresh can fix that
+    assert "no stage breakdown in the fresh run" in attribution("enc")
+    assert "--update" not in attribution("enc")
+    assert "no stage breakdown in the baseline run" in attribution("dec")
+    assert "`culzss benchgate --update`" in attribution("dec")
+
+
 # ---------------------------------------------------- gate end-to-end
 
 SIZE, REPEATS = 16_000, 4

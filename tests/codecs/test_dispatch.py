@@ -11,9 +11,7 @@ from repro.codecs import (
     LZSS_CODEC_ID,
     LZSS_HUFFMAN_CODEC_ID,
     STORE_CODEC_ID,
-    get_codec,
 )
-from repro.codecs.base import metric_key
 from repro.codecs.dispatch import (
     MIN_PROBE_CHUNK,
     choose_chunk_codec,
@@ -211,16 +209,6 @@ def test_per_codec_accounting():
     assert delta["codec.chunks_store"] == 1
     assert delta["codec.chunks_lz4s"] == 1
     assert sum(delta.values()) == result.chunk_codecs.size
-    # Encoded bytes are exact per chunk, under the codec each chunk got
-    # (the trial's winner), however the chunks were grouped.
-    encoded = {k: after["counters"][k] - before["counters"].get(k, 0)
-               for k in after["counters"] if k.startswith("codec.encode_")}
-    assert sum(encoded.values()) == data.size
-    for codec_id in set(result.chunk_codecs.tolist()):
-        key = metric_key(get_codec(codec_id).name)
-        raw = sum(min(CHUNK, data.size - c * CHUNK)
-                  for c in np.nonzero(result.chunk_codecs == codec_id)[0])
-        assert encoded[f"codec.encode_{key}_bytes"] == raw
     ratios = after["histograms"]["codec.ratio_store"]
     assert ratios["count"] >= 1
     assert ratios["max"] <= 1.01  # store never expands

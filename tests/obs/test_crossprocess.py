@@ -60,7 +60,8 @@ def test_sharded_encode_ledger_has_the_serial_stage_set():
         stage_sets.append({row["stage"] for row in obs.ledger(snap)})
     assert snap["counters"]["engine.shards"] == 2
     assert stage_sets[0] == stage_sets[1] == {
-        "encode.match", "encode.parse", "encode.pack", "container.pack"}
+        "encode.match", "encode.parse", "encode.pack", "container.pack",
+        "model"}
 
 
 # ---------------------------------------------------- pipeline (pool)

@@ -434,6 +434,8 @@ def test_stats_pretty_includes_ledger(sample_file, capsys):
     ledger_block = out.split("per-stage throughput ledger:")[1]
     assert "encode.match" in ledger_block
     assert "MB/s" in ledger_block
+    assert any(line.split()[:1] == ["model"]
+               for line in ledger_block.splitlines())
     obs.reset()
 
 
