@@ -18,7 +18,6 @@ from repro.lzss.formats import CUDA_V2, SERIAL
 from repro.lzss.lagmatch import lag_best_matches
 from repro.lzss.matcher import hash_chain_best_matches
 from repro.util.bitio import pack_tokens
-from repro.util.checksum import adler32
 
 SIZE = 256 * 1024
 
@@ -72,7 +71,3 @@ def test_pack_tokens(benchmark):
     values &= (1 << nbits) - 1
     payload, total = benchmark(pack_tokens, values, nbits)
     assert total == nbits.sum()
-
-
-def test_adler32(benchmark, cfiles):
-    assert benchmark(adler32, cfiles) > 0

@@ -7,8 +7,8 @@ writing to the given files."
 Usage::
 
     culzss compress   INPUT OUTPUT [--version {1,2}] [--system SYSTEM]
-                      [--workers N] [--codec C] [--probe-threshold T]
-    culzss decompress INPUT OUTPUT
+                      [--workers N] [--codec C]
+    culzss decompress INPUT OUTPUT [--salvage [--fill-byte B]]
     culzss info       INPUT
     culzss bench      [--size-mb N] [--datasets a,b,...]
     culzss report     [--size-mb N] [--output FILE]
@@ -103,17 +103,6 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
                         "REPRO_PROFILE_HZ)")
 
 
-def _check_probe_threshold(value: float | None) -> str | None:
-    """Validate ``--probe-threshold`` up front; returns the error text."""
-    from repro.lzss.matcher import resolve_probe_threshold
-
-    try:
-        resolve_probe_threshold(value)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
     with _profiled(args.profile, args.profile_hz):
         return _run_compress(args)
@@ -126,16 +115,12 @@ def _run_compress(args: argparse.Namespace) -> int:
         print(f"--codec applies to the culzss systems, not {system!r}",
               file=sys.stderr)
         return 2
-    if (err := _check_probe_threshold(args.probe_threshold)) is not None:
-        print(err, file=sys.stderr)
-        return 2
     if system in ("culzss-v1", "culzss-v2"):
         from repro.core import CompressionParams, gpu_compress
 
         version = 1 if system.endswith("1") else 2
         buf = gpu_compress(data, CompressionParams(version=version),
-                           workers=args.workers, codec=args.codec,
-                           probe_threshold=args.probe_threshold)
+                           workers=args.workers, codec=args.codec)
         blob = buf.data
         timing = ("" if args.codec != "lzss" else
                   f", modeled GTX-480 time {buf.modeled_seconds:.4f}s")
@@ -217,13 +202,22 @@ def _run_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
+
     blob = Path(args.input).read_bytes()
     if blob[:4] == b"RBZ2":
         print("format: bzip2-style container")
         return 0
+    if blob[:4] != b"CLZS":
+        print("unrecognized container magic", file=sys.stderr)
+        return 2
     from repro.container import unpack_container
 
-    info = unpack_container(blob)
+    try:
+        info = unpack_container(blob)
+    except ReproError as exc:
+        print(f"info failed: {exc}", file=sys.stderr)
+        return 2
     print(f"format: {info.format.name}")
     print(f"container version: {info.version}")
     print(f"original size: {info.original_size}")
@@ -367,9 +361,6 @@ def _cmd_send(args: argparse.Namespace) -> int:
     from repro.obs import MetricRegistry
     from repro.service import GatewayClient
 
-    if (err := _check_probe_threshold(args.probe_threshold)) is not None:
-        print(err, file=sys.stderr)
-        return 2
     if args.inputs:
         buffers = [Path(p).read_bytes() for p in args.inputs]
     else:
@@ -384,8 +375,7 @@ def _cmd_send(args: argparse.Namespace) -> int:
                                workers=args.workers,
                                queue_depth=args.queue_depth,
                                timeout=args.timeout, retries=args.retries,
-                               metrics=metrics, codec=args.codec,
-                               probe_threshold=args.probe_threshold)
+                               metrics=metrics, codec=args.codec)
         async with client:
             if client.codec != args.codec:
                 print(f"gateway declined codec {args.codec!r}; "
@@ -499,6 +489,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _byte(text: str) -> int:
+    """argparse type for one byte value, 0..255."""
+    if not (text.isdecimal() and int(text) <= 255):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a byte (0..255)")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="culzss",
@@ -520,9 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "store", "lzss", "lz4s", "lzss-huffman"),
                    help="per-chunk codec for the culzss systems; 'auto' "
                         "probes each chunk and writes a v3 container")
-    p.add_argument("--probe-threshold", type=float, default=None,
-                   help="store-fallback entropy threshold in bits/byte "
-                        "(default: REPRO_PROBE_THRESHOLD or 7.9)")
     _add_profile_args(p)
     p.set_defaults(func=_cmd_compress)
 
@@ -533,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recover what a damaged container still holds: "
                         "bad chunks become fill bytes and are reported "
                         "(exit 1 on partial loss)")
-    p.add_argument("--fill-byte", type=int, default=0,
+    p.add_argument("--fill-byte", type=_byte, default=0,
                    help="fill value for unrecoverable chunks (0..255)")
     _add_profile_args(p)
     p.set_defaults(func=_cmd_decompress)
@@ -608,9 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "store", "lzss", "lz4s", "lzss-huffman"),
                    help="container codec, negotiated with the egress "
                         "gateway at connect (falls back to lzss)")
-    p.add_argument("--probe-threshold", type=float, default=None,
-                   help="raw-passthrough entropy threshold in bits/byte "
-                        "(default: REPRO_PROBE_THRESHOLD or 7.9)")
     p.set_defaults(func=_cmd_send)
 
     p = sub.add_parser("benchgate",

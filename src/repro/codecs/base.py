@@ -60,8 +60,7 @@ class Codec(abc.ABC):
 
     @abc.abstractmethod
     def encode_run(self, data: np.ndarray, fmt: TokenFormat,
-                   chunk_size: int, *,
-                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
+                   chunk_size: int) -> tuple[bytes, np.ndarray]:
         """Encode consecutive chunks; returns (payload, per-chunk sizes).
 
         ``data`` is chunk-major: every chunk ``chunk_size`` bytes but
@@ -69,6 +68,7 @@ class Codec(abc.ABC):
         self-contained payloads end to end, byte-identical to encoding
         each chunk on its own; doing the whole run in one NumPy pass is
         what the dispatcher, which groups chunks by codec, relies on.
+        A codec that searches matches picks its own chain depth.
         """
 
     def encode_chunk(self, chunk: np.ndarray, fmt: TokenFormat) -> bytes:

@@ -49,7 +49,7 @@ from repro.codecs.lzss import LZSS_CODEC_ID
 from repro.codecs.lzss_huffman import LZSS_HUFFMAN_CODEC_ID, pack_lzss_huffman
 from repro.lzss.encoder import EncodeResult, pack_lzss, split_tokens, tokenize
 from repro.lzss.formats import TokenFormat
-from repro.lzss.matcher import probe_incompressible, resolve_probe_threshold
+from repro.lzss.matcher import PROBE_BYTE_ENTROPY_BITS, probe_incompressible
 from repro.lzss.stats import EncodeStats
 from repro.obs import log as obslog
 from repro.util.buffers import as_u8
@@ -73,19 +73,20 @@ MIN_PROBE_CHUNK = 256
 _DENSITY_SAMPLE = 4096
 
 
-def match_density(chunk: np.ndarray, sample: int = _DENSITY_SAMPLE) -> float:
+def match_density(chunk: np.ndarray) -> float:
     """Fraction of sampled 4-grams that duplicate another in the chunk.
 
-    A stride-sampled ``np.unique`` pass — the cheap stand-in for "how
-    often would a match search succeed here".
+    A stride-sampled ``np.unique`` pass over at most ``_DENSITY_SAMPLE``
+    4-grams — the cheap stand-in for "how often would a match search
+    succeed here".
     """
     arr = as_u8(chunk)
     n = arr.size
     if n < 8:
         return 0.0
     pos = np.arange(n - 3, dtype=np.int64)
-    if pos.size > sample:
-        pos = pos[:: pos.size // sample][:sample]
+    if pos.size > _DENSITY_SAMPLE:
+        pos = pos[:: pos.size // _DENSITY_SAMPLE][:_DENSITY_SAMPLE]
     grams = ((arr[pos].astype(np.uint32) << 24)
              | (arr[pos + 1].astype(np.uint32) << 16)
              | (arr[pos + 2].astype(np.uint32) << 8)
@@ -93,15 +94,13 @@ def match_density(chunk: np.ndarray, sample: int = _DENSITY_SAMPLE) -> float:
     return 1.0 - np.unique(grams).size / grams.size
 
 
-def choose_chunk_codec(chunk: np.ndarray, *,
-                       probe_threshold: float | None = None) -> str:
+def choose_chunk_codec(chunk: np.ndarray) -> str:
     """Pick a codec name (or ``"trial"``) for one chunk's content."""
     arr = as_u8(chunk)
     n = arr.size
     if n < MIN_PROBE_CHUNK:
         return "lzss"
-    if probe_incompressible(arr, min_size=MIN_PROBE_CHUNK,
-                            byte_entropy_bits=probe_threshold):
+    if probe_incompressible(arr, min_size=MIN_PROBE_CHUNK):
         return "store"
     counts = np.bincount(arr, minlength=256)
     p = counts[counts > 0] / n
@@ -123,9 +122,7 @@ def _empty_stats(input_size: int, output_size: int) -> EncodeStats:
 
 
 def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
-                        codec: str = "auto", max_chain: int = 64,
-                        probe_threshold: float | None = None
-                        ) -> EncodeResult:
+                        codec: str = "auto") -> EncodeResult:
     """Chunked encode with a per-chunk codec column.
 
     ``codec`` is either a registered codec name (every chunk uses it)
@@ -136,7 +133,6 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
     arr = as_u8(data)
     n = arr.size
     require_range(chunk_size, 1, 1 << 40, "chunk_size")
-    threshold = resolve_probe_threshold(probe_threshold)
     n_chunks = (n + chunk_size - 1) // chunk_size if n else 0
 
     if codec != "auto":
@@ -154,12 +150,12 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
         with obs.stage("codecs.choose", bytes=n):
             for c in range(n_chunks):
                 chunk = arr[c * chunk_size:(c + 1) * chunk_size]
-                name = choose_chunk_codec(chunk, probe_threshold=threshold)
+                name = choose_chunk_codec(chunk)
                 if name == "store":
                     obs.inc("codec.store_fallbacks")
                     obslog.event("codec", "store_fallback", scope="chunk",
                                  chunk=c, size=int(chunk.size),
-                                 threshold=threshold)
+                                 threshold=PROBE_BYTE_ENTROPY_BITS)
                 names.append(name)
     else:
         names = [codec] * n_chunks
@@ -170,11 +166,10 @@ def encode_chunked_auto(data, fmt: TokenFormat, chunk_size: int, *,
         group = [c for c, chosen in enumerate(names) if chosen == name]
         run = _gather(arr, group, chunk_size)
         if name == "trial":
-            encoded = _trial(run, fmt, chunk_size, max_chain)
+            encoded = _trial(run, fmt, chunk_size)
         else:
             run_codec = get_codec(name)
-            payload, sizes = run_codec.encode_run(run, fmt, chunk_size,
-                                                  max_chain=max_chain)
+            payload, sizes = run_codec.encode_run(run, fmt, chunk_size)
             encoded = [(run_codec.codec_id, part)
                        for part in _split(payload, sizes)]
         for c, (codec_id, part) in zip(group, encoded):
@@ -208,14 +203,14 @@ def _split(payload: bytes, sizes: np.ndarray) -> list[bytes]:
     return [payload[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _trial(run: np.ndarray, fmt: TokenFormat, chunk_size: int,
-           max_chain: int) -> list[tuple[int, bytes]]:
+def _trial(run: np.ndarray, fmt: TokenFormat,
+           chunk_size: int) -> list[tuple[int, bytes]]:
     """Measure, don't predict: ``(codec id, payload)`` per chunk of ``run``.
 
     One parse of the whole run is emitted as lzss and, chunk by chunk,
     as lzss-huffman; each chunk keeps the smaller (lzss on a tie).
     """
-    tokens, _stats = tokenize(run, fmt, chunk_size, max_chain)
+    tokens, _stats = tokenize(run, fmt, chunk_size)
     as_lzss, sizes = pack_lzss(tokens, run, fmt, chunk_size)
     encoded = []
     for lzss_part, (chunk, chunk_tokens) in zip(

@@ -62,13 +62,12 @@ LZ4S_MAX_MATCH = 0x7F + LZ4S_MIN_MATCH  # 131
 LZ4S_MAX_RUN = 128
 LZ4S_MAX_DIST = 0xFFFF
 
-#: Shallow chain depth — the speed knob.  Eight probes catches the
-#: bulk of 4+ byte matches at a fraction of the default depth of 64.
+#: Shallow chain depth, the codec's speed setting.  Eight probes catch
+#: the bulk of 4+ byte matches at a fraction of lzss's depth of 64.
 LZ4S_MAX_CHAIN = 8
 
 
-def lz4s_tokenize(arr: np.ndarray, chunk_size: int, *,
-                  max_chain: int = LZ4S_MAX_CHAIN) -> Tokens:
+def lz4s_tokenize(arr: np.ndarray, chunk_size: int) -> Tokens:
     """Chunk-local lz4s tokens: shallow hash-chain matches, min match 4.
 
     Reports the ``encode.match`` and ``encode.parse`` stages, the same
@@ -77,16 +76,14 @@ def lz4s_tokenize(arr: np.ndarray, chunk_size: int, *,
     window = min(chunk_size, LZ4S_MAX_DIST)
     with obs.stage("encode.match", bytes=arr.size):
         blen, bdist = hash_chain_best_matches(arr, window, LZ4S_MAX_MATCH,
-                                              max_chain=max_chain,
+                                              max_chain=LZ4S_MAX_CHAIN,
                                               chunk_size=chunk_size)
     with obs.stage("encode.parse", bytes=arr.size):
         advance = np.where(blen >= LZ4S_MIN_MATCH, blen, 1).astype(np.int64)
         return tokens_from_matches(bdist, advance, chunk_size)
 
 
-def lz4s_encode_chunked(data, chunk_size: int, *,
-                        max_chain: int = LZ4S_MAX_CHAIN
-                        ) -> tuple[bytes, np.ndarray]:
+def lz4s_encode_chunked(data, chunk_size: int) -> tuple[bytes, np.ndarray]:
     """Encode consecutive chunks; returns (payload, per-chunk sizes).
 
     The byte scatter after :func:`lz4s_tokenize` is the ``encode.pack``
@@ -99,7 +96,7 @@ def lz4s_encode_chunked(data, chunk_size: int, *,
     if n_chunks == 0:
         return b"", np.zeros(0, dtype=np.int64)
 
-    tokens = lz4s_tokenize(arr, chunk_size, max_chain=max_chain)
+    tokens = lz4s_tokenize(arr, chunk_size)
     with obs.stage("encode.pack", bytes=n, tokens=int(tokens.starts.size)):
         chunk_id = tokens.starts // chunk_size
         lit = np.nonzero(~tokens.is_pair)[0]
@@ -191,10 +188,7 @@ class Lz4sCodec(Codec):
         return lz4s_decode_chunk(payload, output_size, chunk_index)
 
     def encode_run(self, data: np.ndarray, fmt: TokenFormat,
-                   chunk_size: int, *,
-                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
-        # The shallow-chain default is the codec's identity; the
-        # engine-wide max_chain (tuned for lzss ratio) is ignored.
+                   chunk_size: int) -> tuple[bytes, np.ndarray]:
         return lz4s_encode_chunked(data, chunk_size)
 
 

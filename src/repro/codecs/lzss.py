@@ -32,9 +32,8 @@ class LzssCodec(Codec):
         return out
 
     def encode_run(self, data: np.ndarray, fmt: TokenFormat,
-                   chunk_size: int, *,
-                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
-        result = encode_chunked(data, fmt, chunk_size, max_chain=max_chain)
+                   chunk_size: int) -> tuple[bytes, np.ndarray]:
+        result = encode_chunked(data, fmt, chunk_size)
         return result.payload, np.asarray(result.chunk_sizes, dtype=np.int64)
 
 

@@ -90,9 +90,8 @@ class LzssHuffmanCodec(Codec):
     codec_id = LZSS_HUFFMAN_CODEC_ID
 
     def encode_run(self, data: np.ndarray, fmt: TokenFormat,
-                   chunk_size: int, *,
-                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
-        tokens, _stats = tokenize(data, fmt, chunk_size, max_chain)
+                   chunk_size: int) -> tuple[bytes, np.ndarray]:
+        tokens, _stats = tokenize(data, fmt, chunk_size)
         parts = [pack_lzss_huffman(chunk_tokens, chunk, fmt)
                  for chunk, chunk_tokens in split_tokens(tokens, data,
                                                          chunk_size)]

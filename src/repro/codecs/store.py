@@ -35,8 +35,7 @@ class StoreCodec(Codec):
         return np.asarray(payload, dtype=np.uint8)
 
     def encode_run(self, data: np.ndarray, fmt: TokenFormat,
-                   chunk_size: int, *,
-                   max_chain: int = 64) -> tuple[bytes, np.ndarray]:
+                   chunk_size: int) -> tuple[bytes, np.ndarray]:
         n = int(data.size)
         n_chunks = -(-n // chunk_size) if n else 0
         sizes = np.full(n_chunks, chunk_size, dtype=np.int64)

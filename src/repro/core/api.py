@@ -117,8 +117,8 @@ def _model_profile(compressor, result: EncodeResult, data,
 
 def gpu_compress(buffer, params: CompressionParams | None = None,
                  calibration: Calibration | None = None, *,
-                 workers: int | None = None, codec: str = "lzss",
-                 probe_threshold: float | None = None) -> CompressedBuffer:
+                 workers: int | None = None,
+                 codec: str = "lzss") -> CompressedBuffer:
     """In-memory compression on the (simulated) GPU.
 
     Parameters mirror the paper's ``Gpu_compress(in, out, params)``:
@@ -134,9 +134,10 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
     paper's pipeline with the classic v2 container; any other
     registered codec name — or ``"auto"``, the content-aware per-chunk
     dispatcher — goes through :mod:`repro.codecs` and writes a v3
-    container carrying the per-chunk codec column.  ``probe_threshold``
-    tunes the dispatcher's store-fallback entropy threshold
-    (bits/byte; defaults to ``REPRO_PROBE_THRESHOLD`` or 7.9).
+    container carrying the per-chunk codec column.  The dispatcher
+    stores a chunk raw when the incompressibility probe finds it
+    near-random: at least 7.9 bits/byte of byte entropy
+    (:data:`repro.lzss.matcher.PROBE_BYTE_ENTROPY_BITS`).
     """
     params = params or get_library().default_params()
     require(params.is_standard_format,
@@ -152,8 +153,7 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
                        version=params.version, codec=codec):
             result = _engine_for(workers).encode(
                 encode_chunked_auto, data, params.token_format,
-                params.chunk_size, codec=codec, max_chain=params.max_chain,
-                probe_threshold=probe_threshold)
+                params.chunk_size, codec=codec)
         # Mixed-codec pipelines are outside the paper's single-kernel
         # cost model; the profile is deliberately empty.
         return CompressedBuffer(data=pack_container(result), result=result,

@@ -51,7 +51,6 @@ class CompressionParams:
     device: DeviceSpec = FERMI_GTX480
     overlap_cpu_gpu: bool = True
     buffers_in_shared: bool = True
-    max_chain: int = 64
 
     def __post_init__(self) -> None:
         require(self.version in (1, 2), f"version must be 1 or 2, got {self.version}")

@@ -62,8 +62,8 @@ class V1Compressor:
         """Compress; always collects the detail arrays the model needs."""
         p = self.params
         return self.engine.encode(encode_chunked, data, p.token_format,
-                                  p.chunk_size, max_chain=p.max_chain,
-                                  collect_detail=True, slice_size=p.slice_size)
+                                  p.chunk_size, collect_detail=True,
+                                  slice_size=p.slice_size)
 
     # ------------------------------------------------------------------
     # cost model

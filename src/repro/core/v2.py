@@ -58,8 +58,7 @@ class V2Compressor:
         """Compress; always collects the detail arrays the model needs."""
         p = self.params
         return self.engine.encode(encode_chunked, data, p.token_format,
-                                  p.chunk_size, max_chain=p.max_chain,
-                                  collect_detail=True)
+                                  p.chunk_size, collect_detail=True)
 
     # ------------------------------------------------------------------
     # cost model

@@ -23,16 +23,12 @@ class SerialLzss:
 
     format = SERIAL
 
-    def __init__(self, max_chain: int = 64, collect_detail: bool = False,
-                 parse: str = "greedy"):
-        self.max_chain = max_chain
-        self.collect_detail = collect_detail
+    def __init__(self, parse: str = "greedy"):
         self.parse = parse
 
     def compress(self, data) -> EncodeResult:
         """Compress to a raw LZSS bit stream (+stats)."""
-        return encode(as_bytes(data), self.format, max_chain=self.max_chain,
-                      collect_detail=self.collect_detail, parse=self.parse)
+        return encode(as_bytes(data), self.format, parse=self.parse)
 
     def compress_container(self, data) -> bytes:
         """Compress to a self-describing container blob."""

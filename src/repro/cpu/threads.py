@@ -23,7 +23,7 @@ import os
 from repro.engine import ParallelEngine
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import EncodeResult, encode, encode_chunked
-from repro.lzss.formats import SERIAL, TokenFormat
+from repro.lzss.formats import SERIAL
 from repro.util.buffers import as_u8
 from repro.util.validation import require, require_range
 
@@ -45,15 +45,14 @@ class PthreadLzss:
     next use.
     """
 
+    format = SERIAL
+
     def __init__(self, n_threads: int | None = None,
-                 fmt: TokenFormat = SERIAL, max_chain: int = 64,
                  parse: str = "greedy") -> None:
         if n_threads is None:
             n_threads = min(DEFAULT_THREADS, os.cpu_count() or 1)
         self.n_threads = n_threads
         require_range(self.n_threads, 1, 1024, "n_threads")
-        self.format = fmt
-        self.max_chain = max_chain
         self.parse = parse
         self._engine = None
 
@@ -82,7 +81,7 @@ class PthreadLzss:
             return encode(b"", self.format)
         return self._get_engine().encode(
             encode_chunked, arr, self.format, -(-arr.size // self.n_threads),
-            max_chain=self.max_chain, parse=self.parse)
+            parse=self.parse)
 
     def decompress(self, result_or_payload, chunk_sizes=None,
                    chunk_size: int | None = None,

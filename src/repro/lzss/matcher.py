@@ -41,11 +41,12 @@ get their own scratch without locking.
 This module also hosts :func:`probe_incompressible` — the cheap entropy
 probe the service's ingress uses to route already-compressed or random
 buffers straight to raw passthrough *before* any match search runs.
+Its order-0 threshold is the fixed :data:`PROBE_BYTE_ENTROPY_BITS`
+(7.9 bits/byte).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -58,7 +59,6 @@ __all__ = [
     "ScratchArena",
     "hash_chain_best_matches",
     "probe_incompressible",
-    "resolve_probe_threshold",
 ]
 
 DEFAULT_MAX_CHAIN = 64
@@ -73,35 +73,6 @@ _ARENA_CAP = 1 << 20
 PROBE_SAMPLE_BYTES = 1 << 16
 PROBE_MIN_SIZE = 1024
 PROBE_BYTE_ENTROPY_BITS = 7.9
-
-#: Environment override for the probe's order-0 entropy threshold —
-#: the same knob ``culzss compress --probe-threshold`` exposes.
-PROBE_THRESHOLD_ENV = "REPRO_PROBE_THRESHOLD"
-
-
-def resolve_probe_threshold(override: float | None = None) -> float:
-    """The effective store-fallback entropy threshold, in bits/byte.
-
-    Resolution order: explicit ``override`` (a CLI flag or API
-    argument), then the ``REPRO_PROBE_THRESHOLD`` environment variable,
-    then the built-in default.  Values outside (0, 8] are rejected —
-    8 bits/byte would make the probe unsatisfiable, 0 or less would
-    declare everything incompressible.
-    """
-    if override is None:
-        raw = os.environ.get(PROBE_THRESHOLD_ENV, "").strip()
-        if not raw:
-            return PROBE_BYTE_ENTROPY_BITS
-        try:
-            override = float(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{PROBE_THRESHOLD_ENV}={raw!r} is not a number") from exc
-    if not 0.0 < override <= 8.0:
-        raise ValueError(
-            f"probe threshold must be in (0, 8] bits/byte, got {override}")
-    return float(override)
-
 
 class ScratchArena(threading.local):
     """Per-thread reusable integer scratch buffers.
@@ -303,38 +274,34 @@ def hash_chain_best_matches(
     return best_len, best_dist
 
 
-def probe_incompressible(
-    data,
-    *,
-    sample_bytes: int = PROBE_SAMPLE_BYTES,
-    min_size: int = PROBE_MIN_SIZE,
-    byte_entropy_bits: float | None = None,
-) -> bool:
+def probe_incompressible(data, *, min_size: int = PROBE_MIN_SIZE) -> bool:
     """Cheap pre-flight check: is ``data`` almost certainly incompressible?
 
-    Samples a prefix and measures order-0 (byte) and order-1 (digram)
-    empirical entropy.  Only when *both* sit near their sample-size
-    ceilings is the buffer declared incompressible — the conservative
+    Samples a prefix of :data:`PROBE_SAMPLE_BYTES` and measures order-0
+    (byte) and order-1 (digram) empirical entropy.  Only when *both* sit
+    near their ceilings — at least :data:`PROBE_BYTE_ENTROPY_BITS`
+    (7.9 bits/byte) for bytes, the sample-size ceiling for digrams — is
+    the buffer declared incompressible.  That is the conservative
     direction: a ``False`` merely means the encoder runs as usual, while
     a ``True`` lets the service ship the bytes raw without any match
     search.  The digram check catches the classic false positive of a
     random block repeated many times (flat byte histogram, few digrams).
+    Buffers under ``min_size`` bytes are never declared incompressible.
 
-    Cost is two ``bincount`` passes over ≤ ``sample_bytes`` bytes —
-    orders of magnitude below one matcher chain round.
+    Cost is two ``bincount`` passes over the sample — orders of
+    magnitude below one matcher chain round.
     """
     obs.inc("matcher.probe_calls")
-    byte_entropy_bits = resolve_probe_threshold(byte_entropy_bits)
     arr = as_u8(data)
     if arr.size < max(min_size, 2):
         return False
-    sample = arr[:sample_bytes]
+    sample = arr[:PROBE_SAMPLE_BYTES]
     m = sample.size
 
     counts = np.bincount(sample, minlength=256)
     p = counts[counts > 0] / m
     h1 = float(-(p * np.log2(p)).sum())
-    if h1 < byte_entropy_bits:
+    if h1 < PROBE_BYTE_ENTROPY_BITS:
         return False
 
     grams = (sample[:-1].astype(np.int32) << 8) | sample[1:]

@@ -24,6 +24,7 @@ egress reassembly dedupes any frames that made it through twice.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable
@@ -80,26 +81,24 @@ TRANSIENT_ERRORS = (ConnectionError, OSError, TimeoutError,
 _PROFILE_MAX_SECONDS = 30.0
 
 
-def _profile_params(query: str) -> tuple[float, float | None]:
-    """``seconds`` (default 2, clamped to [0.1, 30]) and ``hz`` (``None``
-    for the profiler's default) of a ``/profile?seconds=&hz=`` query."""
+def _profile_seconds(query: str) -> float:
+    """The sampling window of a ``/profile?seconds=N`` query: N clamped
+    to [0.1, 30], or 2 when N is absent, unparsable or not finite."""
     params = dict(p.split("=", 1) for p in query.split("&") if "=" in p)
     try:
         seconds = float(params.get("seconds", 2.0))
     except ValueError:
         seconds = 2.0
-    try:
-        hz = float(params.get("hz", 0)) or None
-    except ValueError:
-        hz = None
-    return min(max(seconds, 0.1), _PROFILE_MAX_SECONDS), hz
+    if not math.isfinite(seconds):
+        seconds = 2.0
+    return min(max(seconds, 0.1), _PROFILE_MAX_SECONDS)
 
 
 def _profile_window(path: str) -> float:
     """Extra render-budget seconds a sidecar request needs: the sampling
     window for ``/profile``, zero for every other path."""
     path, _, query = path.partition("?")
-    return _profile_params(query)[0] if path == "/profile" else 0.0
+    return _profile_seconds(query) if path == "/profile" else 0.0
 
 
 async def retry_with_backoff(fn: Callable[[], Awaitable], *,
@@ -273,7 +272,8 @@ class GatewayServer:
 
         Runs in the sidecar's worker thread, so the sleep never blocks
         the event loop.  If no profiler is running one is started for
-        the window and stopped after; an already-running profiler (e.g.
+        the window, at the profiler's own rate (``REPRO_PROFILE_HZ`` or
+        97 Hz), and stopped after; an already-running profiler (e.g.
         ``serve --profile``) is windowed by snapshot diff instead, so
         the request never disturbs its accumulation.  The export covers
         every pid known at the end of the window — pool workers whose
@@ -283,10 +283,10 @@ class GatewayServer:
 
         from repro.obs import prof
 
-        seconds, hz = _profile_params(query)
+        seconds = _profile_seconds(query)
         owned = not prof.running()
         if owned:
-            prof.start(hz)
+            prof.start()
         before = prof.profiles()
         time.sleep(seconds)
         after = prof.profiles()
@@ -517,14 +517,14 @@ class GatewayClient:
     read.
 
     ``codec`` selects the container codec for outgoing frames (any
-    registered name, or ``"auto"`` for the per-chunk dispatcher);
-    ``probe_threshold`` tunes the incompressibility probe's
-    bits-per-byte cutoff.  A non-default codec triggers a ``NEG``
-    handshake on connect: the client offers the codec ids it may emit
-    and, if the egress gateway does not accept them all, falls back to
-    the classic LZSS pipeline (``client.codec_fallbacks``) rather than
-    ship containers the peer would refuse.  The peer's answer is kept
-    in ``accepted_codecs``.
+    registered name, or ``"auto"`` for the per-chunk dispatcher).
+    Frames the incompressibility probe finds near-random (at least 7.9
+    bits/byte) ship raw whatever the codec.  A non-default codec
+    triggers a ``NEG`` handshake on connect: the client offers the
+    codec ids it may emit and, if the egress gateway does not accept
+    them all, falls back to the classic LZSS pipeline
+    (``client.codec_fallbacks``) rather than ship containers the peer
+    would refuse.  The peer's answer is kept in ``accepted_codecs``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -532,8 +532,7 @@ class GatewayClient:
                  timeout: float = 30.0, retries: int = 3,
                  backoff: float = 0.05, metrics: MetricRegistry | None = None,
                  executor=None,
-                 codec: str = "lzss",
-                 probe_threshold: float | None = None) -> None:
+                 codec: str = "lzss") -> None:
         self.host = host
         self.port = port
         self.version = version
@@ -547,8 +546,7 @@ class GatewayClient:
                                         queue_depth=queue_depth,
                                         metrics=self.metrics,
                                         executor=executor,
-                                        codec=codec,
-                                        probe_threshold=probe_threshold)
+                                        codec=codec)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 

@@ -53,8 +53,7 @@ __all__ = [
 
 def encode_payload(data: bytes, version: int = 2, *,
                    workers: int | None = None,
-                   trace_id: int = 0, codec: str = "lzss",
-                   probe_threshold: float | None = None) -> tuple[int, bytes]:
+                   trace_id: int = 0, codec: str = "lzss") -> tuple[int, bytes]:
     """Compress one buffer into ``(flags, payload)``.
 
     The raw-passthrough guard: if the CULZSS container comes out no
@@ -62,9 +61,8 @@ def encode_payload(data: bytes, version: int = 2, *,
     ship the original bytes with :data:`FLAG_RAW` — so a frame never
     expands its buffer by more than :data:`FRAME_HEADER_SIZE` bytes.
     The entropy probe short-circuits obviously incompressible buffers
-    to that same raw path before any match search runs;
-    ``probe_threshold`` tunes its bits-per-byte cutoff (defaulting to
-    the ``REPRO_PROBE_THRESHOLD`` environment override).
+    to that same raw path before any match search runs (at least 7.9
+    bits/byte, :func:`repro.lzss.matcher.probe_incompressible`).
 
     ``workers`` shards the encode across a :class:`repro.engine.
     ParallelEngine`; ``trace_id`` joins the frame span (and everything
@@ -80,14 +78,12 @@ def encode_payload(data: bytes, version: int = 2, *,
     data = bytes(data)
     with trace.span("gateway.frame", trace_id=trace_id or None,
                     op="encode", size=len(data)):
-        if probe_incompressible(data, byte_entropy_bits=probe_threshold):
+        if probe_incompressible(data):
             obslog.event("codec", "store_fallback", scope="frame",
-                         reason="probe", size=len(data),
-                         trace_id=trace_id, threshold=probe_threshold)
+                         reason="probe", size=len(data), trace_id=trace_id)
             return FLAG_RAW, data
         container = gpu_compress(data, CompressionParams(version=version),
-                                 workers=workers, codec=codec,
-                                 probe_threshold=probe_threshold).data
+                                 workers=workers, codec=codec).data
         if len(container) >= len(data):
             obslog.event("codec", "store_fallback", scope="frame",
                          reason="expanded", size=len(data),
@@ -265,23 +261,21 @@ class IngressPipeline(_PooledStage):
     bounds frames in flight between the stages, which is both the
     parallelism cap and the backpressure bound.
 
-    ``codec``/``probe_threshold`` parameterize the stock encode job
-    (see :func:`encode_payload`); both are plain attributes, so the
-    gateway client may still downgrade ``codec`` after negotiation and
-    the next :meth:`run` picks the change up.  Custom ``job`` callables
-    ignore them.
+    ``codec`` parameterizes the stock encode job (see
+    :func:`encode_payload`); it is a plain attribute, so the gateway
+    client may still downgrade it after negotiation and the next
+    :meth:`run` picks the change up.  Custom ``job`` callables ignore
+    it.
     """
 
     def __init__(self, version: int = 2, workers: int = 2,
                  queue_depth: int = 8, metrics: MetricRegistry | None = None,
                  executor: Executor | None = None,
                  job: Callable[[bytes, int], tuple[int, bytes]] | None = None,
-                 codec: str = "lzss",
-                 probe_threshold: float | None = None) -> None:
+                 codec: str = "lzss") -> None:
         super().__init__(workers, queue_depth, metrics, executor)
         self.version = version
         self.codec = codec
-        self.probe_threshold = probe_threshold
         self._job = job
 
     async def run(self, stream_id: int,
@@ -298,7 +292,7 @@ class IngressPipeline(_PooledStage):
         stock = self._job is None
         # Stock frames get a trace id, stamped on the wire header.
         traced = stock and obs.enabled()
-        codec, threshold = self.codec, self.probe_threshold
+        codec = self.codec
 
         async def submit() -> int:
             seq = 0
@@ -307,12 +301,10 @@ class IngressPipeline(_PooledStage):
                 tid = trace.new_trace_id() if traced else 0
                 if stock:
                     job = partial(encode_payload, data, self.version,
-                                  trace_id=tid, codec=codec,
-                                  probe_threshold=threshold)
+                                  trace_id=tid, codec=codec)
                 else:
                     job = partial(self._job, data, self.version)
-                if stock and probe_incompressible(
-                        data, byte_entropy_bits=threshold):
+                if stock and probe_incompressible(data):
                     # Near-random buffer: the codec would only rediscover
                     # FLAG_RAW the expensive way — skip the pool outright.
                     fut = loop.create_future()
@@ -320,7 +312,7 @@ class IngressPipeline(_PooledStage):
                     m.inc("ingress.probe_raw_frames")
                     obslog.event("codec", "store_fallback", scope="frame",
                                  reason="probe", size=len(data),
-                                 trace_id=tid, threshold=threshold)
+                                 trace_id=tid)
                 else:
                     fut = self._submit("ingress", tid, job)
                 enq = perf_counter()

@@ -12,13 +12,12 @@ from repro.util.bitio import (
     unpack_bits,
 )
 from repro.util.buffers import as_bytes, as_u8
-from repro.util.checksum import adler32, crc32, crc32_reference
+from repro.util.checksum import crc32, crc32_reference
 from repro.util.validation import require, require_range, require_type
 
 __all__ = [
     "BitReader",
     "BitWriter",
-    "adler32",
     "as_bytes",
     "as_u8",
     "crc32",

@@ -1,12 +1,9 @@
-"""Checksums for the container format: CRC-32 (IEEE) and Adler-32.
+"""CRC-32 (IEEE), the checksum of the container and the frame protocol.
 
 ``crc32_reference`` is a from-scratch table-driven CRC-32 — the
 executable specification.  ``crc32`` is the production entry point; it
 delegates to :func:`binascii.crc32` (C speed, same polynomial), and the
-test suite property-checks the two against each other.  ``adler32`` is
-implemented from scratch *vectorized* — Adler's two running sums reduce
-to prefix sums, so NumPy computes it in O(n) vector work with chunking
-to dodge overflow.
+test suite property-checks the two against each other.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import numpy as np
 
 from repro.util.buffers import as_u8
 
-__all__ = ["adler32", "crc32", "crc32_reference"]
+__all__ = ["crc32", "crc32_reference"]
 
 _CRC_POLY = 0xEDB88320  # reflected IEEE 802.3 polynomial
 
@@ -49,31 +46,3 @@ def crc32(data: bytes | bytearray | memoryview | np.ndarray, crc: int = 0) -> in
         data = as_u8(data).tobytes()
     return binascii.crc32(data, crc) & 0xFFFFFFFF
 
-
-_ADLER_MOD = 65521
-# Sum of k uint8 values fits int64 easily; the B accumulator grows as
-# O(chunk^2 * 255) so keep chunks small enough for int64: 2**20 is safe
-# (2**40 * 255 < 2**63).
-_ADLER_CHUNK = 1 << 20
-
-
-def adler32(data: bytes | bytearray | memoryview | np.ndarray, value: int = 1) -> int:
-    """Adler-32 of ``data``, vectorized from scratch.
-
-    ``A = 1 + sum(d_i) mod 65521``; ``B = sum of running A``.  Within a
-    chunk of length k starting with state (A, B):
-    ``A' = A + S`` and ``B' = B + k*A + W`` where ``S = sum(d)`` and
-    ``W = sum((k - i) * d_i)`` — both plain vector reductions.
-    """
-    arr = as_u8(data).astype(np.int64, copy=False)
-    a = value & 0xFFFF
-    b = (value >> 16) & 0xFFFF
-    for start in range(0, arr.size, _ADLER_CHUNK):
-        chunk = arr[start:start + _ADLER_CHUNK]
-        k = chunk.size
-        s = int(chunk.sum())
-        weights = np.arange(k, 0, -1, dtype=np.int64)
-        w = int((chunk * weights).sum())
-        b = (b + k * a + w) % _ADLER_MOD
-        a = (a + s) % _ADLER_MOD
-    return ((b << 16) | a) & 0xFFFFFFFF

@@ -1,4 +1,4 @@
-"""The content-aware dispatcher: choices, knobs, accounting, decode."""
+"""The content-aware dispatcher: choices, encoding, accounting, decode."""
 
 from __future__ import annotations
 
@@ -18,16 +18,11 @@ from repro.codecs.dispatch import (
     encode_chunked_auto,
     match_density,
 )
-from repro.datasets import generate
 from repro.errors import CorruptChunkError
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
-from repro.lzss.formats import CUDA_V1, CUDA_V2
-from repro.lzss.matcher import (
-    PROBE_BYTE_ENTROPY_BITS,
-    PROBE_THRESHOLD_ENV,
-    resolve_probe_threshold,
-)
+from repro.lzss.formats import CUDA_V2
+from repro.lzss.matcher import PROBE_BYTE_ENTROPY_BITS
 from repro.obs import log as obslog
 
 CHUNK = 4096
@@ -67,42 +62,6 @@ def test_choose_routes_by_content():
 def test_tiny_chunks_skip_the_statistics():
     tiny = RANDOM[:MIN_PROBE_CHUNK - 1]
     assert choose_chunk_codec(tiny) == "lzss"
-
-
-def test_probe_threshold_changes_the_store_decision():
-    """Raising the ceiling to 8.0 makes random bytes 'compressible'
-    (sampled entropy never reaches the true ceiling), so the chooser
-    falls through to the density stage and picks lz4s."""
-    assert choose_chunk_codec(RANDOM, probe_threshold=None) == "store"
-    assert choose_chunk_codec(RANDOM, probe_threshold=8.0) == "lz4s"
-
-
-# ------------------------------------------------------ threshold knob
-
-def test_resolve_probe_threshold_precedence(monkeypatch):
-    monkeypatch.delenv(PROBE_THRESHOLD_ENV, raising=False)
-    assert resolve_probe_threshold() == PROBE_BYTE_ENTROPY_BITS
-    monkeypatch.setenv(PROBE_THRESHOLD_ENV, "6.25")
-    assert resolve_probe_threshold() == 6.25
-    assert resolve_probe_threshold(7.5) == 7.5  # explicit override wins
-
-
-@pytest.mark.parametrize("bad", ["0", "-1", "8.5", "bananas"])
-def test_resolve_probe_threshold_rejects_bad_env(monkeypatch, bad):
-    monkeypatch.setenv(PROBE_THRESHOLD_ENV, bad)
-    with pytest.raises(ValueError):
-        resolve_probe_threshold()
-
-
-@pytest.mark.parametrize("bad", [0.0, -2.0, 9.0])
-def test_resolve_probe_threshold_rejects_bad_override(bad):
-    with pytest.raises(ValueError, match=r"\(0, 8\]"):
-        resolve_probe_threshold(bad)
-
-
-def test_env_threshold_reaches_the_chooser(monkeypatch):
-    monkeypatch.setenv(PROBE_THRESHOLD_ENV, "8.0")
-    assert choose_chunk_codec(RANDOM) == "lz4s"
 
 
 # ------------------------------------------------------------- encoding
@@ -154,18 +113,6 @@ def test_auto_never_meaningfully_worse_than_lzss():
     auto = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
     lzss = encode_chunked(data, CUDA_V2, CHUNK)
     assert len(auto.payload) <= len(lzss.payload) * 1.01
-
-
-@pytest.mark.parametrize("codec", ["auto", "lzss-huffman", "lzss"])
-def test_max_chain_reaches_every_token_codec(codec):
-    """A hash-chain format's chain depth changes the payload whichever
-    path tokenizes it: the trial, lzss-huffman's runs and plain lzss."""
-    data = generate("cfiles", 16384, seed=3)
-    shallow, deep = (
-        encode_chunked_auto(data, CUDA_V1, CHUNK, codec=codec, max_chain=m)
-        for m in (1, 64))
-    assert shallow.payload != deep.payload
-    assert len(shallow.payload) > len(deep.payload)
 
 
 def test_empty_and_unknown_inputs():

@@ -76,13 +76,3 @@ def test_sharded_salvage_merges_unknown_codec_reports(engine, corpus):
     assert sorted(report.recovered) == sorted(serial_report.recovered)
     assert got[CHUNK:2 * CHUNK] == corpus[CHUNK:2 * CHUNK]
     assert got[:CHUNK] == b"\x5a" * CHUNK
-
-
-def test_probe_threshold_respected_when_sharded(engine, corpus):
-    data = np.frombuffer(corpus, dtype=np.uint8)
-    serial = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto",
-                                 probe_threshold=8.0)
-    sharded = engine.encode(encode_chunked_auto, data, CUDA_V2, CHUNK,
-                            codec="auto", probe_threshold=8.0)
-    assert list(sharded.chunk_codecs) == list(serial.chunk_codecs)
-    assert sharded.payload == serial.payload

@@ -69,8 +69,7 @@ def test_conflicting_registration_rejected():
         name = "lzss"          # taken by a different class
         codec_id = 99
 
-        def encode_run(self, data, fmt, chunk_size, *,
-                       max_chain=64):  # pragma: no cover
+        def encode_run(self, data, fmt, chunk_size):  # pragma: no cover
             return b"", np.zeros(0, dtype=np.int64)
 
         def decode_chunk(self, payload, fmt, output_size, *,
@@ -91,8 +90,7 @@ def test_out_of_range_wire_id_rejected(bad_id):
         name = "out-of-range"
         codec_id = bad_id
 
-        def encode_run(self, data, fmt, chunk_size, *,
-                       max_chain=64):  # pragma: no cover
+        def encode_run(self, data, fmt, chunk_size):  # pragma: no cover
             return b"", np.zeros(0, dtype=np.int64)
 
         def decode_chunk(self, payload, fmt, output_size, *,

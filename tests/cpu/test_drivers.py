@@ -27,10 +27,6 @@ class TestSerial:
         with pytest.raises(ValueError):
             SerialLzss().decompress_container(blob)
 
-    def test_detail_collection(self, text_data):
-        r = SerialLzss(collect_detail=True).compress(text_data)
-        assert r.stats.token_starts is not None
-
 
 class TestPthread:
     def test_roundtrip_result_object(self, text_data):

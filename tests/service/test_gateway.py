@@ -383,6 +383,7 @@ def test_sidecar_profile_endpoint_returns_speedscope_window():
     ("/profile?seconds=0.5", 0.5), ("/profile?seconds=99", 30.0),
     ("/profile?seconds=0", 0.1), ("/profile?seconds=banana&hz=x", 2.0),
     ("/profile", 2.0), ("/metrics?seconds=5", 0.0),
+    ("/profile?seconds=nan", 2.0), ("/profile?seconds=inf", 2.0),
 ])
 def test_sidecar_profile_window_is_the_clamped_sampling_window(path, window):
     """The render budget a request gets is the window ``/profile``
@@ -390,3 +391,28 @@ def test_sidecar_profile_window_is_the_clamped_sampling_window(path, window):
     from repro.service.gateway import _profile_window
 
     assert _profile_window(path) == window
+
+
+@pytest.mark.parametrize("hz", ["nan", "inf", "-5", "1e9"])
+def test_sidecar_profile_ignores_hz(hz, monkeypatch):
+    """``/profile`` samples at the profiler's own rate whatever ``hz``
+    the query names, and answers strict JSON."""
+    import json
+    import os
+
+    from repro.obs import prof
+
+    def strict(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    monkeypatch.delenv(prof.ENV_HZ, raising=False)
+    prof.clear()
+    try:
+        status, _ctype, body = GatewayServer(metrics_port=0)._render_profile(
+            f"seconds=0.2&hz={hz}")
+        assert status == "200 OK"
+        doc = json.loads(body, parse_constant=strict)
+        assert doc["profiles"]
+        assert prof.profiles()[os.getpid()]["hz"] == prof.DEFAULT_HZ
+    finally:
+        prof.clear()

@@ -134,6 +134,40 @@ def test_decompress_salvage_clean_blob_is_exit_zero(sample_file, tmp_path,
     assert "recovered" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fill", ["300", "-1"])
+def test_decompress_fill_byte_out_of_range_is_a_usage_error(
+        fill, sample_file, tmp_path, capsys):
+    from repro.testing import corrupt_chunks
+
+    comp = tmp_path / "x.cz"
+    main(["compress", str(sample_file), str(comp)])
+    comp.write_bytes(corrupt_chunks(comp.read_bytes(), [1], seed=11))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["decompress", str(comp), str(tmp_path / "o"), "--salvage",
+              "--fill-byte", fill])
+    assert exc.value.code == 2
+    assert "--fill-byte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["flipped", "truncated", "not-a-container"])
+def test_info_reports_a_bad_file_in_one_line(damage, sample_file, tmp_path,
+                                             capsys):
+    from repro.testing import corrupt_chunks
+
+    comp = tmp_path / "x.cz"
+    main(["compress", str(sample_file), str(comp)])
+    blob = comp.read_bytes()
+    comp.write_bytes({"flipped": corrupt_chunks(blob, [1], seed=11),
+                      "truncated": blob[:20],
+                      "not-a-container": b"not a container at all"}[damage])
+    capsys.readouterr()
+    assert main(["info", str(comp)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -370,13 +404,6 @@ def test_compress_codec_rejected_for_other_systems(sample_file, tmp_path,
                "--system", "bzip2", "--codec", "auto"])
     assert rc == 2
     assert "--codec" in capsys.readouterr().err
-
-
-def test_compress_probe_threshold_validated(sample_file, tmp_path, capsys):
-    rc = main(["compress", str(sample_file), str(tmp_path / "x"),
-               "--codec", "auto", "--probe-threshold", "9.5"])
-    assert rc == 2
-    assert "probe threshold" in capsys.readouterr().err
 
 
 def test_info_lists_per_chunk_codecs(sample_file, tmp_path, capsys):

@@ -1,14 +1,13 @@
-"""Checksums: from-scratch CRC-32 and vectorized Adler-32."""
+"""Checksums: from-scratch CRC-32 and its fast path."""
 
 import binascii
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.checksum import adler32, crc32, crc32_reference
+from repro.util.checksum import crc32, crc32_reference
 
 
 class TestCrc32:
@@ -41,30 +40,7 @@ class TestCrc32:
         assert crc32(bytes(data)) != before
 
 
-class TestAdler32:
-    def test_known_vector(self):
-        assert adler32(b"Wikipedia") == 0x11E60398
-
-    def test_empty(self):
-        assert adler32(b"") == 1
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.binary(max_size=2048))
-    def test_matches_zlib(self, data):
-        assert adler32(data) == zlib.adler32(data)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.binary(max_size=256), st.binary(max_size=256))
-    def test_incremental(self, a, b):
-        assert adler32(b, adler32(a)) == zlib.adler32(a + b)
-
-    def test_crosses_chunk_boundary(self):
-        data = bytes(np.random.default_rng(3).integers(
-            0, 256, (1 << 20) + 17, dtype=np.uint8))
-        assert adler32(data) == zlib.adler32(data)
-
-
-@pytest.mark.parametrize("func", [crc32, adler32])
+@pytest.mark.parametrize("func", [crc32])
 def test_checksum_accepts_all_buffer_types(func):
     raw = b"buffer type zoo"
     expected = func(raw)
