@@ -11,15 +11,27 @@ import pytest
 from repro.bzip2.bwt import bwt_transform
 from repro.bzip2.mtf import mtf_encode
 from repro.bzip2.pipeline import compress as bz_compress
+from repro.codecs.lz4s import LZ4S_MAX_CHAIN, LZ4S_MAX_MATCH
+from repro.core.params import CompressionParams
 from repro.datasets import generate
 from repro.lzss.decoder import decode
 from repro.lzss.encoder import encode
 from repro.lzss.formats import CUDA_V2, SERIAL
 from repro.lzss.lagmatch import lag_best_matches
 from repro.lzss.matcher import hash_chain_best_matches
+from repro.model.cpu import sample_match_statistics
 from repro.util.bitio import pack_tokens
 
 SIZE = 256 * 1024
+
+#: The matcher's two hot callers, on the 64 KiB buffers of the e2e mix.
+CHAIN_SIZE = 64 * 1024
+_V1 = CompressionParams(version=1)
+V1_CHAIN = dict(window=_V1.token_format.window,
+                max_match=_V1.token_format.max_match,
+                chunk_size=_V1.chunk_size, slice_size=_V1.slice_size)
+LZ4S_CHAIN = dict(window=4096, max_match=LZ4S_MAX_MATCH,
+                  max_chain=LZ4S_MAX_CHAIN, chunk_size=4096)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +53,32 @@ def test_v2_window_scan(benchmark, cfiles):
 def test_hash_chain_matcher(benchmark, cfiles):
     blen, _ = benchmark(hash_chain_best_matches, cfiles, 4096, 18)
     assert blen.max() > 0
+
+
+def test_hash_chain_v1_highly_compressible(benchmark):
+    data = generate("highly_compressible", CHAIN_SIZE, seed=1)
+    blen, _ = benchmark(hash_chain_best_matches, data, **V1_CHAIN)
+    assert blen.max() > 0
+
+
+def test_hash_chain_lz4s_cfiles(benchmark):
+    data = generate("cfiles", CHAIN_SIZE, seed=1)
+    blen, _ = benchmark(hash_chain_best_matches, data, **LZ4S_CHAIN)
+    assert blen.max() > 0
+
+
+@pytest.mark.parametrize("config", [V1_CHAIN, LZ4S_CHAIN], ids=["v1", "lz4s"])
+def test_hash_chain_random(benchmark, config):
+    # The fixed costs (word build, radix sort), with almost no chains.
+    data = np.random.default_rng(0).integers(0, 256, CHAIN_SIZE,
+                                             dtype=np.uint8)
+    blen, _ = benchmark(hash_chain_best_matches, data, **config)
+    assert blen.size == CHAIN_SIZE
+
+
+def test_sample_match_statistics(benchmark, cfiles):
+    stats = benchmark(sample_match_statistics, cfiles)
+    assert 1.0 <= stats.kappa <= 18.0
 
 
 def test_decode(benchmark, cfiles):

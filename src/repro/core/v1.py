@@ -52,6 +52,10 @@ class V1Compressor:
                  engine=None) -> None:
         params = params or CompressionParams(version=1)
         require(params.version == 1, "V1Compressor needs version=1 params")
+        require(params.chunk_size % params.slice_size == 0,
+                f"V1 splits each chunk into equal per-thread slices: "
+                f"chunk_size {params.chunk_size} is not a multiple of "
+                f"chunk_size // threads_per_block = {params.slice_size}")
         self.params = params
         #: The :class:`repro.engine.ParallelEngine` that runs the encode;
         #: the one-thread default is the serial path, wider engines

@@ -38,7 +38,7 @@ import numpy as np
 from repro.util.buffers import as_u8
 from repro.util.validation import require_range
 
-__all__ = ["LagMatchResult", "lag_best_matches", "lag_run_lengths"]
+__all__ = ["LagMatchResult", "lag_best_matches"]
 
 
 WARP_SIZE = 32
@@ -84,18 +84,6 @@ def _capped_runs(eq: np.ndarray, cap: int) -> np.ndarray:
         head += r[s:] * (head == s).view(np.uint8)
         s *= 2
     return r
-
-
-def lag_run_lengths(data: np.ndarray, lag: int, cap: int) -> np.ndarray:
-    """Prefix-match run lengths between ``data[k+lag]`` and ``data[k]``.
-
-    Returns ``R`` of length ``n - lag`` where ``R[k]`` is the largest
-    ``l ≤ cap`` with ``data[k:k+l] == data[k+lag:k+lag+l]``, in the
-    narrow unsigned type of :func:`_capped_runs`.
-    """
-    n = data.size
-    require_range(lag, 1, max(n - 1, 1), "lag")
-    return np.minimum(_capped_runs(data[lag:] == data[:-lag], cap), cap)
 
 
 def lag_best_matches(

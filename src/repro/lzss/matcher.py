@@ -5,9 +5,9 @@ lag — perfect for the CUDA formats' 128-byte window, hopeless for the
 serial format's 4096.  This module finds all-position longest matches
 the way zlib does: positions are bucketed by their 3-byte prefix
 ("gram"); candidates for position ``i`` are the nearest previous
-positions with the same gram inside the window; candidate match lengths
-are extended *for every pair simultaneously* in at most ``max_match``
-vector rounds.
+positions with the same gram inside the window, visited nearest first,
+*for every position simultaneously* — round ``k`` tries each position's
+``k``-th candidate.
 
 Because any match of length ≥ 3 must share its leading gram, searching
 every same-gram predecessor in the window is **exact** for LZSS
@@ -15,28 +15,29 @@ purposes (shorter candidates are emitted as literals anyway).  The
 ``max_chain`` bound makes the search approximate on extremely
 repetitive data, exactly like zlib's chain cap; tests use
 ``max_chain ≥ window`` to check exactness against the brute-force
-reference.
+reference, and a plain-loop oracle of the bounded walk for the rest.
 
-Hot-path engineering (the matcher dominates small-frame encode cost):
+Hot-path engineering (the matcher dominates V1 and lz4s encode cost):
 
-* **Chunk-local chains** — with ``chunk_size`` given, the gram sort key
+* **Chunk-local chains** — with ``chunk_size`` given, the sort key
   carries the chunk id, so buckets never mix chunks.  Chain slots are
   not wasted on cross-chunk candidates (which the window check would
   discard anyway), and — crucially for :mod:`repro.engine` — the result
   for a chunk depends only on that chunk's bytes, so any chunk-aligned
   sharding of the input produces byte-identical matches.
-* **Saturation early exit** — a position whose best match already
-  reached its length cap (``max_match`` or a chunk/slice boundary)
-  cannot improve; its pairs are dropped before extension, and the chain
-  loop stops outright once no position can improve (one vector pass per
-  few rounds, a large win on run-heavy data).
-* **Scratch arena** — the position ladder and integer temporaries are
-  reused from a per-thread arena (:class:`ScratchArena`) instead of
-  being reallocated per call; the per-call ``argsort`` and the result
-  arrays are the only mandatory allocations left.
-
-The arena is thread-local, so the parallel engine's worker threads each
-get their own scratch without locking.
+* **A shrinking live set** — one stable sort (two 16-bit radix passes
+  on typical inputs) gives every position its depth in its bucket.  A
+  position leaves the walk for good once its bucket is exhausted, at
+  its first candidate beyond the window (distances only grow with
+  ``k``), or once its match reaches its length cap (``max_match`` or a
+  chunk/slice boundary).  A round costs O(live positions), not O(n).
+* **zlib's scan-end check** — a candidate can only beat the current
+  best length ``L`` if it agrees on byte ``L`` too; one byte compare
+  skips the others before any extension.
+* **8 bytes per compare** — extension XORs little-endian 8-byte words
+  (built once per call, zero-padded past the end); the first differing
+  byte is the trailing zero bytes of the XOR.  This is GPULZ's
+  multi-byte matching (arXiv:2304.07342) in vector form.
 
 This module also hosts :func:`probe_incompressible` — the cheap entropy
 probe the service's ingress uses to route already-compressed or random
@@ -47,8 +48,6 @@ Its order-0 threshold is the fixed :data:`PROBE_BYTE_ENTROPY_BITS`
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro import obs
@@ -56,16 +55,11 @@ from repro.util.buffers import as_u8
 from repro.util.validation import require_range
 
 __all__ = [
-    "ScratchArena",
     "hash_chain_best_matches",
     "probe_incompressible",
 ]
 
 DEFAULT_MAX_CHAIN = 64
-
-#: Arena slots larger than this many int64 elements are not cached —
-#: the arena targets the small-frame hot path, not 8 MiB one-shots.
-_ARENA_CAP = 1 << 20
 
 #: Probe defaults: order-0 threshold just below the 8 bits/byte of true
 #: noise, order-1 threshold guarding against "random block repeated"
@@ -74,89 +68,51 @@ PROBE_SAMPLE_BYTES = 1 << 16
 PROBE_MIN_SIZE = 1024
 PROBE_BYTE_ENTROPY_BITS = 7.9
 
-class ScratchArena(threading.local):
-    """Per-thread reusable integer scratch buffers.
-
-    ``iota(n)`` hands out a shared read-only position ladder;
-    ``i64(name, n)`` a named growable int64 buffer.  Callers must treat
-    ``iota`` views as immutable and must not hold ``i64`` views across
-    calls into other arena users (the matcher is not reentrant within a
-    thread, which is the only discipline required).
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
-        self._iota = np.zeros(0, dtype=np.int64)
-
-    def iota(self, n: int) -> np.ndarray:
-        if self._iota.size < n:
-            grow = max(n, 2 * self._iota.size)
-            self._iota = np.arange(grow, dtype=np.int64)
-            if grow <= _ARENA_CAP:
-                self._iota.setflags(write=False)
-            else:  # oversized: hand out once, do not retain
-                out, self._iota = self._iota, np.zeros(0, dtype=np.int64)
-                out.setflags(write=False)
-                return out[:n]
-        return self._iota[:n]
-
-    def i64(self, name: str, n: int) -> np.ndarray:
-        if n > _ARENA_CAP:
-            return np.empty(n, dtype=np.int64)
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < n:
-            buf = np.empty(max(n, 1024), dtype=np.int64)
-            self._bufs[name] = buf
-        return buf[:n]
+#: ``prev`` of a bucket head: far enough back to fail every window check.
+_NO_CANDIDATE = -(1 << 40)
 
 
-_ARENA = ScratchArena()
-
-
-def _grams3(arr: np.ndarray, arena: ScratchArena) -> np.ndarray:
-    """24-bit keys of 3-byte prefixes: one per position ``i ≤ n-3``."""
+def _words(arr: np.ndarray) -> np.ndarray:
+    """Little-endian 8-byte word starting at every position, zero-padded."""
     n = arr.size
-    a = arena.i64("bytes64", n)
-    a[:] = arr
-    g = arena.i64("grams", n - 2)
-    np.left_shift(a[:-2], 16, out=g)
-    t = arena.i64("gram_tmp", n - 2)
-    np.left_shift(a[1:-1], 8, out=t)
-    np.bitwise_or(g, t, out=g)
-    np.bitwise_or(g, a[2:], out=g)
-    return g
+    padded = np.zeros(n + 8, dtype=np.uint8)
+    padded[:n] = arr
+    # An unaligned stride-1 view, copied once into aligned words.
+    return np.ndarray((n,), dtype="<u8", buffer=padded, strides=(1,)).copy()
 
 
-def _pair_match_lengths(arr: np.ndarray, i_pos: np.ndarray, j_pos: np.ndarray,
-                        cap: np.ndarray) -> np.ndarray:
-    """Match lengths of ``arr[i:]`` vs ``arr[j:]`` for all pairs at once.
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative ``key`` by 16-bit radix passes."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, int(key.max()).bit_length(), 16):
+        digit = (key[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
-    Vector loop over the match depth: every surviving pair compares its
-    next byte each round, so the round count is bounded by ``cap.max()``
-    (≤ 18 for the serial format), not by the pair count.
+
+def _match_lengths(words: np.ndarray, i: np.ndarray, j: np.ndarray,
+                   cap: np.ndarray) -> np.ndarray:
+    """Lengths of the matches of ``i`` against ``j``, capped at ``cap``.
+
+    Every pair agrees on its first 3 bytes (the gram) and has
+    ``cap ≥ 3``.  Each step compares the next 8 bytes of every open
+    pair at once; a nonzero XOR ends the pair at its first differing
+    byte, its lowest nonzero byte.
     """
-    npairs = i_pos.size
-    lengths = np.zeros(npairs, dtype=np.int64)
-    if npairs == 0:
-        return lengths
-    active = np.arange(npairs)
-    max_cap = int(cap.max(initial=0))
-    for _ in range(max_cap):
-        # Two-step masking: only pairs below their cap may read the next
-        # byte, otherwise arr[i + len] can index past the array end.
-        below = lengths[active] < cap[active]
-        active = active[below]
-        if active.size == 0:
-            break
-        ia = i_pos[active]
-        ja = j_pos[active]
-        la = lengths[active]
-        cont = arr[ja + la] == arr[ia + la]
-        lengths[active[cont]] += 1
-        active = active[cont]
-        if active.size == 0:
-            break
-    return lengths
+    length = np.minimum(cap, 3)
+    todo = np.flatnonzero(cap > 3)
+    while todo.size:
+        at = length[todo]
+        x = words[i[todo] + at] ^ words[j[todo] + at]
+        diff = x != 0
+        low = x[diff]
+        low &= ~low + np.uint64(1)  # the lowest set bit: 2**b, exact as float
+        bit = (low.astype(np.float64).view(np.int64) >> 52) - 1023
+        length[todo[diff]] += bit >> 3
+        todo = todo[~diff]
+        length[todo] += 8
+        todo = todo[length[todo] < cap[todo]]
+    return np.minimum(length, cap)
 
 
 def hash_chain_best_matches(
@@ -191,86 +147,67 @@ def hash_chain_best_matches(
     best_dist = np.zeros(n, dtype=np.int32)
     if n < 4:  # a 3-byte match needs source and destination to both fit
         return best_len, best_dist
-
-    arena = _ARENA
-    pos = arena.iota(n)
-    grams = _grams3(arr, arena)
-    if chunk_size is None:
-        cap_all = arena.i64("cap_all", n)
-        np.subtract(np.int64(n), pos, out=cap_all)
-        np.minimum(cap_all, max_match, out=cap_all)
-    else:
+    if chunk_size is not None:
         require_range(chunk_size, 1, 1 << 40, "chunk_size")
-        chunk_of = arena.i64("chunk_of", n)
-        np.floor_divide(pos, chunk_size, out=chunk_of)
-        cap_all = arena.i64("cap_all", n)
-        np.add(chunk_of, 1, out=cap_all)  # chunk end = (chunk + 1) * size
-        np.multiply(cap_all, chunk_size, out=cap_all)
-        np.minimum(cap_all, n, out=cap_all)
-        np.subtract(cap_all, pos, out=cap_all)
-        np.minimum(cap_all, max_match, out=cap_all)
-        # Chunk-local chains: fold the chunk id into the sort key so
-        # buckets never span chunks — every chain slot is a candidate
-        # the window/chunk filters could actually accept, and shard
-        # boundaries at chunk multiples cannot change the result.
-        t = arena.i64("gram_tmp", n - 2)
-        np.left_shift(chunk_of[:n - 2], 24, out=t)
-        np.bitwise_or(grams, t, out=grams)
     if slice_size is not None:
         require_range(slice_size, 1, 1 << 40, "slice_size")
         if chunk_size is not None and chunk_size % slice_size:
             raise ValueError("slice_size must divide chunk_size")
-        slice_end = np.minimum((pos // slice_size + 1) * slice_size, n)
-        np.minimum(cap_all, slice_end - pos, out=cap_all)
 
-    # Stable argsort ⇒ within each (chunk, gram) bucket positions stay
-    # ascending, so the k-th predecessor is the k-th nearest.
-    order = np.argsort(grams[:n - 2], kind="stable").astype(np.int64)
-    g_sorted = grams[order]
+    # Sort key of every position with a gram: the gram is the low 3
+    # bytes of its word, and the chunk id above it keeps chains
+    # chunk-local.  A stable sort keeps each bucket's positions
+    # ascending, so each entry's predecessor in the sorted order is its
+    # nearest candidate; a bucket head gets a candidate beyond any window.
+    m = n - 2
+    words = _words(arr)
+    key = (words[:m] & np.uint64(0xFFFFFF)).astype(np.int64)
+    if chunk_size is not None:
+        key |= (np.arange(m) // chunk_size) << 24
+    order = _stable_argsort(key)
+    key = key[order]
+    prev = np.empty(m, dtype=np.int64)
+    prev[order[0]] = _NO_CANDIDATE
+    prev[order[1:]] = np.where(key[1:] == key[:-1], order[:-1], _NO_CANDIDATE)
 
-    # A position whose best length reached its cap can never improve.
-    # Observability accumulates locally (rounds, saturation) and records
-    # once after the loop — never per round.
-    viable = cap_all >= 3
-    rounds = 0
+    # The live set: every position with a candidate whose length cap
+    # admits a 3-byte match, with its current candidate ``j``.
+    i = np.flatnonzero(prev >= 0)
+    cap = np.minimum(n - i, max_match)
+    for size in (chunk_size, slice_size):
+        if size is not None:
+            np.minimum(cap, size - i % size, out=cap)
+    live = cap >= 3
+    i, cap = i[live], cap[live]
+    j = prev[i]
+
+    # Observability accumulates locally and records once after the walk.
+    k = 0
     saturated = False
-    for k in range(1, max_chain + 1):
-        if k >= g_sorted.size:
+    while i.size:
+        k += 1
+        dist = i - j
+        near = dist <= window
+        have = best_len[i]
+        # Bytes 0..2 agree by the gram, so the check passes while have == 0.
+        t = np.flatnonzero(near & (np.take(arr, j + have, mode="clip")
+                                   == arr[i + have]))
+        if t.size:
+            length = _match_lengths(words, i[t], j[t], cap[t])
+            better = length > have[t]
+            t = t[better]
+            u = i[t]
+            best_len[u] = have[t] = length[better]
+            best_dist[u] = dist[t]
+        keep = near & (have < cap)
+        if k == max_chain or not keep.any():
+            saturated = k < max_chain and bool(near.any())
             break
-        if k % 8 == 0 and not np.any(viable & (best_len < cap_all)):
-            saturated = True
-            break  # every viable position is saturated — nothing to gain
-        rounds += 1
-        same = g_sorted[k:] == g_sorted[:-k]
-        if not np.any(same):
-            break
-        i_pos = order[k:][same]
-        j_pos = order[:-k][same]
-        dist = i_pos - j_pos
-        ok = dist <= window
-        # Only pairs that can still improve are worth extending: the
-        # position must accept ≥ 3-byte matches and not be saturated.
-        ok &= viable[i_pos]
-        ok &= best_len[i_pos] < cap_all[i_pos]
-        i_pos, j_pos = i_pos[ok], j_pos[ok]
-        if i_pos.size == 0:
-            continue
-        lengths = _pair_match_lengths(arr, i_pos, j_pos, cap_all[i_pos])
-        better = lengths > best_len[i_pos]
-        if np.any(better):
-            upd = i_pos[better]
-            best_len[upd] = lengths[better]
-            best_dist[upd] = (i_pos - j_pos)[better]
+        i, j, cap = i[keep], prev[j[keep]], cap[keep]
 
-    obs.inc("matcher.hash_rounds", rounds)
+    obs.inc("matcher.hash_rounds", k)
     if saturated:
         obs.inc("matcher.saturation_exits")
-
-    # Lengths below 3 are never encoded; normalize them away so all
-    # matchers agree on the canonical "no match" representation.
-    short = best_len < 3
-    best_len[short] = 0
-    best_dist[short] = 0
     return best_len, best_dist
 
 

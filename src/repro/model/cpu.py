@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lzss.constants import SERIAL_LOOKAHEAD, SERIAL_WINDOW
-from repro.lzss.lagmatch import lag_run_lengths
 from repro.lzss.stats import EncodeStats
 from repro.model.calibration import CPU_CLOCK_HZ, Calibration
 from repro.util.buffers import as_u8
@@ -103,31 +102,47 @@ def _sampled_lags(window: int) -> list[tuple[int, float]]:
     return out
 
 
-def sample_match_statistics(data, sample_bytes: int = SAMPLE_BYTES,
-                            window: int = SERIAL_WINDOW,
-                            cap: int = SERIAL_LOOKAHEAD) -> MatchSampleStats:
-    """Measure κ (and p_cap) with exact lag scans over a sample."""
+def sample_match_statistics(data) -> MatchSampleStats:
+    """Measure κ (and p_cap) with exact lag scans over a sample.
+
+    Candidate ``k`` at lag ``d`` costs ``min(R_k + 1, cap)`` compares,
+    where ``R_k`` is its run of equal bytes.  Summed over ``k`` that is
+    ``Σ_{l<cap} #{k : R_k ≥ l}``: a running AND of the lag's equality
+    flags shifted by ``l`` counts each term, and stops at the first
+    zero count; the count at ``l = cap`` is the capped candidates.
+    """
     arr = as_u8(data)
     n = arr.size
     if n <= 3:  # nothing to match; degenerate but valid statistics
         return MatchSampleStats(kappa=1.0, p_cap=1e-9, sample_bytes=n)
-    if n <= sample_bytes:
+    if n <= SAMPLE_BYTES:
         sample = arr
     else:
         k = 4
-        piece = sample_bytes // k
+        piece = SAMPLE_BYTES // k
         starts = np.linspace(0, n - piece, k).astype(np.int64)
         sample = np.concatenate([arr[s:s + piece] for s in starts])
 
     m = sample.size
+    cap = SERIAL_LOOKAHEAD
     compares = 0.0
     capped = 0.0
     candidates = 0.0
-    for d, weight in _sampled_lags(min(window, m - 1)):
-        runs = lag_run_lengths(sample, d, cap)
-        compares += weight * float(np.minimum(runs + 1, cap).sum())
-        capped += weight * float((runs >= cap).sum())
-        candidates += weight * runs.size
+    for d, weight in _sampled_lags(min(SERIAL_WINDOW, m - 1)):
+        eq = sample[d:] == sample[:-d]
+        total = eq.size  # l = 0: every candidate compares its first byte
+        runs = eq.copy()  # runs[k]: R_k ≥ l
+        count = np.count_nonzero(runs)
+        for shift in range(1, cap):
+            if not count:
+                break
+            total += count
+            runs = runs[:-1]
+            runs &= eq[shift:]
+            count = np.count_nonzero(runs)
+        compares += weight * float(total)
+        capped += weight * float(count)
+        candidates += weight * eq.size
     require(candidates > 0, "sample too small")
     return MatchSampleStats(
         kappa=compares / candidates,

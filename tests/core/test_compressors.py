@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.api import gpu_compress, gpu_decompress
 from repro.core.decompress import GpuDecompressor
 from repro.core.params import CompressionParams
 from repro.core.v1 import V1Compressor
@@ -28,6 +29,19 @@ class TestV1:
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError):
             V1Compressor(CompressionParams(version=2))
+
+    @pytest.mark.parametrize("chunk_size, threads", [(1000, 128), (4096, 96)])
+    def test_unsliceable_chunk_rejected_before_encode(self, chunk_size,
+                                                      threads, text_data):
+        # chunk_size // threads_per_block does not divide chunk_size, so
+        # the threads' slices cannot tile a chunk.  The error names the
+        # caller's knobs, not the matcher's slice_size.
+        params = CompressionParams(version=1, chunk_size=chunk_size,
+                                   threads_per_block=threads)
+        with pytest.raises(ValueError, match="chunk_size.*threads_per_block"):
+            V1Compressor(params)
+        with pytest.raises(ValueError, match="chunk_size.*threads_per_block"):
+            gpu_compress(text_data, params)
 
     def test_profile_phases(self, text_data, cal):
         v1 = V1Compressor()
@@ -76,6 +90,11 @@ class TestV2:
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError):
             V2Compressor(CompressionParams(version=1))
+
+    def test_any_thread_count_compresses(self, text_data):
+        buf = gpu_compress(text_data, CompressionParams(version=2,
+                                                        threads_per_block=96))
+        assert gpu_decompress(buf.data).data == text_data
 
     def test_profile_overlap(self, text_data, cal):
         v2 = V2Compressor()

@@ -6,21 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lzss.formats import CUDA_V2
-from repro.lzss.lagmatch import (
-    LagMatchResult,
-    lag_best_matches,
-    lag_run_lengths,
-)
+from repro.lzss.lagmatch import LagMatchResult, lag_best_matches
 from repro.lzss.reference import reference_find_match
-
-
-def naive_run_length(data: bytes, k: int, lag: int, cap: int) -> int:
-    n = len(data)
-    length = 0
-    while length < cap and k + lag + length < n and \
-            data[k + length] == data[k + lag + length]:
-        length += 1
-    return length
 
 
 def reference_lag_matches(data: bytes, window: int, max_match: int,
@@ -51,25 +38,6 @@ def reference_lag_matches(data: bytes, window: int, max_match: int,
     warps = [compares[:, w:w + 32].max(axis=1).sum() for w in range(0, n, 32)]
     return (best_len, best_dist, int(compares.sum()), compares.sum(axis=0),
             np.array(warps, dtype=np.int64))
-
-
-class TestLagRunLengths:
-    @settings(max_examples=40, deadline=None)
-    @given(st.binary(min_size=4, max_size=120), st.integers(1, 8),
-           st.integers(1, 258))
-    def test_matches_naive(self, data, lag, cap):
-        if lag >= len(data):
-            return
-        arr = np.frombuffer(data, dtype=np.uint8)
-        runs = lag_run_lengths(arr, lag, cap)
-        for k in range(runs.size):
-            assert runs[k] == naive_run_length(data, k, lag, cap)
-
-    def test_all_equal_input_capped(self):
-        arr = np.zeros(50, dtype=np.uint8)
-        runs = lag_run_lengths(arr, 1, 10)
-        assert runs[0] == 10  # capped
-        assert runs[-1] == 1  # k=48: only data[48]==data[49] remains
 
 
 class TestBestMatches:

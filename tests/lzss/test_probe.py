@@ -84,11 +84,11 @@ def test_shard_invariance_across_chain_budgets(text_data, max_chain):
     assert b"".join(p.payload for p in pieces) == full.payload
 
 
-# ------------------------------------------------ arena thread-safety
+# ------------------------------------------------ thread-safety
 
 def test_concurrent_encodes_share_nothing(text_data):
-    """The scratch arena is thread-local: parallel encodes of the same
-    buffer must all equal the serial result."""
+    """The matcher keeps no state between calls: parallel encodes of the
+    same buffer must all equal the serial result."""
     arr = as_u8(text_data)
     expect = encode_chunked(arr, SERIAL, 1024).payload
     with ThreadPoolExecutor(max_workers=8) as pool:

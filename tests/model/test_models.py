@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bzip2.pipeline import compress as bz_compress
 from repro.lzss.encoder import encode
@@ -26,7 +28,54 @@ def cal():
     return default_calibration()
 
 
+def reference_sample_statistics(data: bytes) -> MatchSampleStats:
+    """Plain-loop κ / p_cap of a buffer small enough to be its own sample.
+
+    Lags 1..64 count once each; beyond 64 every ``step``-th lag stands
+    in for ``step`` lags, ``step`` doubling every eight of them, out to
+    the window ``min(4096, n − 1)``.  Candidate ``k`` at lag ``d``
+    compares bytes until the first mismatch, the buffer end, or the
+    18-byte cap: ``min(run + 1, 18)`` compares, capped when ``run`` is
+    18.  Each lag's integer totals enter the float sums with its weight.
+    """
+    n, cap = len(data), 18
+    window = min(4096, n - 1)
+    lags = [(d, 1.0) for d in range(1, min(64, window) + 1)]
+    lo, step = 64, 8
+    while lo < window:
+        hi = min(lo + 8 * step, window)
+        lags += [(d, float(step)) for d in range(lo + step, hi + 1, step)]
+        lo, step = hi, 2 * step
+    compares = capped = candidates = 0.0
+    for d, weight in lags:
+        total = hits = 0
+        for k in range(n - d):
+            run = 0
+            while (run < cap and k + d + run < n
+                   and data[k + run] == data[k + d + run]):
+                run += 1
+            total += min(run + 1, cap)
+            hits += run == cap
+        compares += weight * total
+        capped += weight * hits
+        candidates += weight * (n - d)
+    return MatchSampleStats(kappa=compares / candidates,
+                            p_cap=max(capped / candidates, 1e-9),
+                            sample_bytes=n)
+
+
 class TestSampleStatistics:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 300).flatmap(lambda n: st.one_of(
+        st.binary(min_size=n, max_size=n),
+        st.integers(1, 3).flatmap(lambda k: st.lists(
+            st.integers(0, k - 1), min_size=n, max_size=n).map(bytes)))))
+    @example(bytes(300))  # every candidate runs to the cap
+    @example(b"abcdefghijklmnopqrst" * 15)  # long runs at lags 20, 40, ...
+    def test_matches_plain_loop_oracle(self, data):
+        assert sample_match_statistics(data) == \
+            reference_sample_statistics(data)
+
     def test_kappa_bounds(self, text_data, binary_data, runny_data):
         for data in (text_data, binary_data, runny_data):
             s = sample_match_statistics(data)
