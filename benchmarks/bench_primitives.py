@@ -32,6 +32,12 @@ V1_CHAIN = dict(window=_V1.token_format.window,
                 chunk_size=_V1.chunk_size, slice_size=_V1.slice_size)
 LZ4S_CHAIN = dict(window=4096, max_match=LZ4S_MAX_MATCH,
                   max_chain=LZ4S_MAX_CHAIN, chunk_size=4096)
+#: The lag matcher as V2 encodes (and models) a gateway frame or a
+#: compress buffer: 4 KiB chunks, with the per-position/warp detail.
+_V2 = CompressionParams(version=2)
+V2_LAG = dict(window=_V2.token_format.window,
+              max_match=_V2.token_format.max_match,
+              chunk_size=_V2.chunk_size, collect_per_position=True)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +54,14 @@ def test_serial_encode(benchmark, cfiles):
 def test_v2_window_scan(benchmark, cfiles):
     res = benchmark(lag_best_matches, cfiles, 128, 66)
     assert res.compare_count > 0
+
+
+@pytest.mark.parametrize("size", [16 << 10, CHAIN_SIZE],
+                         ids=["gateway_frame", "compress_buffer"])
+def test_v2_lag_chunked(benchmark, size):
+    data = generate("cfiles", size, seed=1)
+    res = benchmark(lag_best_matches, data, **V2_LAG)
+    assert res.warp_compares.size == size // 32
 
 
 def test_hash_chain_matcher(benchmark, cfiles):

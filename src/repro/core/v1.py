@@ -56,6 +56,11 @@ class V1Compressor:
                 f"V1 splits each chunk into equal per-thread slices: "
                 f"chunk_size {params.chunk_size} is not a multiple of "
                 f"chunk_size // threads_per_block = {params.slice_size}")
+        warp = params.device.warp_size
+        require(params.threads_per_block % warp == 0,
+                f"V1's cost model runs whole warps: threads_per_block "
+                f"{params.threads_per_block} is not a multiple of the "
+                f"{params.device.name} warp size {warp}")
         self.params = params
         #: The :class:`repro.engine.ParallelEngine` that runs the encode;
         #: the one-thread default is the serial path, wider engines

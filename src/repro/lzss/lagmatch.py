@@ -3,24 +3,35 @@
 The V2 GPU kernel assigns one thread per input character; every thread
 scans the same ``window``-byte history linearly and records the longest
 match starting at its character (§III.B.2).  Vectorized on the host this
-becomes one pass per *lag* ``d ∈ [1, window]`` over one flat buffer:
+becomes a pass over every *lag* ``d ∈ [1, window]`` of one flat buffer,
+a block of consecutive lags per NumPy call:
 
+* **lag blocks** — ``b = clip(BLOCK_CELLS // size, 1, lags)`` lags at a
+  time, as a lag-major ``(b, size)`` array whose rows are strided views
+  of one zero-padded copy of the input (row ``j`` holds the byte
+  ``d0 + j`` positions back).  Every op writes into work arrays
+  allocated once per call and sized to stay in L2.  A 16 KiB buffer
+  runs 16 lags a block, so 16 lags share each call's fixed cost;
+  inputs of 256 KiB or more run one lag a block;
 * **chunk-major layout** — chunks lie end to end, the last one
   zero-padded, and every position carries a length cap
   ``min(max_match, room left in its chunk)`` (0 on padding), which
-  also stops a run at its chunk end.  At lag ``d`` the caps of each
-  chunk's first ``d`` positions are zeroed too, so a compare that
-  would reach before its chunk start counts for nothing and no
-  per-chunk loop is needed;
-* **capped run lengths by doubling** — the equal-byte flags of one lag
+  also stops a run at its chunk end.  Lag ``d`` must not start at any
+  chunk's first ``d`` offsets: the shared caps are zeroed below the
+  block's first lag ``d0``, and one triangular mask zeroes offsets
+  ``d0 … d − 1`` of each later row, so a compare that would reach
+  before its chunk start counts for nothing and no per-chunk loop is
+  needed;
+* **capped run lengths by doubling** — the equal-byte flags of a block
   become run lengths, exact below ``max_match``, in at most
   ``⌈log2 max_match⌉`` vector steps on ``uint8`` (a wider type only when
-  ``2·max_match + 1`` does not fit), stopping once no run reaches the
-  next step;
-* **packed best key** — the best match is kept as
-  ``len << b | (2^b − 1 − d)`` with ``b = window.bit_length()`` and
-  reduced with one ``maximum`` per lag, so ties keep the smallest
-  distance — exactly the reference matcher's answer.
+  ``2·max_match + 1`` does not fit), stopping once no run in the block
+  reaches the next step;
+* **best match on strict improvement** — lag by lag in ascending
+  order, ``upd = len > best_len``, ``best_len = max(best_len, len)``
+  and ``best_dist = max(best_dist, upd·d)``: a new ``d`` always exceeds
+  the stored one, so ties keep the smallest distance — exactly the
+  reference matcher's answer — and no op widens its operands.
 
 The same pass yields the *exact comparison count* the GPU (or a
 brute-force CPU loop) performs: candidate ``(i, d)`` costs
@@ -34,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.util.buffers import as_u8
 from repro.util.validation import require_range
@@ -42,6 +54,9 @@ __all__ = ["LagMatchResult", "lag_best_matches"]
 
 
 WARP_SIZE = 32
+#: Cells (lags × positions) in one block of lags: its six work arrays of
+#: one byte per cell (1.5 MiB) then fit the 2 MiB per-core L2.
+BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -67,23 +82,25 @@ class LagMatchResult:
     warp_compares: np.ndarray | None = None
 
 
-def _capped_runs(eq: np.ndarray, cap: int) -> np.ndarray:
-    """Runs of ``True`` in ``eq`` from each index on, exact below ``cap``.
+def _capped_runs(r: np.ndarray, cap: int, mask: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Turn 0/1 equal-byte flags into runs from each index on, in place.
 
     Doubling step ``s`` adds ``r[k + s]`` wherever ``r[k] == s``, which
     turns ``min(run, s)`` into ``min(run, 2s)``.  The result is exact
-    where the run is shorter than ``cap`` and at least ``cap`` elsewhere,
-    in the narrowest unsigned type holding ``2·cap + 1`` — room for a
-    caller's ``+ 1``.  ``eq`` is consumed.
+    where the run is shorter than ``cap`` and at least ``cap``
+    elsewhere; ``r``'s type must hold ``2·cap + 1`` — room for a
+    caller's ``+ 1``.  ``mask`` (bool) and ``tmp`` (``r``'s type) are
+    work arrays of ``r``'s size, so every step writes into preallocated
+    memory and no output overlaps an input (numpy would copy it).
     """
-    dtype = np.min_scalar_type(2 * cap + 1)
-    r = eq.view(np.uint8) if dtype == np.uint8 else eq.astype(dtype)
     s = 1
     while s < cap and r.max(initial=0) >= s:
-        head = r[:-s]
-        head += r[s:] * (head == s).view(np.uint8)
+        head, hit, add = r[:-s], mask[:-s], tmp[:-s]
+        np.equal(head, s, out=hit)
+        np.multiply(r[s:], hit.view(np.uint8), out=add)
+        head += add
         s *= 2
-    return r
 
 
 def lag_best_matches(
@@ -117,51 +134,85 @@ def lag_best_matches(
     chunk = max(min(chunk_size or n, n), 1)
     rows = -(-n // chunk)
     size = -(-rows * chunk // WARP_SIZE) * WARP_SIZE  # whole warps
-    bits = window.bit_length()
-    low = (1 << bits) - 1
+    lags = min(window, chunk - 1)
+    block = max(1, min(lags, BLOCK_CELLS // max(size, WARP_SIZE)))
     run_t = np.min_scalar_type(2 * max_match + 1)
-    key_t = np.min_scalar_type((max_match << bits) | low)
+    dist_t = np.min_scalar_type(window)
     acc_t = np.min_scalar_type(window * max_match)
+    # rows of compare counts (each ≤ max_match) that sum in run_t
+    fold = np.iinfo(run_t).max // max_match
 
     room = chunk - np.arange(chunk)  # per offset, in a full chunk
     len_cap = np.zeros(size, dtype=run_t)
     cap_rows = len_cap[:rows * chunk].reshape(rows, chunk)
     cap_rows[:] = np.minimum(room, max_match)
     cap_rows[-1:] = (room - (rows * chunk - n)).clip(0, max_match)  # ends at n
-    buf = np.zeros(size, dtype=np.uint8)
+    padded = np.zeros(lags + size, dtype=np.uint8)
+    buf = padded[lags:]
     buf[:n] = arr
-    key = np.zeros(size, dtype=key_t)
-    per_pos = np.zeros(size, dtype=acc_t)
-    compares = np.zeros(size, dtype=run_t)
-    ping, pong = np.empty(size, dtype=run_t), np.empty(size, dtype=run_t)
-    warp_acc = np.zeros(size // WARP_SIZE, dtype=acc_t)
+    shifted = sliding_window_view(padded, size)  # [lags - d]: d bytes back
+    # keep[j, 0, k]: lag d0 + j may start at chunk offset d0 + k
+    keep = (np.arange(block - 1) >= np.arange(block)[:, None, None]
+            ).astype(run_t)
 
-    for d in range(1, min(window, chunk - 1) + 1):
-        cap_rows[:, d - 1] = 0  # offsets < d: the lag leaves the chunk
-        runs = _capped_runs(buf[d:] == buf[:-d], max_match)
-        cap = len_cap[d:]
-        cand = np.left_shift(np.minimum(runs, cap), bits, dtype=key_t)
-        cand |= low - d
-        best = key[d:]
-        np.maximum(best, cand, out=best)
+    runs = np.empty((block, size), dtype=run_t)
+    flags = runs.view(bool) if run_t == np.uint8 else runs
+    mask = np.empty((block, size), dtype=bool)
+    tmp = np.empty((block, size), dtype=run_t)
+    lens = np.empty((block, size), dtype=run_t)
+    best_len = np.zeros(size, dtype=run_t)
+    best_dist = np.zeros(size, dtype=dist_t)
+    upd = np.empty(size, dtype=bool)
+    stamp = np.empty(size, dtype=dist_t)
+    per_pos = np.zeros(size, dtype=acc_t)
+    folded = np.empty(size, dtype=run_t)
+    if collect_per_position:
+        ping, pong = np.empty(tmp.size, run_t), np.empty(tmp.size, run_t)
+        warp_acc = np.zeros(size // WARP_SIZE, dtype=acc_t)
+
+    for d0 in range(1, lags + 1, block):
+        b = min(block, lags + 1 - d0)
+        hi = d0 + b - 1  # the block's last lag
+        cap_rows[:, max(d0 - block, 0):d0] = 0  # offsets < d0 leave the chunk
+        r, m = runs[:b], lens[:b]
+        np.equal(shifted[lags - hi:lags - d0 + 1][::-1], buf, out=flags[:b])
+        # one flat pass over the block's rows: a run that crosses into
+        # the next row already reached the buffer end, so it is at
+        # least its position's cap either way
+        _capped_runs(r.reshape(-1), max_match, mask[:b].reshape(-1),
+                     tmp[:b].reshape(-1))
+        np.minimum(r, len_cap, out=m)
         # compare until first mismatch or cap: min(1 + run, cap)
-        runs += 1
-        cmp_d = compares[d:]
-        np.minimum(runs, cap, out=cmp_d)
-        per_pos[d:] += cmp_d
+        r += 1
+        np.minimum(r, len_cap, out=r)
+        if b > 1:  # lag d0 + j also leaves the chunk at offsets < d0 + j
+            for a in (m, r):
+                a[:, :rows * chunk].reshape(b, rows, chunk)[:, :, d0:hi] *= (
+                    keep[:b, :, :b - 1])
+        # ascending lags and a strict >: ties keep the smallest distance
+        for j in range(b):
+            np.greater(m[j], best_len, out=upd)
+            np.maximum(best_len, m[j], out=best_len)
+            np.multiply(upd.view(np.uint8), dist_t.type(d0 + j), out=stamp)
+            np.maximum(best_dist, stamp, out=best_dist)
+        for j in range(0, b, fold):  # one widening add per ≤ fold rows
+            part = r[j:j + fold]
+            per_pos += part[0] if len(part) == 1 else np.add.reduce(
+                part, axis=0, dtype=run_t, out=folded)
         if collect_per_position:
-            compares[d - 1] = 0  # chunk 0's offset d - 1 is outside cmp_d
             # max over each warp's 32 lanes in 5 sliding steps, ping-pong
             # because numpy copies an input that overlaps ``out``
-            src = compares
+            # (flat: a row holds whole warps, so no window crosses rows)
+            src = r.reshape(-1)
             for s, dst in zip((1, 2, 4, 8, 16), (ping, pong) * 3):
-                np.maximum(src[:-s], src[s:], out=dst[:-s])
-                src = dst
-            warp_acc += src[::WARP_SIZE]
+                np.maximum(src[:-s], src[s:], out=dst[:src.size - s])
+                src = dst[:src.size]
+            warp_acc += np.add.reduce(src[::WARP_SIZE].reshape(b, -1),
+                                      axis=0, dtype=acc_t)
 
-    key, per_pos = key[:n], per_pos[:n]
-    best_len = (key >> bits).astype(np.int32)
-    best_dist = np.where(best_len > 0, low - (key & low), 0).astype(np.int32)
+    per_pos = per_pos[:n]
+    best_len = best_len[:n].astype(np.int32)
+    best_dist = best_dist[:n].astype(np.int32)  # 0 wherever best_len is
     if not collect_per_position:
         return LagMatchResult(best_len, best_dist, int(per_pos.sum()))
     n_warps = -(-n // WARP_SIZE)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.api import gpu_compress, gpu_decompress
 from repro.core.decompress import GpuDecompressor
 from repro.core.params import CompressionParams
@@ -30,18 +31,30 @@ class TestV1:
         with pytest.raises(ValueError):
             V1Compressor(CompressionParams(version=2))
 
-    @pytest.mark.parametrize("chunk_size, threads", [(1000, 128), (4096, 96)])
+    @pytest.mark.parametrize("chunk_size, threads, match", [
+        pytest.param(1000, 128, "chunk_size.*threads_per_block",
+                     id="1000-128"),
+        pytest.param(4096, 96, "chunk_size.*threads_per_block", id="4096-96"),
+        pytest.param(4096, 1000, "threads_per_block 1000 .*warp size 32",
+                     id="4096-1000"),
+    ])
     def test_unsliceable_chunk_rejected_before_encode(self, chunk_size,
-                                                      threads, text_data):
+                                                      threads, match,
+                                                      text_data):
         # chunk_size // threads_per_block does not divide chunk_size, so
-        # the threads' slices cannot tile a chunk.  The error names the
-        # caller's knobs, not the matcher's slice_size.
+        # the threads' slices cannot tile a chunk; or they tile it (1000
+        # threads, 4-byte slices) but are not whole warps, which the
+        # cost model charges.  The error names the caller's knobs, not
+        # the matcher's slice_size, and comes before any encode work.
         params = CompressionParams(version=1, chunk_size=chunk_size,
                                    threads_per_block=threads)
-        with pytest.raises(ValueError, match="chunk_size.*threads_per_block"):
+        with pytest.raises(ValueError, match=match):
             V1Compressor(params)
-        with pytest.raises(ValueError, match="chunk_size.*threads_per_block"):
+        calls = obs.get_registry().snapshot()["counters"]["matcher.hash_calls"]
+        with pytest.raises(ValueError, match=match):
             gpu_compress(text_data, params)
+        assert obs.get_registry().snapshot()["counters"][
+            "matcher.hash_calls"] == calls  # no match search ran
 
     def test_profile_phases(self, text_data, cal):
         v1 = V1Compressor()

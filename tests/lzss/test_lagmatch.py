@@ -1,10 +1,13 @@
 """The exact all-position matcher (the V2 kernel math)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.lzss import lagmatch
 from repro.lzss.formats import CUDA_V2
 from repro.lzss.lagmatch import LagMatchResult, lag_best_matches
 from repro.lzss.reference import reference_find_match
@@ -95,15 +98,21 @@ class TestAgainstOracle:
            st.sampled_from([1, 3, 16, 128, 200, 512]),
            st.sampled_from([1, 2, 18, 66, 130, 258]),
            st.sampled_from([None, 1, 3, 6, 33, 100, 4096]),
-           st.booleans())
+           st.booleans(),
+           # on ≤ 300 bytes: one lag a block, blocks of 3–31 lags (the
+           # last one often short), and every lag in a single block
+           st.sampled_from([1, 1000, lagmatch.BLOCK_CELLS]))
     # position 32 alone has the longest lag-32 run: warp 1's cost rests
     # on its first lane
-    @example(bytes(range(32)) * 2, 128, 258, None, True)
+    @example(bytes(range(32)) * 2, 128, 258, None, True,
+             lagmatch.BLOCK_CELLS)
     def test_every_output_exact(self, data, window, max_match, chunk_size,
-                                detail):
-        res = lag_best_matches(data, window, max_match,
-                               chunk_size=chunk_size,
-                               collect_per_position=detail)
+                                detail, block_cells):
+        # patched in the body: hypothesis rejects function-scoped fixtures
+        with mock.patch.object(lagmatch, "BLOCK_CELLS", block_cells):
+            res = lag_best_matches(data, window, max_match,
+                                   chunk_size=chunk_size,
+                                   collect_per_position=detail)
         best_len, best_dist, count, per_pos, warps = reference_lag_matches(
             data, window, max_match, chunk_size)
 

@@ -5,7 +5,8 @@ other outputs of the match pass — the per-position and per-warp compare
 counts (V2) and the sampled κ / p_cap (V1).  A matcher rewrite that
 kept the bytes but moved one compare would shift ``modeled_seconds``
 without failing any container golden, so those inputs are frozen here
-for one seeded 64 KiB buffer per compressor version.
+for one seeded 64 KiB buffer per compressor version, and every output
+of the V2 matcher for one gateway-shaped 16 KiB frame.
 
 The modeled outputs are frozen too: the paper-table cells the harness
 derives (under the shipped and the fitted calibration), the streaming
@@ -22,7 +23,9 @@ from repro.core.api import gpu_compress
 from repro.core.hetero import HeterogeneousCompressor
 from repro.core.params import CompressionParams
 from repro.core.pipeline import StreamingPipeline
-from repro.datasets import generate
+from repro.datasets import available_datasets, generate
+from repro.lzss.formats import CUDA_V2
+from repro.lzss.lagmatch import lag_best_matches
 from repro.model.calibration import default_calibration
 from repro.model.cpu import sample_match_statistics
 from repro.model.fitting import fit_calibration
@@ -54,6 +57,26 @@ def test_v2_compare_counts_frozen(cfiles):
     assert _sha256_i64(stats.per_warp_compares) == (
         "87e018ac42a714fc664fff1c7bead5186c91a8e0211c24f93c0ffa54f9de9dfd")
     assert repr(buf.modeled_seconds) == "0.00540812349724223"
+
+
+def test_v2_gateway_frame_matches_frozen():
+    # A gateway frame holds an equal slice of every corpus; at 16 KiB
+    # the matcher runs its lags in blocks, unlike the 256 KiB-and-up
+    # inputs that run one lag at a time.
+    frame = b"".join(generate(name, (16 << 10) // 5, seed=SEED)
+                     for name in available_datasets())
+    res = lag_best_matches(frame, CUDA_V2.window, CUDA_V2.max_match,
+                           chunk_size=CompressionParams(version=2).chunk_size,
+                           collect_per_position=True)
+    assert res.compare_count == 16011612
+    assert [_sha256_i64(a) for a in (res.best_len, res.best_dist,
+                                     res.per_position_compares,
+                                     res.warp_compares)] == [
+        "ee0eb4ff08ad40e983bac12695f14cf72ff4f5caf1fb4bb7ddcc8da73764a0da",
+        "432ab5272a1ab5c019110583eb94258a323288d1671cc02b7aa10c32e84fecaa",
+        "9846c41a0bac454dccd263e667922b2f624d8b3686dae98c182c909e3c47141d",
+        "213e2b005e15cdbbcfa14b0219b8c2a909a98f1606de20210798c7aa08e1debc",
+    ]
 
 
 def test_v1_model_inputs_frozen(highly_compressible):
