@@ -8,11 +8,12 @@ share one entry point::
 
 Measures every registered codec (store, lzss, lz4s, lzss-huffman) plus
 the ``auto`` dispatcher through :func:`repro.bench.gate.codec_cases` —
-the same measurement the ``culzss benchgate --suite codecs`` gate
-re-runs later, so the committed trajectory and the gate's fresh run
-are directly comparable.  Every encode case carries its compression
-ratio next to its throughput; the rendered report adds the two
-headline comparisons this subsystem exists for:
+the same measurement ``culzss benchgate`` re-runs later, so the
+committed trajectory and the gate's fresh run are directly comparable.
+Every case runs once per round, so a burst of host noise moves one
+sample of each case rather than one case's median.  Every encode case
+carries its compression ratio next to its throughput; the rendered
+report adds the two headline comparisons this subsystem exists for:
 
 * ``lz4s`` encode throughput vs ``lzss`` (the speed-tuned codec must
   actually be faster);
@@ -50,7 +51,8 @@ def render(run: dict) -> str:
         "",
         "  medians (cfiles corpus, IQR in brackets):",
     ]
-    names = sorted({n.split(".")[1] for n in run["cases"]})
+    names = sorted({n.split(".")[1] for n in run["cases"]
+                    if n.startswith("codec.")})
     for name in names:
         enc = run["cases"][f"codec.{name}.encode"]
         dec = run["cases"][f"codec.{name}.decode"]

@@ -17,9 +17,7 @@ reported.
 Results append to the ``BENCH_engine.json`` trajectory at the repo
 root (schema 2: ``{"schema": 2, "runs": [...]}``, newest run last,
 each with its git sha / cpu count / timestamp) and overwrite the
-human-readable ``benchmarks/results/bench_engine.txt``.  The
-``culzss benchgate`` regression gate compares against the newest
-committed run of the same mode.
+human-readable ``benchmarks/results/bench_engine.txt``.
 """
 
 from __future__ import annotations

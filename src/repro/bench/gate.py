@@ -1,8 +1,9 @@
 """``culzss benchgate`` — the benchmark regression gate.
 
-Measures the codec hot paths with the statistical harness
+Measures every registered codec, the ``auto`` dispatcher and the
+container reader with the statistical harness
 (:mod:`repro.bench.stats`), compares the fresh medians against the
-newest comparable run in the committed ``BENCH_engine.json``
+newest comparable run in the committed ``BENCH_codecs.json``
 trajectory, and fails (exit 1) on a regression.
 
 A *regression* needs two things at once:
@@ -16,37 +17,34 @@ overlap, the medians are within each other's observed spread at this
 sample size and the difference is indistinguishable from noise — a
 gate that fires there trains people to ignore it.
 
-The measured functions are looked up *dynamically* through their
-modules (``encoder.encode_chunked``, not a from-import), so the gate
-measures whatever is installed at call time — which is also what makes
-the gate testable: monkeypatch the module attribute with a slowed
-wrapper and the gate must fail.
+The measured functions are looked up when :func:`codec_cases` runs,
+and the codecs reach the matcher through its module
+(``encoder.best_matches``), so the gate measures whatever is installed
+at call time — which is also what makes the gate testable: slow the
+module attribute down (:func:`repro.testing.faults.slow_call`) and the
+gate must fail.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from repro.bench.stats import (
     append_run,
-    capture_stages,
     latest_run,
     load_trajectory,
-    measure,
+    measure_rounds,
     new_run,
     summarize,
 )
 
-__all__ = ["CODEC_BENCH", "GATE_BENCH", "attribute_case",
-           "attribute_regressions", "codec_cases", "compare_runs",
-           "gate_cases", "run_gate"]
+__all__ = ["CODEC_BENCH", "attribute_case", "attribute_regressions",
+           "codec_cases", "compare_runs", "run_gate"]
 
-#: trajectory runs are tagged with this bench name so gate baselines
-#: and the bench_engine sweep coexist in one BENCH_engine.json without
-#: cross-matching each other's cases
-GATE_BENCH = "gate"
-#: the codecs suite shares its bench name — and therefore its baseline
-#: runs — with ``benchmarks/bench_codecs.py``, so the committed
+#: the gate shares its bench name — and therefore its baseline runs —
+#: with ``benchmarks/bench_codecs.py``, so the committed
 #: ``BENCH_codecs.json`` doubles as the gate baseline
 CODEC_BENCH = "codecs"
 CHUNK_SIZE = 4096
@@ -62,50 +60,6 @@ MODES = {
 
 # ----------------------------------------------------------- measuring
 
-def gate_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
-               dataset: str = "cfiles") -> dict:
-    """Measure the gate's codec cases; returns name → summary dict.
-
-    Lookups go through the modules on every call so monkeypatched
-    implementations (tests) and reloaded code are what gets timed.
-    """
-    from repro.datasets import generate
-    from repro.lzss import decoder, encoder
-    from repro.lzss.formats import CUDA_V2
-
-    data = np.frombuffer(generate(dataset, size_bytes, seed=7),
-                         dtype=np.uint8)
-    cases: dict[str, dict] = {}
-
-    with capture_stages() as cap:
-        enc = measure(
-            lambda: encoder.encode_chunked(data, CUDA_V2, CHUNK_SIZE),
-            repeats=repeats, warmup=warmup)
-    result = encoder.encode_chunked(data, CUDA_V2, CHUNK_SIZE)
-    cases["encode_v2"] = summarize(
-        enc, mb_s=round(size_bytes / max(min(enc), 1e-9) / 1e6, 3),
-        stages=cap.stages)
-
-    with capture_stages() as cap:
-        dec = measure(
-            lambda: decoder.decode_chunked_with_stats(
-                result.payload, CUDA_V2, result.chunk_sizes, CHUNK_SIZE,
-                result.input_size),
-            repeats=repeats, warmup=warmup)
-    cases["decode_v2"] = summarize(
-        dec, mb_s=round(size_bytes / max(min(dec), 1e-9) / 1e6, 3),
-        stages=cap.stages)
-
-    from repro import container
-
-    blob = container.pack_container(result)
-    with capture_stages() as cap:
-        pack = measure(lambda: container.unpack_container(blob),
-                       repeats=repeats, warmup=warmup)
-    cases["container_unpack"] = summarize(pack, stages=cap.stages)
-    return cases
-
-
 def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
                 dataset: str = "cfiles") -> dict:
     """Measure every registered codec (plus ``auto``) on one corpus.
@@ -113,45 +67,47 @@ def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
     Case names are ``codec.<name>.encode`` / ``codec.<name>.decode``;
     encode cases additionally carry the achieved compression ratio so
     the trajectory records the speed *and* ratio trade-off the
-    dispatcher navigates.  Shared with ``benchmarks/bench_codecs.py``
-    so the committed ``BENCH_codecs.json`` and the gate's fresh runs
-    measure identical work.
+    dispatcher navigates.  ``container_unpack`` reads the v2 container
+    of the plain V2 encode, the kind ``gpu_decompress`` reads.  Every
+    case runs once per round (:func:`repro.bench.stats.measure_rounds`).
+    Shared with ``benchmarks/bench_codecs.py`` so the committed
+    ``BENCH_codecs.json`` and the gate's fresh runs measure identical
+    work.
     """
+    from repro import container
     from repro.codecs import codec_names
     from repro.codecs.dispatch import encode_chunked_auto
     from repro.datasets import generate
-    from repro.lzss import decoder
+    from repro.lzss import decoder, encoder
     from repro.lzss.formats import CUDA_V2
 
     data = np.frombuffer(generate(dataset, size_bytes, seed=7),
                          dtype=np.uint8)
-    cases: dict[str, dict] = {}
+    calls: dict = {}
+    ratios: dict[str, float] = {}
     for name in [*codec_names(), "auto"]:
-        with capture_stages() as cap:
-            enc = measure(
-                lambda: encode_chunked_auto(data, CUDA_V2, CHUNK_SIZE,
-                                            codec=name),
-                repeats=repeats, warmup=warmup)
         result = encode_chunked_auto(data, CUDA_V2, CHUNK_SIZE, codec=name)
-        cases[f"codec.{name}.encode"] = summarize(
-            enc,
-            mb_s=round(size_bytes / max(min(enc), 1e-9) / 1e6, 3),
-            ratio=round(len(result.payload) / size_bytes, 4),
-            stages=cap.stages)
-        with capture_stages() as cap:
-            dec = measure(
-                lambda: decoder.decode_chunked_with_stats(
-                    result.payload, CUDA_V2, result.chunk_sizes, CHUNK_SIZE,
-                    result.input_size, chunk_codecs=result.chunk_codecs),
-                repeats=repeats, warmup=warmup)
-        out = decoder.decode_chunked_with_stats(
-            result.payload, CUDA_V2, result.chunk_sizes, CHUNK_SIZE,
-            result.input_size, chunk_codecs=result.chunk_codecs)[0]
-        if out != data.tobytes():  # pragma: no cover - codec invariant
+        decode = partial(decoder.decode_chunked_with_stats, result.payload,
+                         CUDA_V2, result.chunk_sizes, CHUNK_SIZE,
+                         result.input_size, chunk_codecs=result.chunk_codecs)
+        if decode()[0] != data.tobytes():  # pragma: no cover - invariant
             raise AssertionError(f"codec {name} failed its round trip")
-        cases[f"codec.{name}.decode"] = summarize(
-            dec, mb_s=round(size_bytes / max(min(dec), 1e-9) / 1e6, 3),
-            stages=cap.stages)
+        calls[f"codec.{name}.encode"] = partial(
+            encode_chunked_auto, data, CUDA_V2, CHUNK_SIZE, codec=name)
+        calls[f"codec.{name}.decode"] = decode
+        ratios[f"codec.{name}.encode"] = round(
+            len(result.payload) / size_bytes, 4)
+    blob = container.pack_container(
+        encoder.encode_chunked(data, CUDA_V2, CHUNK_SIZE))
+    calls["container_unpack"] = partial(container.unpack_container, blob)
+
+    samples, stages = measure_rounds(calls, repeats=repeats, warmup=warmup)
+    cases = {case: summarize(
+                 secs, mb_s=round(size_bytes / max(min(secs), 1e-9) / 1e6, 3),
+                 stages=stages[case])
+             for case, secs in samples.items()}
+    for case, ratio in ratios.items():
+        cases[case]["ratio"] = ratio
     return cases
 
 
@@ -319,20 +275,14 @@ def format_report(report: dict, baseline_meta: dict | None = None) -> str:
 
 def run_gate(baseline_path, *, mode: str = "quick", update: bool = False,
              threshold_pct: float = 25.0, size_bytes: int | None = None,
-             repeats: int | None = None, suite: str = "engine",
-             attribute: bool = False, profile=None,
-             out=print) -> int:
+             repeats: int | None = None, attribute: bool = False,
+             profile=None, out=print) -> int:
     """The ``culzss benchgate`` entry point; returns the exit code.
 
     ``update`` appends the fresh run to the trajectory instead of
     judging it (how baselines are [re]generated).  Without a comparable
     baseline the gate exits 2 with a hint — a missing baseline is a
     setup problem, not a performance regression.
-
-    ``suite`` picks the measured cases: ``"engine"`` is the classic
-    codec hot-path gate against ``BENCH_engine.json``; ``"codecs"``
-    measures every registered codec (see :func:`codec_cases`) against
-    the committed ``BENCH_codecs.json`` trajectory.
 
     ``attribute`` turns on regression forensics: each regressed case's
     report names the stage(s) whose share of the measured time grew
@@ -343,8 +293,6 @@ def run_gate(baseline_path, *, mode: str = "quick", update: bool = False,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {sorted(MODES)}")
-    if suite not in ("engine", "codecs"):
-        raise ValueError(f"suite must be 'engine' or 'codecs', not {suite!r}")
     mode_size, mode_repeats, warmup = MODES[mode]
     size_bytes = size_bytes or mode_size
     repeats = repeats or mode_repeats
@@ -354,17 +302,12 @@ def run_gate(baseline_path, *, mode: str = "quick", update: bool = False,
 
         prof.start()
     try:
-        if suite == "codecs":
-            bench_name = CODEC_BENCH
-            cases = codec_cases(size_bytes, repeats=repeats, warmup=warmup)
-        else:
-            bench_name = GATE_BENCH
-            cases = gate_cases(size_bytes, repeats=repeats, warmup=warmup)
+        cases = codec_cases(size_bytes, repeats=repeats, warmup=warmup)
     finally:
         if profile:
             prof.stop()
             prof.export(profile, out=out)
-    fresh = new_run(bench_name, mode, cases,
+    fresh = new_run(CODEC_BENCH, mode, cases,
                     params={"size_bytes": size_bytes, "repeats": repeats,
                             "chunk_size": CHUNK_SIZE})
     if update:
@@ -374,11 +317,10 @@ def run_gate(baseline_path, *, mode: str = "quick", update: bool = False,
         return 0
 
     doc = load_trajectory(baseline_path)
-    baseline = latest_run(doc, mode=mode, bench=bench_name)
+    baseline = latest_run(doc, mode=mode, bench=CODEC_BENCH)
     if baseline is None:
         out(f"benchgate: no {mode!r} baseline in {baseline_path}; "
-            f"run `culzss benchgate --suite {suite} --update` on a "
-            "known-good tree first")
+            "run `culzss benchgate --update` on a known-good tree first")
         return 2
     report = compare_runs(baseline, fresh, threshold_pct=threshold_pct)
     if attribute:

@@ -3,9 +3,11 @@
 Every ``benchmarks/bench_*.py`` script measures through this module so
 the numbers it publishes mean the same thing everywhere:
 
-* :func:`measure` — warmup runs (discarded) followed by ``repeats``
-  timed calls; returns the raw samples, not an average, because a
-  single number hides the variance the regression gate needs.
+* :func:`measure_rounds` — warmup rounds (discarded) followed by
+  ``repeats`` timed rounds, each calling every case once, so host noise
+  lands on every case alike; returns the raw samples, not an average,
+  because a single number hides the variance the regression gate
+  needs.  :func:`measure` is its one-case form.
 * :func:`summarize` — median + interquartile range.  The median
   resists the one-off GC pause that wrecks a mean; the IQR is the
   gate's noise model (two runs whose IQRs overlap are not "different"
@@ -38,6 +40,7 @@ __all__ = [
     "fingerprint",
     "load_trajectory",
     "measure",
+    "measure_rounds",
     "new_run",
     "summarize",
 ]
@@ -53,16 +56,51 @@ def measure(fn, *, repeats: int = 5, warmup: int = 1) -> list[float]:
     Returns the raw per-call seconds.  ``fn`` should do one unit of the
     work being measured and nothing else (build inputs outside it).
     """
+    return measure_rounds({"fn": fn}, repeats=repeats, warmup=warmup)[0]["fn"]
+
+
+def measure_rounds(calls: dict, *, repeats: int = 5,
+                   warmup: int = 1) -> tuple[dict, dict]:
+    """Time several cases round-robin: ``warmup`` discarded rounds, then
+    ``repeats`` timed rounds, each calling every case of ``calls``
+    (name → no-argument callable) once.
+
+    Back-to-back repeats let a burst of host noise inflate one case's
+    every sample, and so its median against the others'; in rounds the
+    burst lands on one sample of each case.  Returns ``(samples,
+    stages)``: each case's raw per-call seconds, and its stage
+    breakdown (as :class:`capture_stages` records it) over its own
+    timed calls.
+    """
+    from repro import obs
+
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     for _ in range(max(0, warmup)):
-        fn()
-    samples = []
+        for fn in calls.values():
+            fn()
+    samples: dict[str, list[float]] = {name: [] for name in calls}
+    snaps: dict[str, tuple[list, list]] = {name: ([], []) for name in calls}
     for _ in range(repeats):
-        t0 = perf_counter()
-        fn()
-        samples.append(perf_counter() - t0)
-    return samples
+        for name, fn in calls.items():
+            snaps[name][0].append(obs.get_registry().snapshot())
+            t0 = perf_counter()
+            fn()
+            samples[name].append(perf_counter() - t0)
+            snaps[name][1].append(obs.get_registry().snapshot())
+    # Counters and histogram count/sum add, so the breakdown between
+    # the summed snapshots is the sum of the per-call breakdowns.
+    stages = {name: _stage_rows(obs.stage_breakdown(
+                  obs.merge_snapshots(*before), obs.merge_snapshots(*after)))
+              for name, (before, after) in snaps.items()}
+    return samples, stages
+
+
+def _stage_rows(raw: dict) -> dict:
+    """A :func:`repro.obs.stage_breakdown`, rounded for a trajectory."""
+    return {stage: {"seconds": round(v["seconds"], 6), "bytes": v["bytes"],
+                    "calls": v["calls"], "share": round(v["share"], 4)}
+            for stage, v in raw.items()}
 
 
 class capture_stages:
@@ -93,13 +131,8 @@ class capture_stages:
     def __exit__(self, *exc) -> bool:
         from repro import obs
 
-        raw = obs.stage_breakdown(self._before,
-                                  obs.get_registry().snapshot())
-        self.stages = {
-            stage: {"seconds": round(v["seconds"], 6),
-                    "bytes": v["bytes"], "calls": v["calls"],
-                    "share": round(v["share"], 4)}
-            for stage, v in raw.items()}
+        self.stages = _stage_rows(obs.stage_breakdown(
+            self._before, obs.get_registry().snapshot()))
         return False
 
 

@@ -17,14 +17,15 @@ Usage::
     culzss send       [INPUT ...] [--dataset KIND --count N] ...
     culzss stats      [INPUT] [--format {pretty,json,prom}] ...
     culzss trace      INPUT [--output FILE] [--workers N] ...
-    culzss benchgate  [--suite {engine,codecs}] [--quick] [--update]
+    culzss benchgate  [--quick] [--update] [--baseline FILE]
                       [--threshold PCT] [--attribute] [--profile FILE]
     culzss top        --port P [--plain] [--interval S]
 
 ``serve``/``send`` run the streaming gateway pair (`repro.service`):
 ``serve`` is the egress gateway (decompress + deliver), ``send`` the
 ingress gateway (compress + ship); both print a metrics snapshot on
-exit.
+exit (``send`` with ``--metrics``): the gateway registry merged with
+the process-global one, the union the metrics sidecar serves.
 
 ``stats``/``trace`` surface the :mod:`repro.obs` observability layer:
 ``stats`` runs a compress/decompress round trip and prints the metric
@@ -35,7 +36,7 @@ loadable in ``chrome://tracing`` / Perfetto.  ``serve
 --metrics-port P`` additionally exposes a live ``/metrics`` scrape.
 
 ``benchgate`` runs the statistical codec benchmarks and fails (exit 1)
-on a median regression against the committed ``BENCH_engine.json``
+on a median regression against the committed ``BENCH_codecs.json``
 baseline; ``--attribute`` names the stage(s) whose time share grew.
 ``top`` is a live dashboard (curses, or ``--plain``) over a ``serve
 --metrics-port`` sidecar, showing throughput, queue depths, latency
@@ -291,10 +292,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _print_metrics(metrics) -> None:
+    """Print the gateway registry merged with the process-global one —
+    the union the metrics sidecar serves."""
     import json
 
+    from repro import obs
+
+    snap = obs.merge_snapshots(obs.get_registry().snapshot(),
+                               metrics.snapshot())
     print("metrics snapshot:")
-    print(json.dumps(metrics.snapshot(), indent=2, sort_keys=True))
+    print(json.dumps(snap, indent=2, sort_keys=True))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -405,13 +412,10 @@ def _cmd_send(args: argparse.Namespace) -> int:
 def _cmd_benchgate(args: argparse.Namespace) -> int:
     from repro.bench.gate import run_gate
 
-    baseline = args.baseline or ("BENCH_codecs.json" if args.suite == "codecs"
-                                 else "BENCH_engine.json")
-    return run_gate(Path(baseline),
+    return run_gate(Path(args.baseline),
                     mode="quick" if args.quick else "full",
                     update=args.update, threshold_pct=args.threshold,
-                    suite=args.suite, attribute=args.attribute,
-                    profile=args.profile)
+                    attribute=args.attribute, profile=args.profile)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -606,12 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchgate",
                        help="statistical benchmark regression gate")
-    p.add_argument("--suite", choices=("engine", "codecs"), default="engine",
-                   help="which benchmark suite to gate")
-    p.add_argument("--baseline", default=None,
-                   help="trajectory file holding the committed baseline "
-                        "(default: BENCH_engine.json or BENCH_codecs.json "
-                        "per --suite)")
+    p.add_argument("--baseline", default="BENCH_codecs.json",
+                   help="trajectory file holding the committed baseline")
     p.add_argument("--quick", action="store_true",
                    help="CI-sized workload (compares against the newest "
                         "quick-mode baseline)")

@@ -18,9 +18,10 @@ while frames leave in order.  The egress side additionally reassembles
 by sequence number, which makes it robust to duplicated or reordered
 frames should transport retries ever introduce them.
 
-Ingress runs the cheap entropy probe from :mod:`repro.lzss.matcher` on
-each buffer and ships near-incompressible ones as :data:`FLAG_RAW`
-without occupying a pool worker at all (``ingress.probe_raw_frames``).
+Both pipelines only schedule: they never look inside a frame's bytes.
+The frame job decides raw or container — :func:`encode_payload` runs
+the entropy probe and the expansion guard itself, so each frame is
+probed once, in the pool.
 """
 
 from __future__ import annotations
@@ -283,9 +284,6 @@ class IngressPipeline(_PooledStage):
                   send: Callable[[Frame], Awaitable[None]]) -> int:
         """Push every buffer through compression and ``send``; returns
         the number of data frames emitted."""
-        from repro.lzss.matcher import probe_incompressible
-
-        loop = asyncio.get_running_loop()
         self._pool()  # build eagerly so the first frame pays no setup
         jobs: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
         m = self.metrics
@@ -304,17 +302,7 @@ class IngressPipeline(_PooledStage):
                                   trace_id=tid, codec=codec)
                 else:
                     job = partial(self._job, data, self.version)
-                if stock and probe_incompressible(data):
-                    # Near-random buffer: the codec would only rediscover
-                    # FLAG_RAW the expensive way — skip the pool outright.
-                    fut = loop.create_future()
-                    fut.set_result(((FLAG_RAW, data), None))
-                    m.inc("ingress.probe_raw_frames")
-                    obslog.event("codec", "store_fallback", scope="frame",
-                                 reason="probe", size=len(data),
-                                 trace_id=tid)
-                else:
-                    fut = self._submit("ingress", tid, job)
+                fut = self._submit("ingress", tid, job)
                 enq = perf_counter()
                 await jobs.put((seq, data, enq, fut, tid, job))
                 m.gauge("ingress.queue_depth", jobs.qsize())
@@ -338,14 +326,8 @@ class IngressPipeline(_PooledStage):
                     m.inc("ingress.raw_frames")
                 if n_in:
                     m.observe("ingress.frame_ratio", frame.wire_size / n_in)
-                t0 = perf_counter()
-                await send(frame)
-                sent = perf_counter() - t0
-                m.observe("ingress.send_wait_seconds", sent)
-                # Throughput-ledger view of the same interval: wire
-                # bytes over transport time -> a transport.send MB/s row.
-                m.observe("transport.send_seconds", sent)
-                m.inc("transport.send_bytes", frame.wire_size)
+                with obs.stage("transport.send", bytes=frame.wire_size):
+                    await send(frame)
 
         n_frames, _ = await _run_both(submit(), drain())
         return n_frames

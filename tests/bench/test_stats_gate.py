@@ -13,6 +13,32 @@ from repro.bench import gate, stats
 
 # ------------------------------------------------------------- stats
 
+def test_measure_rounds_runs_every_case_once_per_round():
+    from repro import obs
+
+    calls = []
+
+    def case(name):
+        def fn():
+            calls.append(name)
+            if name == "a":
+                with obs.stage("encode.match", bytes=100):
+                    pass
+        return fn
+
+    samples, stages = stats.measure_rounds(
+        {"a": case("a"), "b": case("b")}, repeats=3, warmup=1)
+    assert calls == ["a", "b"] * 4
+    assert {name: len(s) for name, s in samples.items()} == {"a": 3, "b": 3}
+    # each case's breakdown covers its own timed calls, not the warmup
+    assert stages["a"]["encode.match"]["calls"] == 3
+    assert stages["a"]["encode.match"]["bytes"] == 300
+    assert stages["a"]["encode.match"]["share"] == pytest.approx(1.0)
+    assert stages["b"] == {}
+    with pytest.raises(ValueError):
+        stats.measure_rounds({"a": case("a")}, repeats=0)
+
+
 def test_measure_runs_warmup_then_repeats():
     calls = []
     samples = stats.measure(lambda: calls.append(1), repeats=4, warmup=2)
@@ -185,7 +211,7 @@ SIZE, REPEATS = 16_000, 4
 
 
 def test_gate_passes_on_unchanged_tree(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
+    path = tmp_path / "BENCH_codecs.json"
     assert gate.run_gate(path, mode="quick", update=True,
                          size_bytes=SIZE, repeats=REPEATS,
                          out=lambda *a: None) == 0
@@ -196,35 +222,33 @@ def test_gate_passes_on_unchanged_tree(tmp_path):
                          out=lambda *a: None) == 0
 
 
-def test_gate_fails_on_injected_encode_slowdown(tmp_path, monkeypatch):
+def test_gate_fails_on_injected_encode_slowdown(tmp_path):
     from repro.lzss import encoder
+    from repro.testing import faults
 
-    path = tmp_path / "BENCH_engine.json"
+    path = tmp_path / "BENCH_codecs.json"
     assert gate.run_gate(path, mode="quick", update=True,
                          size_bytes=SIZE, repeats=REPEATS,
                          out=lambda *a: None) == 0
-    real = encoder.encode_chunked
-
-    def slowed(*args, **kwargs):
-        time.sleep(0.2)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(encoder, "encode_chunked", slowed)
     lines: list[str] = []
-    assert gate.run_gate(path, mode="quick", size_bytes=SIZE,
-                         repeats=REPEATS, out=lines.append) == 1
+    with faults.slow_call(encoder, "best_matches", 0.2):
+        assert gate.run_gate(path, mode="quick", size_bytes=SIZE,
+                             repeats=REPEATS, out=lines.append) == 1
     text = "\n".join(lines)
-    assert "REGRESSION" in text and "encode_v2" in text
+    assert "REGRESSION" in text and "codec.lzss.encode" in text
 
 
-def test_gate_cases_record_stage_breakdowns():
-    cases = gate.gate_cases(SIZE, repeats=2, warmup=0)
-    assert "encode.match" in cases["encode_v2"]["stages"]
-    assert "decode.stream" in cases["decode_v2"]["stages"]
+def test_codec_cases_record_stage_breakdowns():
+    cases = gate.codec_cases(SIZE, repeats=2, warmup=0)
+    assert len(cases) == 11
+    assert "encode.match" in cases["codec.lzss.encode"]["stages"]
+    assert "decode.stream" in cases["codec.lzss.decode"]["stages"]
     assert "container.unpack" in cases["container_unpack"]["stages"]
-    for summary in cases.values():
+    for name, summary in cases.items():
+        if name == "codec.store.encode":  # a memcpy: no stage
+            continue
         shares = sum(v["share"] for v in summary["stages"].values())
-        assert shares == pytest.approx(1.0, abs=0.02)
+        assert shares == pytest.approx(1.0, abs=0.02), name
 
 
 def test_gate_attribution_names_the_slowed_stage(tmp_path):
@@ -233,7 +257,7 @@ def test_gate_attribution_names_the_slowed_stage(tmp_path):
     from repro.lzss import encoder
     from repro.testing import faults
 
-    path = tmp_path / "BENCH_engine.json"
+    path = tmp_path / "BENCH_codecs.json"
     assert gate.run_gate(path, mode="quick", update=True,
                          size_bytes=SIZE, repeats=REPEATS,
                          out=lambda *a: None) == 0
@@ -244,10 +268,10 @@ def test_gate_attribution_names_the_slowed_stage(tmp_path):
                            out=lines.append)
     assert rc == 1
     text = "\n".join(lines)
-    assert "REGRESSION" in text and "encode_v2" in text
-    # judge the encode_v2 block specifically: a sub-ms case elsewhere
+    assert "REGRESSION" in text and "codec.lzss.encode" in text
+    # judge the lzss encode block specifically: a sub-ms case elsewhere
     # can regress on timer noise under load, with its own attribution
-    block = text.split("encode_v2", 1)[1]
+    block = text.split("codec.lzss.encode", 1)[1]
     suspect = next(line for line in block.splitlines()
                    if "suspect stage(s):" in line)
     assert "encode.match" in suspect, text
@@ -259,7 +283,7 @@ def test_gate_attribution_names_the_slowed_stage(tmp_path):
 def test_gate_attribution_against_pre_stage_baseline_hints_refresh(tmp_path):
     """Baselines recorded before stage capture existed: attribution
     degrades to an actionable hint, never a crash."""
-    path = tmp_path / "BENCH_engine.json"
+    path = tmp_path / "BENCH_codecs.json"
     assert gate.run_gate(path, mode="quick", update=True,
                          size_bytes=SIZE, repeats=REPEATS,
                          out=lambda *a: None) == 0
@@ -282,7 +306,7 @@ def test_gate_attribution_against_pre_stage_baseline_hints_refresh(tmp_path):
 
 
 def test_gate_profile_writes_speedscope(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
+    path = tmp_path / "BENCH_codecs.json"
     profile = tmp_path / "gate.speedscope.json"
     lines: list[str] = []
     assert gate.run_gate(path, mode="quick", update=True,
@@ -313,7 +337,7 @@ def test_cli_benchgate_wires_through(tmp_path, capsys):
     """The CLI path at the real quick workload: update then judge."""
     from repro.cli import main
 
-    baseline = tmp_path / "BENCH_engine.json"
+    baseline = tmp_path / "BENCH_codecs.json"
     assert main(["benchgate", "--quick", "--update",
                  "--baseline", str(baseline)]) == 0
     # generous threshold, same rationale as the library-level test: this

@@ -97,9 +97,8 @@ GATEWAY_METRIC_KEYS = (
     "egress.reorder_evictions", "egress.serial_fallbacks",
     "egress.stage_wait_seconds",
     "ingress.bytes_in", "ingress.bytes_out", "ingress.frame_ratio",
-    "ingress.frames_out", "ingress.probe_raw_frames",
-    "ingress.queue_depth", "ingress.raw_frames",
-    "ingress.send_wait_seconds", "ingress.serial_fallbacks",
+    "ingress.frames_out", "ingress.queue_depth", "ingress.raw_frames",
+    "ingress.serial_fallbacks",
     "ingress.stage_wait_seconds",
     "server.bytes_delivered", "server.connection_errors",
     "server.connections", "server.frames_delivered",

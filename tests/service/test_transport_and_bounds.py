@@ -1,4 +1,4 @@
-"""Process-pool frame transport, probe fast path, reorder bound."""
+"""Process-pool frame transport, one probe per frame, reorder bound."""
 
 from __future__ import annotations
 
@@ -63,19 +63,26 @@ def test_reorder_bound_does_not_break_normal_reordering():
     assert m.count("egress.reorder_evictions") == 0
 
 
-# ----------------------------------------------------- probe fast path
+# ------------------------------------------ the frame job decides raw
 
-def test_probe_ships_incompressible_frames_raw_without_a_worker():
+def _probe_calls() -> int:
+    from repro import obs
+
+    return obs.get_registry().count("matcher.probe_calls")
+
+
+def test_random_frame_ships_raw_through_its_job():
     rnd = np.random.default_rng(3).integers(0, 256, 8192,
                                             dtype=np.uint8).tobytes()
     text = generate("highly_compressible", 8192)
     m = MetricRegistry()
+    before = _probe_calls()
     with IngressPipeline(workers=0, metrics=m) as pipe:
         frames = asyncio.run(_collect_ingress(pipe, [rnd, text]))
     assert frames[0].flags & FLAG_RAW and frames[0].payload == rnd
     assert not frames[1].flags & FLAG_RAW
-    assert m.count("ingress.probe_raw_frames") == 1
     assert m.count("ingress.raw_frames") == 1
+    assert _probe_calls() - before == 2  # each frame probed once
 
 
 def test_probe_skipped_for_injected_jobs():
@@ -87,11 +94,28 @@ def test_probe_skipped_for_injected_jobs():
         seen.append(data)
         return FLAG_RAW, data
 
-    m = MetricRegistry()
-    with IngressPipeline(workers=0, metrics=m, job=job) as pipe:
+    before = _probe_calls()
+    with IngressPipeline(workers=0, job=job) as pipe:
         asyncio.run(_collect_ingress(pipe, [rnd]))
     assert len(seen) == 1  # the custom job saw the buffer
-    assert m.count("ingress.probe_raw_frames") == 0
+    assert _probe_calls() == before
+
+
+def test_each_send_is_one_transport_send_stage():
+    from repro import obs
+
+    buffers = [generate("cfiles", 4096, seed=s) for s in (1, 2, 3)]
+    m = MetricRegistry()
+    before = obs.get_registry().snapshot()
+    with IngressPipeline(workers=0, metrics=m) as pipe:
+        frames = asyncio.run(_collect_ingress(pipe, buffers))
+    rows = obs.stage_breakdown(before, obs.get_registry().snapshot())
+    assert rows["transport.send"]["calls"] == len(buffers)
+    assert rows["transport.send"]["bytes"] == sum(f.wire_size for f in frames)
+    private = m.snapshot()
+    names = {*private["counters"], *private["histograms"]}
+    assert not {n for n in names if n.startswith("transport.send")}
+    assert "ingress.send_wait_seconds" not in names
 
 
 # ------------------------------------------------ process-pool transport
