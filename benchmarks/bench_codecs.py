@@ -21,8 +21,11 @@ report adds the two headline comparisons this subsystem exists for:
   than noise to the single-codec baseline).
 
 Results append to the ``BENCH_codecs.json`` trajectory at the repo
-root (schema 2, newest run last) and overwrite the human-readable
-``benchmarks/results/bench_codecs.txt``.
+root, or to ``--output`` (schema 2, newest run last, through
+:mod:`repro.bench.stats`), and overwrite the human-readable
+``benchmarks/results/bench_codecs.txt``.  CI's bench-codecs job runs
+the parent commit's copy of this script with ``--output base.json``
+and gates the change against that run.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from harness import bench_path, publish  # noqa: E402
 from repro.bench.gate import CHUNK_SIZE, MODES, codec_cases  # noqa: E402
+from repro.bench.stats import append_run, new_run  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -96,11 +98,13 @@ def main(argv: list[str] | None = None) -> int:
     repeats = args.repeats or mode_repeats
 
     cases = codec_cases(size_bytes, repeats=repeats, warmup=warmup)
-    out_path = Path(args.output) if args.output else bench_path("codecs")
-    run = publish("codecs", mode, cases,
+    out_path = (Path(args.output) if args.output
+                else REPO_ROOT / "BENCH_codecs.json")
+    run = new_run("codecs", mode, cases,
                   params={"size_bytes": size_bytes, "repeats": repeats,
                           "chunk_size": CHUNK_SIZE},
-                  path=out_path)
+                  repo_root=REPO_ROOT)
+    append_run(out_path, run)
     text = render(run)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_codecs.txt").write_text(text + "\n")

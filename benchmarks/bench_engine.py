@@ -8,11 +8,11 @@ share one entry point::
 
 Measures `ParallelEngine.encode`/`decode` throughput over
 `encode_chunked`/`decode_chunked_with_stats` per worker count, per
-dataset, at the requested buffer size, through
-the statistical harness (``benchmarks/harness.py``: warmup + repeats,
-median + IQR, honest environment fingerprint); every parallel run is
-checked byte-identical against the serial path before its time is
-reported.
+dataset, at the requested buffer size.  Every parallel run is first
+checked byte-identical against the serial path, untimed; then one
+:func:`repro.bench.stats.measure_rounds` call times its encode and
+decode round-robin (warmup + repeats, median + IQR), so each case
+carries its own stage breakdown, as the codec cases do.
 
 Results append to the ``BENCH_engine.json`` trajectory at the repo
 root (schema 2: ``{"schema": 2, "runs": [...]}``, newest run last,
@@ -23,20 +23,20 @@ human-readable ``benchmarks/results/bench_engine.txt``.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import numpy as np  # noqa: E402
 
-from harness import (  # noqa: E402
-    bench_path,
-    capture_stages,
-    measure,
-    publish,
+from repro.bench.stats import (  # noqa: E402
+    append_run,
+    measure_rounds,
+    new_run,
     summarize,
 )
 from repro.datasets import generate  # noqa: E402
@@ -70,26 +70,21 @@ def bench_engine(datasets: list[str], size_bytes: int,
         for workers in workers_list:
             with ParallelEngine(workers=workers,
                                 min_parallel_bytes=0) as engine:
-                def encode():
-                    return engine.encode(encode_chunked, data, CUDA_V2,
-                                         CHUNK_SIZE)
-
-                def decode():
-                    return engine.decode(
-                        decode_chunked_with_stats, result.payload, CUDA_V2,
-                        result.chunk_sizes, CHUNK_SIZE, result.input_size)[0]
-
-                enc = measure(encode, repeats=repeats, warmup=1)
+                encode = partial(engine.encode, encode_chunked, data,
+                                 CUDA_V2, CHUNK_SIZE)
                 result = encode()
+                decode = partial(engine.decode, decode_chunked_with_stats,
+                                 result.payload, CUDA_V2, result.chunk_sizes,
+                                 CHUNK_SIZE, result.input_size)
                 identical = (result.payload == baseline.payload
                              and np.array_equal(result.chunk_sizes,
-                                                baseline.chunk_sizes))
-                dec = measure(decode, repeats=repeats, warmup=1)
-                out = decode()
-                identical = identical and out == data.tobytes()
+                                                baseline.chunk_sizes)
+                             and decode()[0] == data.tobytes())
+                samples, stages = measure_rounds(
+                    {"encode": encode, "decode": decode},
+                    repeats=repeats, warmup=1)
             all_identical = all_identical and identical
-            import statistics
-
+            enc, dec = samples["encode"], samples["decode"]
             enc_med, dec_med = (statistics.median(enc),
                                 statistics.median(dec))
             if base_med is None:
@@ -99,9 +94,10 @@ def bench_engine(datasets: list[str], size_bytes: int,
                 enc,
                 mb_s=round(size_bytes / enc_med / 1e6, 3),
                 speedup_vs_1=round(base_med / enc_med, 3),
-                identical=bool(identical))
+                identical=bool(identical), stages=stages["encode"])
             cases[f"{key}.decode"] = summarize(
-                dec, mb_s=round(size_bytes / dec_med / 1e6, 3))
+                dec, mb_s=round(size_bytes / dec_med / 1e6, 3),
+                stages=stages["decode"])
     return cases, all_identical
 
 
@@ -171,30 +167,30 @@ def main(argv: list[str] | None = None) -> int:
                 or ("cfiles" if args.quick else "cfiles,demap")).split(",")
     size_bytes = int(size_mb * (1 << 20))
 
-    with capture_stages() as cap:
-        if args.trace:
-            from repro import obs
-            from repro.obs import trace as obs_trace
+    if args.trace:
+        from repro import obs
+        from repro.obs import trace as obs_trace
 
-            obs_trace.clear()
-            with obs_trace.span("bench.engine_sweep",
-                                trace_id=obs.new_trace_id(),
-                                quick=args.quick):
-                cases, all_identical = bench_engine(datasets, size_bytes,
-                                                    workers, repeats)
-            trace_path = obs.write_chrome_trace(args.trace,
-                                                obs_trace.spans())
-            print(f"wrote {trace_path} ({len(obs_trace.spans())} spans)")
-        else:
+        obs_trace.clear()
+        with obs_trace.span("bench.engine_sweep",
+                            trace_id=obs.new_trace_id(),
+                            quick=args.quick):
             cases, all_identical = bench_engine(datasets, size_bytes,
                                                 workers, repeats)
+        trace_path = obs.write_chrome_trace(args.trace, obs_trace.spans())
+        print(f"wrote {trace_path} ({len(obs_trace.spans())} spans)")
+    else:
+        cases, all_identical = bench_engine(datasets, size_bytes,
+                                            workers, repeats)
 
-    out_path = Path(args.output) if args.output else bench_path("engine")
-    run = publish("engine", mode, cases,
+    out_path = (Path(args.output) if args.output
+                else REPO_ROOT / "BENCH_engine.json")
+    run = new_run("engine", mode, cases,
                   params={"size_bytes": size_bytes, "repeats": repeats,
                           "workers": workers, "datasets": datasets,
                           "chunk_size": CHUNK_SIZE},
-                  path=out_path, stages=cap.stages)
+                  repo_root=REPO_ROOT)
+    append_run(out_path, run)
     text = render(run, all_identical)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_engine.txt").write_text(text + "\n")

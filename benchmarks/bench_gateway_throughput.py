@@ -3,26 +3,30 @@ pair at compression worker counts 1/2/4.
 
 The service's claim to scale is the ingress fan-out: the CPU-bound
 LZSS encoder runs in a ``ProcessPoolExecutor`` behind a bounded queue
-while frames leave in order (`docs/service.md` §2).  This harness
+while frames leave in order (`docs/service.md` §2).  This benchmark
 pushes the same mixed-kind buffer stream through a real
 server+client pair over 127.0.0.1 per worker count and reports the
 end-to-end rates, in the style of the other `benchmarks/results/`
-files.
+files, and appends the sweep to the ``BENCH_gateway.json`` trajectory
+at the repo root (:mod:`repro.bench.stats`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 from benchmarks.conftest import report
-from benchmarks.harness import publish, summarize
+from repro.bench.stats import append_run, new_run, summarize
 from repro.datasets import generate
 from repro.obs import MetricRegistry
 from repro.service import GatewayClient, GatewayServer
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 WORKER_COUNTS = (1, 2, 4)
 N_FRAMES = 12
@@ -95,13 +99,15 @@ def test_gateway_throughput(benchmark):
     # publish the sweep into the BENCH_gateway.json trajectory so runs
     # are comparable across commits (honest single-sample entries: the
     # summary records repeats=1, and the fingerprint says where it ran)
-    publish("gateway", "full",
-            {f"w{workers}.stream": summarize(
-                [elapsed], frames_per_s=round(fps, 1),
-                mb_s=round(mbps, 2), wire_bytes=wire)
-             for workers, elapsed, fps, mbps, wire in rows},
-            params={"frames": N_FRAMES, "frame_bytes": FRAME_BYTES,
-                    "kinds": list(KINDS)})
+    append_run(REPO_ROOT / "BENCH_gateway.json", new_run(
+        "gateway", "full",
+        {f"w{workers}.stream": summarize(
+            [elapsed], frames_per_s=round(fps, 1),
+            mb_s=round(mbps, 2), wire_bytes=wire)
+         for workers, elapsed, fps, mbps, wire in rows},
+        params={"frames": N_FRAMES, "frame_bytes": FRAME_BYTES,
+                "kinds": list(KINDS)},
+        repo_root=REPO_ROOT))
 
     # more workers must not lose frames or corrupt order (ack checked
     # inside _push); scaling should at least not regress wall time badly

@@ -7,7 +7,7 @@ the numbers it publishes mean the same thing everywhere:
   ``repeats`` timed rounds, each calling every case once, so host noise
   lands on every case alike; returns the raw samples, not an average,
   because a single number hides the variance the regression gate
-  needs.  :func:`measure` is its one-case form.
+  needs, and each case's stage breakdown over its own timed calls.
 * :func:`summarize` — median + interquartile range.  The median
   resists the one-off GC pause that wrecks a mean; the IQR is the
   gate's noise model (two runs whose IQRs overlap are not "different"
@@ -36,10 +36,8 @@ from time import perf_counter, time as wall_time
 __all__ = [
     "SCHEMA_VERSION",
     "append_run",
-    "capture_stages",
     "fingerprint",
     "load_trajectory",
-    "measure",
     "measure_rounds",
     "new_run",
     "summarize",
@@ -50,15 +48,6 @@ SCHEMA_VERSION = 2
 
 # ------------------------------------------------------------ measuring
 
-def measure(fn, *, repeats: int = 5, warmup: int = 1) -> list[float]:
-    """Time ``fn()`` ``repeats`` times after ``warmup`` discarded calls.
-
-    Returns the raw per-call seconds.  ``fn`` should do one unit of the
-    work being measured and nothing else (build inputs outside it).
-    """
-    return measure_rounds({"fn": fn}, repeats=repeats, warmup=warmup)[0]["fn"]
-
-
 def measure_rounds(calls: dict, *, repeats: int = 5,
                    warmup: int = 1) -> tuple[dict, dict]:
     """Time several cases round-robin: ``warmup`` discarded rounds, then
@@ -67,10 +56,18 @@ def measure_rounds(calls: dict, *, repeats: int = 5,
 
     Back-to-back repeats let a burst of host noise inflate one case's
     every sample, and so its median against the others'; in rounds the
-    burst lands on one sample of each case.  Returns ``(samples,
-    stages)``: each case's raw per-call seconds, and its stage
-    breakdown (as :class:`capture_stages` records it) over its own
-    timed calls.
+    burst lands on one sample of each case.  Each callable should do
+    one unit of the work being measured and nothing else (build inputs
+    outside it).
+
+    Returns ``(samples, stages)``: each case's raw per-call seconds,
+    and its stage breakdown over its own timed calls — ``{stage:
+    {seconds, bytes, calls, share}}`` for every ledger stage (those
+    reporting the ``bytes=`` dimension) of the process-global
+    :mod:`repro.obs` registry.  Pass a case's breakdown into
+    :func:`summarize` as ``stages=`` so it rides the trajectory entry,
+    which is what ``culzss benchgate --attribute`` diffs to name the
+    stage a regression lives in.
     """
     from repro import obs
 
@@ -101,39 +98,6 @@ def _stage_rows(raw: dict) -> dict:
     return {stage: {"seconds": round(v["seconds"], 6), "bytes": v["bytes"],
                     "calls": v["calls"], "share": round(v["share"], 4)}
             for stage, v in raw.items()}
-
-
-class capture_stages:
-    """Record the per-stage ledger breakdown of a measured region.
-
-    Snapshots the process-global :mod:`repro.obs` registry on entry and
-    exit and exposes the diff as ``.stages`` — ``{stage: {seconds,
-    bytes, calls, share}}`` for every ledger stage (those reporting the
-    ``bytes=`` dimension) active inside the ``with``.  Pass the result
-    into :func:`summarize` as ``stages=`` so the breakdown rides the
-    trajectory entry, which is what ``culzss benchgate --attribute``
-    diffs to name the stage a regression lives in.
-
-    Warmup calls inside the region inflate every stage by the same
-    factor, so the *shares* the attribution compares are unaffected.
-    """
-
-    def __init__(self) -> None:
-        self.stages: dict = {}
-        self._before: dict | None = None
-
-    def __enter__(self) -> "capture_stages":
-        from repro import obs
-
-        self._before = obs.get_registry().snapshot()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        from repro import obs
-
-        self.stages = _stage_rows(obs.stage_breakdown(
-            self._before, obs.get_registry().snapshot()))
-        return False
 
 
 def summarize(samples: list[float], **extra) -> dict:
@@ -217,7 +181,7 @@ def load_trajectory(path) -> dict:
 
     Pre-schema-2 files (the old single-run overwrite format) are
     treated as having no comparable runs rather than erroring, so the
-    first harness run after an upgrade simply starts the trajectory.
+    first run after an upgrade simply starts the trajectory.
     """
     path = Path(path)
     if not path.exists():

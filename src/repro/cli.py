@@ -237,10 +237,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
                       info.original_size - c * info.chunk_size)
             ratio = (f"{int(info.chunk_sizes[c]) / raw:.4f}" if raw > 0
                      else "-")
-            try:
-                name = get_codec(int(cid)).name
-            except KeyError:
-                name = "?"
+            name = get_codec(int(cid)).name
             print(f"  chunk {c}: codec {int(cid)} ({name}), "
                   f"{int(info.chunk_sizes[c])} bytes (ratio {ratio})")
     return 0

@@ -115,8 +115,7 @@ def _model_profile(compressor, result: EncodeResult, data,
         return compressor.profile(result, cal)
 
 
-def gpu_compress(buffer, params: CompressionParams | None = None,
-                 calibration: Calibration | None = None, *,
+def gpu_compress(buffer, params: CompressionParams | None = None, *,
                  workers: int | None = None,
                  codec: str = "lzss") -> CompressedBuffer:
     """In-memory compression on the (simulated) GPU.
@@ -143,7 +142,6 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
     require(params.is_standard_format,
             "containers require the standard 128-byte window; "
             "use V1Compressor/V2Compressor directly for tuning sweeps")
-    cal = calibration or default_calibration()
     data = as_bytes(buffer)
     if codec != "lzss":
         require(codec == "auto" or codec in codec_names(),
@@ -164,13 +162,12 @@ def gpu_compress(buffer, params: CompressionParams | None = None,
     if result.input_size == 0:
         return CompressedBuffer(data=pack_container(result), result=result,
                                 profile=GpuProfile())
-    profile = _model_profile(compressor, result, data, cal)
+    profile = _model_profile(compressor, result, data, default_calibration())
     return CompressedBuffer(data=pack_container(result), result=result,
                             profile=profile)
 
 
-def gpu_decompress(blob, params: CompressionParams | None = None,
-                   calibration: Calibration | None = None, *,
+def gpu_decompress(blob, params: CompressionParams | None = None, *,
                    workers: int | None = None, errors: str = "strict",
                    fill_byte: int = 0) -> DecompressResult:
     """In-memory decompression of a ``gpu_compress`` container.
@@ -189,7 +186,6 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
     """
     require(errors in ("strict", "salvage"),
             f"errors must be 'strict' or 'salvage', not {errors!r}")
-    cal = calibration or default_calibration()
     info = unpack_container(as_bytes(blob), strict=errors == "strict")
     require(info.is_chunked, "CULZSS containers are always chunked")
     with obs.stage("api.decompress", size=info.original_size, errors=errors):
@@ -224,5 +220,5 @@ def gpu_decompress(blob, params: CompressionParams | None = None,
     with obs.stage("model", bytes=info.original_size):
         profile = GpuDecompressor(params).profile(
             per_chunk_tokens, len(info.payload), info.original_size,
-            info.chunk_sizes, cal)
+            info.chunk_sizes, default_calibration())
     return DecompressResult(data=out, profile=profile, salvage=report)

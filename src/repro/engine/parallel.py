@@ -98,9 +98,8 @@ def merge_encode_results(parts: list[EncodeResult], fmt: TokenFormat,
 
     The inverse of :func:`shard_chunk_runs`: payloads and chunk tables
     concatenate in shard order, counters sum, and the detail arrays the
-    GPU cost models consume (per-position compares, per-warp lockstep
-    compares, token starts/lengths) concatenate with position rebasing
-    where needed.
+    GPU cost models consume (per-warp lockstep compares, token starts)
+    concatenate, token starts rebased to the full buffer.
     """
     require(len(parts) > 0, "nothing to merge")
     payload = b"".join(p.payload for p in parts)
@@ -114,7 +113,6 @@ def merge_encode_results(parts: list[EncodeResult], fmt: TokenFormat,
         off += p.input_size
 
     stats_parts = [p.stats for p in parts]
-    compare_counts = [s.compare_count for s in stats_parts]
     stats = EncodeStats(
         input_size=input_size,
         output_size=len(payload),
@@ -123,16 +121,10 @@ def merge_encode_results(parts: list[EncodeResult], fmt: TokenFormat,
         n_pairs=sum(s.n_pairs for s in stats_parts),
         sum_match_length=sum(s.sum_match_length for s in stats_parts),
         total_bits=sum(s.total_bits for s in stats_parts),
-        compare_count=(None if any(c is None for c in compare_counts)
-                       else sum(compare_counts)),
-        per_position_compares=_concat_detail(
-            [s.per_position_compares for s in stats_parts]),
         per_warp_compares=_concat_detail(
             [s.per_warp_compares for s in stats_parts]),
         token_starts=_concat_detail(
             [s.token_starts for s in stats_parts], offsets),
-        token_lengths=_concat_detail(
-            [s.token_lengths for s in stats_parts]),
     )
     return EncodeResult(payload=payload, format=fmt, input_size=input_size,
                         chunk_sizes=chunk_sizes, chunk_size=chunk_size,

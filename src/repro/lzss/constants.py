@@ -29,13 +29,8 @@ CUDA_WINDOW = 128  # V2's per-thread search window
 CUDA_CHUNK_SIZE = 4096
 DEFAULT_THREADS_PER_BLOCK = 128
 
-#: V1 per-thread parse slice: 4 KiB chunk / 128 threads.
-V1_SLICE_BYTES = CUDA_CHUNK_SIZE // DEFAULT_THREADS_PER_BLOCK  # 32
-
 #: CULZSS V1 keeps Dipperstein's 4-bit length field (max match 18);
 #: V2 spends a full byte on the length ("16 bit encoding space with
 #: extended offset", §III.D).  The field could express 258 but the
 #: kernel's 64-byte extended lookahead view caps matches at 66.
-V1_MAX_MATCH = MIN_MATCH + (1 << 4) - 1  # 18
-V2_LOOKAHEAD_EXTENSION = 64
-V2_MAX_MATCH = MIN_MATCH + V2_LOOKAHEAD_EXTENSION - 1  # 66
+V2_MAX_MATCH = MIN_MATCH + 64 - 1  # 66

@@ -75,15 +75,14 @@ def best_matches(
     max_chain: int = DEFAULT_MAX_CHAIN,
     collect_detail: bool = False,
     slice_size: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, int | None, np.ndarray | None,
-           np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Dispatch to the right matcher.
 
-    Returns ``(len, dist, compares, per_pos, warp_compares)``: the
-    all-position match arrays, then the exact comparison accounting the
-    lag matcher collects — total count, per-position breakdown, and the
-    per-warp SIMT-lockstep cost.  The last three are ``None`` on the
-    hash-chain path (serial window) or when ``collect_detail`` is off.
+    Returns ``(len, dist, warp_compares)``: the all-position match
+    arrays, then the per-warp SIMT-lockstep comparison cost the lag
+    matcher collects — ``None`` on the hash-chain path (serial window)
+    or when ``collect_detail`` is off.  The lag matcher's total compare
+    count goes to the ``matcher.lag_compares`` counter.
     """
     if fmt.window <= LAG_WINDOW_LIMIT and slice_size is None:
         res = lag_best_matches(arr, fmt.window, fmt.max_match,
@@ -92,13 +91,12 @@ def best_matches(
         obs.inc("matcher.lag_calls")
         if res.compare_count:
             obs.inc("matcher.lag_compares", int(res.compare_count))
-        return (res.best_len, res.best_dist, res.compare_count,
-                res.per_position_compares, res.warp_compares)
+        return res.best_len, res.best_dist, res.warp_compares
     blen, bdist = hash_chain_best_matches(arr, fmt.window, fmt.max_match,
                                           max_chain=max_chain,
                                           chunk_size=chunk_size,
                                           slice_size=slice_size)
-    return blen, bdist, None, None, None
+    return blen, bdist, None
 
 
 def tokens_from_matches(best_dist: np.ndarray, advance: np.ndarray,
@@ -147,7 +145,7 @@ def tokenize(arr: np.ndarray, fmt: TokenFormat, chunk_size: int | None,
         raise ValueError(f"unknown parse strategy {parse!r}")
     n = arr.size
     with obs.stage("encode.match", bytes=n, parse=parse):
-        blen, bdist, compares, per_pos, warp_cmp = best_matches(
+        blen, bdist, warp_cmp = best_matches(
             arr, fmt, chunk_size, max_chain, collect_detail, slice_size)
     with obs.stage("encode.parse", bytes=n, parse=parse):
         if parse == "optimal":
@@ -172,11 +170,8 @@ def tokenize(arr: np.ndarray, fmt: TokenFormat, chunk_size: int | None,
         n_pairs=n_pairs,
         sum_match_length=int(tokens.lengths[pairs].sum()),
         total_bits=n_literals * fmt.literal_bits + n_pairs * fmt.pair_bits,
-        compare_count=compares,
-        per_position_compares=per_pos if collect_detail else None,
-        per_warp_compares=warp_cmp if collect_detail else None,
+        per_warp_compares=warp_cmp,
         token_starts=tokens.starts if collect_detail else None,
-        token_lengths=tokens.lengths if collect_detail else None,
     )
     return tokens, stats
 

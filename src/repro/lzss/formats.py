@@ -37,13 +37,13 @@ from repro.lzss.constants import (
     MIN_MATCH,
     SERIAL_LOOKAHEAD,
     SERIAL_WINDOW,
+    V2_MAX_MATCH,
 )
 from repro.util.validation import require, require_range
 
 __all__ = ["CUDA_V1", "CUDA_V2", "SERIAL", "TokenFormat"]
 
 FLAG_LITERAL = 1
-FLAG_PAIR = 0
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ CUDA_V2 = TokenFormat(
     offset_bits=8,
     length_bits=8,
     window=CUDA_WINDOW,
-    max_match_cap=66,
+    max_match_cap=V2_MAX_MATCH,
 )
 
 _FORMAT_IDS = {"serial": 1, "cuda_v1": 2, "cuda_v2": 3}

@@ -1,11 +1,11 @@
 """Encoder run statistics — the raw material of the timing models.
 
 Every fast encode returns an :class:`EncodeStats` describing exactly
-what happened: token mix, match-length mass, and (when the lag matcher
-ran) the exact byte-comparison count a linear window scan performs.
-The analytic cost models in :mod:`repro.model` consume these numbers;
-nothing in the timing pipeline is estimated from the compressed bytes
-alone.
+what happened: token mix, match-length mass, and (with detail, when
+the lag matcher ran) the per-warp byte-comparison cost of a lockstep
+window scan.  The analytic cost models in :mod:`repro.model` consume
+these numbers; nothing in the timing pipeline is estimated from the
+compressed bytes alone.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ __all__ = ["EncodeStats"]
 class EncodeStats:
     """What one compression run did, in counts.
 
-    ``compare_count`` is the exact number of byte comparisons an
-    all-position linear window scan performs (filled by the lag
-    matcher; ``None`` for the hash-chain path, where the model uses
-    sampled brute-force counts instead).  ``token_starts`` /
-    ``token_lengths`` are optional detail arrays for divergence
-    modeling.
+    The two detail arrays are filled only when the encode collects
+    detail.  ``per_warp_compares`` is each 32-position warp's lockstep
+    comparison cost, the V2 model's input (lag matcher only; ``None``
+    on the hash-chain path).  ``token_starts`` is every token's input
+    offset, which the V1, serial and decompression models read.
     """
 
     input_size: int
@@ -36,11 +35,8 @@ class EncodeStats:
     n_pairs: int
     sum_match_length: int
     total_bits: int
-    compare_count: int | None = None
-    per_position_compares: np.ndarray | None = field(default=None, repr=False)
     per_warp_compares: np.ndarray | None = field(default=None, repr=False)
     token_starts: np.ndarray | None = field(default=None, repr=False)
-    token_lengths: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ratio(self) -> float:

@@ -10,16 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.harness import DatasetRun
-from repro.bench.paper import (
-    PAPER_DATASET_ORDER,
-    PAPER_DATASET_TITLES,
-    TABLE1_SECONDS,
-    TABLE1_SYSTEMS,
-    TABLE2_RATIOS,
-    TABLE2_SYSTEMS,
-    TABLE3_SECONDS,
-    TABLE3_SYSTEMS,
-)
+from repro.bench.paper import PAPER_DATASET_ORDER, PAPER_DATASET_TITLES
+from repro.bench.tables import table1_rows, table2_rows, table3_rows
 
 __all__ = ["CellReport", "experiments_markdown", "table_reports"]
 
@@ -53,26 +45,14 @@ class CellReport:
 
 def table_reports(runs: dict[str, DatasetRun]) -> list[CellReport]:
     """Every cell of Tables I–III as a :class:`CellReport`."""
-    out: list[CellReport] = []
-    specs = [
-        ("table1", TABLE1_SYSTEMS, TABLE1_SECONDS,
-         lambda r, s: r.compress_seconds[s]),
-        ("table2", TABLE2_SYSTEMS, TABLE2_RATIOS,
-         lambda r, s: r.ratios[s]),
-        ("table3", TABLE3_SYSTEMS, TABLE3_SECONDS,
-         lambda r, s: r.decompress_seconds[s]),
-    ]
-    for table, systems, paper, getter in specs:
-        for name in PAPER_DATASET_ORDER:
-            if name not in runs:
-                continue
-            for system in systems:
-                out.append(CellReport(
-                    table=table, dataset=name, system=system,
-                    ours=getter(runs[name], system),
-                    paper=paper[name][system],
-                    is_anchor=(table, name, system) in ANCHOR_CELLS))
-    return out
+    return [CellReport(table=table, dataset=name, system=system,
+                       ours=ours, paper=paper,
+                       is_anchor=(table, name, system) in ANCHOR_CELLS)
+            for table, rows in (("table1", table1_rows(runs)),
+                                ("table2", table2_rows(runs)),
+                                ("table3", table3_rows(runs)))
+            for name, cells in rows.items()
+            for system, (ours, paper) in cells.items()]
 
 
 def experiments_markdown(runs: dict[str, DatasetRun]) -> str:

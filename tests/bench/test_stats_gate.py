@@ -1,4 +1,4 @@
-"""Statistical bench harness + ``culzss benchgate`` regression gate."""
+"""`repro.bench.stats` timing and trajectories + the `culzss benchgate` gate."""
 
 from __future__ import annotations
 
@@ -37,16 +37,6 @@ def test_measure_rounds_runs_every_case_once_per_round():
     assert stages["b"] == {}
     with pytest.raises(ValueError):
         stats.measure_rounds({"a": case("a")}, repeats=0)
-
-
-def test_measure_runs_warmup_then_repeats():
-    calls = []
-    samples = stats.measure(lambda: calls.append(1), repeats=4, warmup=2)
-    assert len(samples) == 4
-    assert len(calls) == 6
-    assert all(s >= 0 for s in samples)
-    with pytest.raises(ValueError):
-        stats.measure(lambda: None, repeats=0)
 
 
 def test_summarize_median_and_iqr():
@@ -137,19 +127,6 @@ def test_compare_improvement_and_unmatched_pass():
 
 
 # --------------------------------------------------------- attribution
-
-def test_capture_stages_diffs_the_global_registry():
-    from repro import obs
-
-    with stats.capture_stages() as cap:
-        with obs.stage("encode.match", bytes=1000):
-            time.sleep(0.01)
-    assert "encode.match" in cap.stages
-    row = cap.stages["encode.match"]
-    assert row["bytes"] == 1000 and row["calls"] == 1
-    assert row["seconds"] >= 0.009
-    assert row["share"] == pytest.approx(1.0, abs=0.01)
-
 
 def stage_row(share: float, seconds: float) -> dict:
     return {"seconds": seconds, "bytes": 1000, "calls": 1, "share": share}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fixup import fixup_matches_reference
-from repro.lzss.encoder import encode_chunked, tokenize
+from repro.lzss.encoder import tokenize
 from repro.lzss.formats import CUDA_V2
 from repro.lzss.lagmatch import lag_best_matches
 from repro.util.buffers import as_u8
@@ -56,10 +56,10 @@ class TestSemantics:
         # the reference walk over the kernel output is exactly the V2
         # encoder's parse
         data = text_data[:4096]
-        r = encode_chunked(data, CUDA_V2, 1024, collect_detail=True)
+        tokens = _fixup(data, 1024)
         res = lag_best_matches(data, CUDA_V2.window, CUDA_V2.max_match,
                                chunk_size=1024)
         ref = fixup_matches_reference(res.best_len, res.best_dist,
                                       CUDA_V2, 1024)
-        assert ref.starts.tolist() == r.stats.token_starts.tolist()
-        assert ref.lengths.tolist() == r.stats.token_lengths.tolist()
+        assert ref.starts.tolist() == tokens.starts.tolist()
+        assert ref.lengths.tolist() == tokens.lengths.tolist()

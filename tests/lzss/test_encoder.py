@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lzss.decoder import decode, decode_chunked
-from repro.lzss.encoder import encode, encode_chunked
+from repro.lzss.encoder import encode, encode_chunked, tokenize
 from repro.lzss.formats import CUDA_V1, CUDA_V2, SERIAL
 from repro.lzss.reference import reference_decode, reference_encode
 
@@ -115,22 +115,19 @@ class TestStats:
     def test_detail_off_by_default(self, text_data):
         r = encode(text_data, SERIAL)
         assert r.stats.token_starts is None
-        assert r.stats.per_position_compares is None
 
     def test_lag_path_reports_compares(self, text_data):
         r = encode(text_data[:2000], CUDA_V2, collect_detail=True)
-        assert r.stats.compare_count and r.stats.compare_count > 0
         assert r.stats.per_warp_compares is not None
+        assert r.stats.per_warp_compares.sum() > 0
 
 
 class TestSliceSemantics:
     def test_slice_tokens_never_cross(self, text_data):
-        data = text_data[:4096]
-        r = encode_chunked(data, CUDA_V1, 4096, slice_size=32,
-                           collect_detail=True)
-        starts = r.stats.token_starts
-        lengths = r.stats.token_lengths
-        ends = starts + lengths
+        data = np.frombuffer(text_data[:4096], dtype=np.uint8)
+        tokens, _stats = tokenize(data, CUDA_V1, 4096, slice_size=32)
+        starts = tokens.starts
+        ends = starts + tokens.lengths
         # a token starting in slice k ends within slice k
         assert ((ends - 1) // 32 == starts // 32).all()
 
