@@ -7,25 +7,28 @@ share one entry point::
     PYTHONPATH=src python benchmarks/bench_codecs.py --quick    # CI lane
 
 Measures every registered codec (store, lzss, lz4s, lzss-huffman) plus
-the ``auto`` dispatcher through :func:`repro.bench.gate.codec_cases` —
-the same measurement ``culzss benchgate`` re-runs later, so the
-committed trajectory and the gate's fresh run are directly comparable.
-Every case runs once per round, so a burst of host noise moves one
-sample of each case rather than one case's median.  Every encode case
-carries its compression ratio next to its throughput; the rendered
-report adds the two headline comparisons this subsystem exists for:
+the ``auto`` dispatcher and the container reader through
+:func:`repro.bench.gate.codec_cases`.  Every case runs once per round,
+so a burst of host noise moves one sample of each case rather than one
+case's median.  Every encode case carries its compression ratio next to
+its throughput; the rendered report adds the two headline comparisons
+this subsystem exists for:
 
-* ``lz4s`` encode throughput vs ``lzss`` (the speed-tuned codec must
-  actually be faster);
+* ``lz4s`` encode time vs ``lzss`` (the speed-tuned codec must actually
+  be faster): the median of the per-round lz4s/lzss time ratios must
+  stay below 1 (:func:`repro.bench.stats.paired_verdict`);
 * ``auto`` ratio vs ``lzss`` (the dispatcher must never lose more
   than noise to the single-codec baseline).
 
 Results append to the ``BENCH_codecs.json`` trajectory at the repo
 root, or to ``--output`` (schema 2, newest run last, through
 :mod:`repro.bench.stats`), and overwrite the human-readable
-``benchmarks/results/bench_codecs.txt``.  CI's bench-codecs job runs
-the parent commit's copy of this script with ``--output base.json``
-and gates the change against that run.
+``benchmarks/results/bench_codecs.txt``.  ``--profile FILE`` samples
+the measurement and writes a speedscope JSON plus a ``.collapsed``
+sibling.  CI's bench-codecs job runs the parent's and the head's copies
+of this script in alternation, ten runs each into ``base.json`` and
+``head.json``, and ``culzss benchgate base.json head.json`` judges
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.gate import CHUNK_SIZE, MODES, codec_cases  # noqa: E402
-from repro.bench.stats import append_run, new_run  # noqa: E402
+from repro.bench.stats import (  # noqa: E402
+    append_run, new_run, paired_verdict)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -67,11 +71,14 @@ def render(run: dict) -> str:
     lz4s = run["cases"]["codec.lz4s.encode"]
     lzss = run["cases"]["codec.lzss.encode"]
     auto = run["cases"]["codec.auto.encode"]
-    speedup = (lzss["median_seconds"] / lz4s["median_seconds"]
-               if lz4s["median_seconds"] else float("inf"))
+    # One lz4s/lzss ratio per round: both ran in the same round.
+    faster = paired_verdict([a / b for a, b in zip(lz4s["samples"],
+                                                   lzss["samples"])], 0.0)
     lines.append("")
-    lines.append(f"  lz4s encode speedup vs lzss: x{speedup:.2f} "
-                 f"({'OK' if speedup > 1.0 else 'FAIL: not faster'})")
+    lines.append(f"  lz4s/lzss encode time, median of {faster['n']} rounds: "
+                 f"x{faster['median']:.2f} [{faster['low']:.2f}, "
+                 f"{faster['high']:.2f}] "
+                 f"({'OK' if faster['ok'] else 'FAIL: not faster'})")
     ratio_ok = auto["ratio"] <= lzss["ratio"] * 1.01
     lines.append(f"  auto ratio {auto['ratio']:.4f} vs lzss "
                  f"{lzss['ratio']:.4f} "
@@ -90,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="timed repeats per case (default: gate mode)")
     parser.add_argument("--output", default=None,
                         help="trajectory path (default BENCH_codecs.json)")
+    parser.add_argument("--profile", default=None, metavar="FILE",
+                        help="sample the measurement and write a speedscope "
+                             "JSON to FILE (plus a .collapsed sibling)")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
@@ -97,7 +107,16 @@ def main(argv: list[str] | None = None) -> int:
     size_bytes = args.size_bytes or mode_size
     repeats = args.repeats or mode_repeats
 
-    cases = codec_cases(size_bytes, repeats=repeats, warmup=warmup)
+    if args.profile:
+        from repro.obs import prof
+
+        prof.start()
+    try:
+        cases = codec_cases(size_bytes, repeats=repeats, warmup=warmup)
+    finally:
+        if args.profile:
+            prof.stop()
+            prof.export(args.profile)
     out_path = (Path(args.output) if args.output
                 else REPO_ROOT / "BENCH_codecs.json")
     run = new_run("codecs", mode, cases,

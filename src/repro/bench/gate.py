@@ -1,28 +1,18 @@
-"""``culzss benchgate`` — the benchmark regression gate.
+"""``culzss benchgate BASE HEAD`` — the benchmark regression gate.
 
-Measures every registered codec, the ``auto`` dispatcher and the
-container reader with the statistical harness
-(:mod:`repro.bench.stats`), compares the fresh medians against the
-newest comparable run in the committed ``BENCH_codecs.json``
-trajectory, and fails (exit 1) on a regression.
+A pure judge: it measures nothing itself.  BASE and HEAD are two
+trajectories written by ``benchmarks/bench_codecs.py``, run by the
+parent's and the head's trees in alternating processes.  The gate pairs
+the newest n runs of each file in order, n the smaller run count, and
+for every case reads one ratio per pair, the head run's median over the
+base run's; a case FAILs (exit 1) when the median of its ratios exceeds
+``1 + BOUND`` (:func:`repro.bench.stats.paired_verdict`).
 
-A *regression* needs two things at once:
-
-1. the fresh median exceeds the baseline median by more than
-   ``threshold_pct`` percent, **and**
-2. the two runs' interquartile ranges do not overlap.
-
-The second clause is the escape hatch for noisy hosts: when the IQRs
-overlap, the medians are within each other's observed spread at this
-sample size and the difference is indistinguishable from noise — a
-gate that fires there trains people to ignore it.
-
-The measured functions are looked up when :func:`codec_cases` runs,
-and the codecs reach the matcher through its module
-(``encoder.best_matches``), so the gate measures whatever is installed
-at call time — which is also what makes the gate testable: slow the
-module attribute down (:func:`repro.testing.faults.slow_call`) and the
-gate must fail.
+:func:`codec_cases` is the measurement both trees run.  The codecs
+reach the matcher through its module (``encoder.best_matches``), so a
+run measures whatever is installed at call time: slow the module
+attribute down (:func:`repro.testing.faults.slow_call`) for the head's
+runs and the gate must fail.
 """
 
 from __future__ import annotations
@@ -32,26 +22,25 @@ from functools import partial
 import numpy as np
 
 from repro.bench.stats import (
-    append_run,
-    latest_run,
+    MIN_PAIRS,
     load_trajectory,
     measure_rounds,
-    new_run,
+    paired_verdict,
     summarize,
 )
 
-__all__ = ["CODEC_BENCH", "attribute_case", "attribute_regressions",
-           "codec_cases", "compare_runs", "run_gate"]
+__all__ = ["BOUND", "CODEC_BENCH", "attribute_case", "codec_cases",
+           "run_gate"]
 
-#: the gate shares its bench name — and therefore its baseline runs —
-#: with ``benchmarks/bench_codecs.py``, so the committed
-#: ``BENCH_codecs.json`` doubles as the gate baseline
+#: the bench name of ``benchmarks/bench_codecs.py``'s runs
 CODEC_BENCH = "codecs"
 CHUNK_SIZE = 4096
+#: a case fails when its median head/base ratio exceeds ``1 + BOUND``
+BOUND = 0.25
+#: a stage whose time share grew by this much is a suspect
+SHARE_FLOOR = 0.05
 
-#: per-mode workload: (buffer bytes, repeats, warmup).  Five repeats
-#: minimum: below four samples the IQR degrades to min/max and the
-#: overlap escape hatch loses its noise model.
+#: per-mode workload: (buffer bytes, repeats, warmup)
 MODES = {
     "quick": (128 << 10, 5, 1),
     "full": (1 << 20, 5, 1),
@@ -60,19 +49,19 @@ MODES = {
 
 # ----------------------------------------------------------- measuring
 
-def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
-                dataset: str = "cfiles") -> dict:
-    """Measure every registered codec (plus ``auto``) on one corpus.
+def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1) -> dict:
+    """Measure every registered codec (plus ``auto``) on the cfiles
+    corpus.
 
     Case names are ``codec.<name>.encode`` / ``codec.<name>.decode``;
     encode cases additionally carry the achieved compression ratio so
     the trajectory records the speed *and* ratio trade-off the
     dispatcher navigates.  ``container_unpack`` reads the v2 container
     of the plain V2 encode, the kind ``gpu_decompress`` reads.  Every
-    case runs once per round (:func:`repro.bench.stats.measure_rounds`).
-    Shared with ``benchmarks/bench_codecs.py`` so the committed
-    ``BENCH_codecs.json`` and the gate's fresh runs measure identical
-    work.
+    case runs once per round (:func:`repro.bench.stats.measure_rounds`),
+    and its ``samples`` keep the per-round seconds in round order, so
+    two cases pair round by round.  ``benchmarks/bench_codecs.py``
+    records these cases; the gate judges two trees' records.
     """
     from repro import container
     from repro.codecs import codec_names
@@ -81,7 +70,7 @@ def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
     from repro.lzss import decoder, encoder
     from repro.lzss.formats import CUDA_V2
 
-    data = np.frombuffer(generate(dataset, size_bytes, seed=7),
+    data = np.frombuffer(generate("cfiles", size_bytes, seed=7),
                          dtype=np.uint8)
     calls: dict = {}
     ratios: dict[str, float] = {}
@@ -102,9 +91,10 @@ def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
     calls["container_unpack"] = partial(container.unpack_container, blob)
 
     samples, stages = measure_rounds(calls, repeats=repeats, warmup=warmup)
-    cases = {case: summarize(
+    cases = {case: {**summarize(
                  secs, mb_s=round(size_bytes / max(min(secs), 1e-9) / 1e6, 3),
-                 stages=stages[case])
+                 stages=stages[case]),
+                 "samples": [round(sec, 6) for sec in secs]}
              for case, secs in samples.items()}
     for case, ratio in ratios.items():
         cases[case]["ratio"] = ratio
@@ -113,61 +103,17 @@ def codec_cases(size_bytes: int, *, repeats: int, warmup: int = 1,
 
 # ----------------------------------------------------------- comparing
 
-def _iqr_overlap(a: dict, b: dict) -> bool:
-    return (a["iqr_low_seconds"] <= b["iqr_high_seconds"]
-            and b["iqr_low_seconds"] <= a["iqr_high_seconds"])
-
-
-def compare_runs(baseline: dict, fresh: dict, *,
-                 threshold_pct: float = 25.0) -> dict:
-    """Judge ``fresh`` against ``baseline``; returns the gate report.
-
-    Cases present on only one side are reported but never fail the
-    gate (renames should not brick CI); a regression needs both the
-    median excursion and disjoint IQRs, per the module docstring.
-    """
-    report: dict = {"threshold_pct": threshold_pct, "cases": [],
-                    "regressions": [], "ok": True}
-    base_cases = baseline.get("cases", {})
-    fresh_cases = fresh.get("cases", {})
-    for name in sorted(set(base_cases) | set(fresh_cases)):
-        if name not in base_cases or name not in fresh_cases:
-            report["cases"].append({"name": name, "status": "unmatched"})
-            continue
-        b, f = base_cases[name], fresh_cases[name]
-        base_med, fresh_med = b["median_seconds"], f["median_seconds"]
-        change_pct = (100.0 * (fresh_med - base_med) / base_med
-                      if base_med else 0.0)
-        overlap = _iqr_overlap(b, f)
-        regressed = change_pct > threshold_pct and not overlap
-        entry = {
-            "name": name,
-            "status": "regression" if regressed else (
-                "noisy" if change_pct > threshold_pct else "ok"),
-            "baseline_median_seconds": base_med,
-            "fresh_median_seconds": fresh_med,
-            "change_pct": round(change_pct, 1),
-            "iqr_overlap": overlap,
-        }
-        report["cases"].append(entry)
-        if regressed:
-            report["regressions"].append(name)
-    report["ok"] = not report["regressions"]
-    return report
-
-
-def attribute_case(base: dict, fresh: dict, *,
-                   share_floor: float = 0.05) -> dict | None:
+def attribute_case(base: dict, fresh: dict) -> dict | None:
     """Name the stage(s) a regressed case's extra time lives in.
 
     Diffs the per-stage time *shares* recorded in the two summaries'
     ``stages`` breakdowns.  Shares rather than raw seconds: a uniformly
     slower host inflates every stage and moves no share, while a real
     code regression concentrates in the stage that changed.  A stage is
-    a *suspect* when its share grew by at least ``share_floor`` (5
-    points by default); if none clears the floor the top share-gainer
-    is named alone.  Returns ``None`` when either side lacks stage data
-    (pre-attribution baselines).
+    a *suspect* when its share grew by at least ``SHARE_FLOOR`` (5
+    points); if none clears the floor the top share-gainer is named
+    alone.  Returns ``None`` when either side lacks stage data
+    (runs recorded before stage breakdowns existed).
     """
     b, f = base.get("stages"), fresh.get("stages")
     if not b or not f:
@@ -191,72 +137,119 @@ def attribute_case(base: dict, fresh: dict, *,
                               if b_secs > 0 else None),
         })
     rows.sort(key=lambda r: (-r["share_delta"], r["stage"]))
-    suspects = [r["stage"] for r in rows if r["share_delta"] >= share_floor]
+    suspects = [r["stage"] for r in rows if r["share_delta"] >= SHARE_FLOOR]
     if not suspects and rows:
         suspects = [rows[0]["stage"]]
     return {"rows": rows, "suspects": suspects}
 
 
-def attribute_regressions(baseline: dict, fresh: dict,
-                          report: dict) -> None:
-    """Attach stage attribution to every regressed case in ``report``.
-
-    Mutates the report in place: each regression entry gains either an
-    ``attribution`` dict (see :func:`attribute_case`) or
-    ``attribution: None`` plus ``no_stages``, the side(s) —
-    ``"baseline"``, ``"fresh"`` — whose case has no stage breakdown.
-    """
-    base_cases = baseline.get("cases", {})
-    fresh_cases = fresh.get("cases", {})
-    for entry in report["cases"]:
-        if entry.get("status") != "regression":
-            continue
-        sides = {"baseline": base_cases.get(entry["name"], {}),
-                 "fresh": fresh_cases.get(entry["name"], {})}
-        entry["attribution"] = attribute_case(sides["baseline"],
-                                              sides["fresh"])
-        if entry["attribution"] is None:
-            entry["no_stages"] = [side for side, case in sides.items()
-                                  if not case.get("stages")]
+def _summed_stages(runs: list[dict], case: str) -> dict:
+    """One side's stage breakdown of ``case``: each stage's seconds
+    summed over the side's runs, and its share of their sum."""
+    seconds: dict[str, float] = {}
+    for run in runs:
+        for stage, v in run["cases"][case].get("stages", {}).items():
+            seconds[stage] = seconds.get(stage, 0.0) + v["seconds"]
+    total = sum(seconds.values())
+    return {"stages": {stage: {"seconds": sec,
+                               "share": sec / total if total > 0 else 0.0}
+                       for stage, sec in seconds.items()}}
 
 
 #: Why a side of an attribution can lack its stage breakdown.
 _NO_STAGES_HINT = {
-    "baseline": "refresh it with `culzss benchgate --update`",
-    "fresh": "observability is off (REPRO_OBS=0) or the case runs no "
-             "ledger stage",
+    "base": "re-record it with `benchmarks/bench_codecs.py --output FILE` "
+            "from a tree whose runs carry stage breakdowns",
+    "head": "observability is off (REPRO_OBS=0) or the case runs no "
+            "ledger stage",
 }
 
 
-def format_report(report: dict, baseline_meta: dict | None = None) -> str:
-    lines = ["benchgate: fresh run vs committed baseline "
-             f"(threshold {report['threshold_pct']:.0f}% median, "
-             "IQR-overlap escape hatch)"]
-    if baseline_meta:
-        lines.append(
-            f"  baseline: git {baseline_meta.get('git_sha') or '?'}  "
-            f"cpus={baseline_meta.get('cpu_count')}  "
-            f"python={baseline_meta.get('python')}")
+def _pair_runs(base_path, head_path) -> tuple[list, list]:
+    """The newest n runs of each side, paired in order; raises
+    ``ValueError`` naming why they cannot be paired."""
+    base, head = ([run for run in load_trajectory(path)["runs"]
+                   if run.get("bench") == CODEC_BENCH]
+                  for path in (base_path, head_path))
+    n = min(len(base), len(head))
+    if n < MIN_PAIRS:
+        raise ValueError(
+            f"needs at least {MIN_PAIRS} {CODEC_BENCH!r} runs a side, found "
+            f"{len(base)} in BASE and {len(head)} in HEAD; record them "
+            "with `benchmarks/bench_codecs.py --output FILE`, alternating "
+            "the two trees")
+    base, head = base[len(base) - n:], head[len(head) - n:]
+    for b, h in zip(base, head):
+        if b.get("mode") != h.get("mode"):
+            raise ValueError(f"paired runs differ in mode: BASE "
+                             f"{b.get('mode')!r}, HEAD {h.get('mode')!r}")
+        if b.get("params") != h.get("params"):
+            raise ValueError(f"paired runs differ in params: BASE "
+                             f"{b.get('params')}, HEAD {h.get('params')}")
+    return base, head
+
+
+def compare_paired(base: list[dict], head: list[dict], *,
+                   attribute: bool = False) -> dict:
+    """Judge each case over the paired runs; returns the gate report.
+
+    A case missing from any run of either side is ``unmatched`` and
+    never fails (renames should not brick CI).  With ``attribute``, a
+    failed case gains its :func:`attribute_case`, or ``None`` plus
+    ``no_stages``, the side(s) without a stage breakdown.
+    """
+    report: dict = {"n": len(base), "cases": [], "regressions": []}
+    names = set().union(*(run["cases"] for run in base + head))
+    for name in sorted(names):
+        if not all(name in run["cases"] for run in base + head):
+            report["cases"].append({"name": name, "status": "unmatched"})
+            continue
+        verdict = paired_verdict(
+            [h["cases"][name]["median_seconds"]
+             / b["cases"][name]["median_seconds"]
+             for b, h in zip(base, head)], BOUND)
+        entry = {"name": name, **verdict,
+                 "status": "ok" if verdict["ok"] else "regression"}
+        report["cases"].append(entry)
+        if verdict["ok"]:
+            continue
+        report["regressions"].append(name)
+        if attribute:
+            sides = {"base": _summed_stages(base, name),
+                     "head": _summed_stages(head, name)}
+            entry["attribution"] = attribute_case(*sides.values())
+            if entry["attribution"] is None:
+                entry["no_stages"] = [side for side, case in sides.items()
+                                      if not case["stages"]]
+    return report
+
+
+def format_report(report: dict, base_meta: dict, head_meta: dict) -> str:
+    lines = [f"benchgate: head vs base over {report['n']} alternated run "
+             f"pairs (a case fails when its median head/base ratio "
+             f"exceeds {1 + BOUND:.2f}; 90% sign-test interval)",
+             f"  base git {base_meta.get('git_sha') or '?'}, head git "
+             f"{head_meta.get('git_sha') or '?'}  cpus="
+             f"{head_meta.get('cpu_count')}  python={head_meta.get('python')}"]
+    width = max((len(c["name"]) for c in report["cases"]), default=0)
     for c in report["cases"]:
         if c["status"] == "unmatched":
-            lines.append(f"  {c['name']:<18} (unmatched case; skipped)")
+            lines.append(f"  {c['name']:<{width}}  (unmatched case; skipped)")
             continue
-        mark = {"ok": "ok", "noisy": "ok (IQR overlap)",
-                "regression": "REGRESSION"}[c["status"]]
+        mark = "ok" if c["ok"] else "REGRESSION"
         lines.append(
-            f"  {c['name']:<18} {c['baseline_median_seconds']*1e3:9.3f} ms"
-            f" -> {c['fresh_median_seconds']*1e3:9.3f} ms  "
-            f"({c['change_pct']:+6.1f}%)  {mark}")
+            f"  {c['name']:<{width}}  x{c['median']:.3f}  "
+            f"[{c['low']:.3f}, {c['high']:.3f}]  n={c['n']}  {mark}")
         if "attribution" not in c:
             continue
         attribution = c["attribution"]
         if attribution is None:
             lines.extend(
-                f"    attribution: no stage breakdown in the {side} run "
+                f"    attribution: no stage breakdown in the {side} runs "
                 f"— {_NO_STAGES_HINT[side]}" for side in c["no_stages"])
             continue
         suspects = set(attribution["suspects"])
-        lines.append("    stage time shares (baseline -> fresh):")
+        lines.append("    stage time shares (base -> head):")
         for r in attribution["rows"]:
             ratio = (f"time x{r['seconds_ratio']:.2f}"
                      if r["seconds_ratio"] is not None else "new stage")
@@ -266,64 +259,25 @@ def format_report(report: dict, baseline_meta: dict | None = None) -> str:
                 f" {r['fresh_share']*100:5.1f}%  ({ratio}){flag}")
         lines.append(
             "    suspect stage(s): " + ", ".join(attribution["suspects"]))
-    lines.append("gate: " + ("PASS" if report["ok"] else
-                             f"FAIL ({', '.join(report['regressions'])})"))
+    lines.append("gate: " + (f"FAIL ({', '.join(report['regressions'])})"
+                             if report["regressions"] else "PASS"))
     return "\n".join(lines)
 
 
 # ------------------------------------------------------------- driving
 
-def run_gate(baseline_path, *, mode: str = "quick", update: bool = False,
-             threshold_pct: float = 25.0, size_bytes: int | None = None,
-             repeats: int | None = None, attribute: bool = False,
-             profile=None, out=print) -> int:
-    """The ``culzss benchgate`` entry point; returns the exit code.
-
-    ``update`` appends the fresh run to the trajectory instead of
-    judging it (how baselines are [re]generated).  Without a comparable
-    baseline the gate exits 2 with a hint — a missing baseline is a
-    setup problem, not a performance regression.
-
-    ``attribute`` turns on regression forensics: each regressed case's
-    report names the stage(s) whose share of the measured time grew
-    against the baseline's recorded breakdown (see
-    :func:`attribute_case`).  ``profile`` — a path — runs the sampling
-    profiler over the whole measurement and writes a speedscope
-    document there (plus a ``.collapsed`` sibling).
+def run_gate(base_path, head_path, *, attribute: bool = False,
+             out=print) -> int:
+    """The ``culzss benchgate`` entry point; returns the exit code: 0
+    pass, 1 regression, 2 setup problem (too few runs, or paired runs of
+    different modes or params), which is not a performance regression.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {sorted(MODES)}")
-    mode_size, mode_repeats, warmup = MODES[mode]
-    size_bytes = size_bytes or mode_size
-    repeats = repeats or mode_repeats
-
-    if profile:
-        from repro.obs import prof
-
-        prof.start()
     try:
-        cases = codec_cases(size_bytes, repeats=repeats, warmup=warmup)
-    finally:
-        if profile:
-            prof.stop()
-            prof.export(profile, out=out)
-    fresh = new_run(CODEC_BENCH, mode, cases,
-                    params={"size_bytes": size_bytes, "repeats": repeats,
-                            "chunk_size": CHUNK_SIZE})
-    if update:
-        append_run(baseline_path, fresh)
-        out(f"benchgate: appended {mode} baseline "
-            f"({len(cases)} cases) to {baseline_path}")
-        return 0
-
-    doc = load_trajectory(baseline_path)
-    baseline = latest_run(doc, mode=mode, bench=CODEC_BENCH)
-    if baseline is None:
-        out(f"benchgate: no {mode!r} baseline in {baseline_path}; "
-            "run `culzss benchgate --update` on a known-good tree first")
+        base, head = _pair_runs(base_path, head_path)
+    except ValueError as exc:
+        out(f"benchgate: {exc}")
         return 2
-    report = compare_runs(baseline, fresh, threshold_pct=threshold_pct)
-    if attribute:
-        attribute_regressions(baseline, fresh, report)
-    out(format_report(report, baseline.get("meta")))
-    return 0 if report["ok"] else 1
+    report = compare_paired(base, head, attribute=attribute)
+    out(format_report(report, base[-1].get("meta", {}),
+                      head[-1].get("meta", {})))
+    return 1 if report["regressions"] else 0

@@ -9,23 +9,25 @@ the numbers it publishes mean the same thing everywhere:
   because a single number hides the variance the regression gate
   needs, and each case's stage breakdown over its own timed calls.
 * :func:`summarize` — median + interquartile range.  The median
-  resists the one-off GC pause that wrecks a mean; the IQR is the
-  gate's noise model (two runs whose IQRs overlap are not "different"
-  at this sample size, whatever their medians say).
+  resists the one-off GC pause that wrecks a mean; the IQR shows the
+  spread of one run.
+* :func:`paired_verdict` — the one timing judge, over paired B/A
+  ratios; :func:`time_paired` draws the pairs in one process.
 * :func:`fingerprint` — the environment the numbers were taken in:
   cpu count, python/numpy versions, git sha, wall-clock timestamp.
   A trajectory entry without its fingerprint is a rumor.
 * :func:`append_run` / :func:`load_trajectory` — append-only
   ``BENCH_<name>.json`` files: ``{"schema": 2, "runs": [...]}`` where
   each run carries its fingerprint and per-case summaries.  Runs are
-  never overwritten; the newest comparable run is the gate baseline.
+  never overwritten.
 
-The regression gate itself lives in :mod:`repro.bench.gate`.
+The regression gate lives in :mod:`repro.bench.gate`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -40,10 +42,17 @@ __all__ = [
     "load_trajectory",
     "measure_rounds",
     "new_run",
+    "paired_verdict",
     "summarize",
+    "time_paired",
 ]
 
 SCHEMA_VERSION = 2
+
+#: two-sided miss rate of :func:`paired_verdict`'s interval (90%)
+INTERVAL_ALPHA = 0.10
+#: pairs :func:`time_paired` draws first, and at most
+MIN_PAIRS, MAX_PAIRS = 5, 20
 
 
 # ------------------------------------------------------------ measuring
@@ -125,6 +134,64 @@ def summarize(samples: list[float], **extra) -> dict:
     }
     doc.update(extra)
     return doc
+
+
+# -------------------------------------------------------------- judging
+
+def _order_index(n: int) -> int:
+    """The sign test's order-statistic index for ``n`` ratios: the
+    largest ``k`` with ``2 * P(X <= k - 1) <= INTERVAL_ALPHA``, ``X ~
+    Binomial(n, 1/2)``; 0 below n = 5."""
+    k, tail = 0, 0
+    while k < n and 2 * (tail + math.comb(n, k)) <= INTERVAL_ALPHA * 2 ** n:
+        tail += math.comb(n, k)
+        k += 1
+    return k
+
+
+def paired_verdict(ratios: list[float], bound: float) -> dict:
+    """Judge paired B/A ratios: ``ok`` when their median is at most
+    ``1 + bound``.
+
+    Both sides of a pair ran back to back on one machine, so host noise
+    that spans a pair cancels, and noise that hits one pair moves one
+    ratio, which the median ignores.  ``[low, high]`` is the sign-test
+    interval for the median, the order statistics ``r(k)`` and
+    ``r(n + 1 - k)``; unbounded below five ratios.
+    """
+    if not ratios:
+        raise ValueError("no ratios")
+    ordered = sorted(ratios)
+    n = len(ordered)
+    k = _order_index(n)
+    median = statistics.median(ordered)
+    return {"n": n, "median": median,
+            "low": ordered[k - 1] if k else -math.inf,
+            "high": ordered[n - k] if k else math.inf,
+            "ok": median <= 1.0 + bound}
+
+
+def time_paired(a, b, bound: float) -> dict:
+    """Judge ``b`` against ``a`` — no-argument callables that each run
+    one unit of work and return the seconds they measured, on the
+    caller's clock — in back-to-back pairs, ``a`` first on even pairs
+    (a pair's second half can cost slightly more).  After ``MIN_PAIRS``
+    it draws more while the interval straddles ``1 + bound``, up to
+    ``MAX_PAIRS``.  Returns the :func:`paired_verdict` plus ``ratios``.
+    """
+    ratios: list[float] = []
+    while True:
+        if len(ratios) % 2 == 0:
+            ta, tb = a(), b()
+        else:
+            tb, ta = b(), a()
+        ratios.append(tb / ta)
+        if len(ratios) < MIN_PAIRS:
+            continue
+        verdict = paired_verdict(ratios, bound)
+        if (len(ratios) >= MAX_PAIRS
+                or not verdict["low"] <= 1.0 + bound < verdict["high"]):
+            return {**verdict, "ratios": ratios}
 
 
 # ---------------------------------------------------------- fingerprint
@@ -209,15 +276,3 @@ def append_run(path, run: dict, *, keep: int = 50) -> dict:
     doc["runs"] = doc["runs"][-keep:]
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return doc
-
-
-def latest_run(doc: dict, *, mode: str | None = None,
-               bench: str | None = None) -> dict | None:
-    """Newest run in a trajectory matching ``mode``/``bench`` filters."""
-    for run in reversed(doc.get("runs", [])):
-        if mode is not None and run.get("mode") != mode:
-            continue
-        if bench is not None and run.get("bench") != bench:
-            continue
-        return run
-    return None

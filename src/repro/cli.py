@@ -17,8 +17,7 @@ Usage::
     culzss send       [INPUT ...] [--dataset KIND --count N] ...
     culzss stats      [INPUT] [--format {pretty,json,prom}] ...
     culzss trace      INPUT [--output FILE] [--workers N] ...
-    culzss benchgate  [--quick] [--update] [--baseline FILE]
-                      [--threshold PCT] [--attribute] [--profile FILE]
+    culzss benchgate  BASE HEAD [--attribute]
     culzss top        --port P [--plain] [--interval S]
 
 ``serve``/``send`` run the streaming gateway pair (`repro.service`):
@@ -35,17 +34,17 @@ compresses a file with span capture on and writes a chrome-trace JSON
 loadable in ``chrome://tracing`` / Perfetto.  ``serve
 --metrics-port P`` additionally exposes a live ``/metrics`` scrape.
 
-``benchgate`` runs the statistical codec benchmarks and fails (exit 1)
-on a median regression against the committed ``BENCH_codecs.json``
-baseline; ``--attribute`` names the stage(s) whose time share grew.
+``benchgate`` pairs the runs of two ``benchmarks/bench_codecs.py``
+trajectories, the parent's and the head's, and fails (exit 1) when a
+case's median head/base ratio exceeds 1.25; ``--attribute`` names the
+stage(s) whose time share grew.
 ``top`` is a live dashboard (curses, or ``--plain``) over a ``serve
 --metrics-port`` sidecar, showing throughput, queue depths, latency
 quantiles, degraded-mode counters, per-codec dispatch, and SLO state.
 
-``compress``/``decompress``/``serve``/``benchgate`` all take
-``--profile FILE``: a sampling profiler (``repro.obs.prof``) runs for
-the duration — in pool workers too — and writes a speedscope JSON plus
-folded stacks on exit.
+``compress``/``decompress``/``serve`` all take ``--profile FILE``: a
+sampling profiler (``repro.obs.prof``) runs for the duration — in pool
+workers too — and writes a speedscope JSON plus folded stacks on exit.
 
 ``--system`` selects any of the five evaluated systems (culzss-v1,
 culzss-v2, serial, pthread, bzip2); CULZSS/serial outputs are
@@ -409,10 +408,8 @@ def _cmd_send(args: argparse.Namespace) -> int:
 def _cmd_benchgate(args: argparse.Namespace) -> int:
     from repro.bench.gate import run_gate
 
-    return run_gate(Path(args.baseline),
-                    mode="quick" if args.quick else "full",
-                    update=args.update, threshold_pct=args.threshold,
-                    attribute=args.attribute, profile=args.profile)
+    return run_gate(Path(args.base), Path(args.head),
+                    attribute=args.attribute)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -554,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 picks a free one and prints it)")
     p.add_argument("--workers", type=int, default=0,
-                   help="decompression fan-out processes (0: in-loop pool)")
+                   help="decompression fan-out processes (0: one frame at "
+                        "a time on one thread)")
     p.add_argument("--queue-depth", type=int, default=8,
                    help="bounded frames in flight per pipeline stage")
     p.add_argument("--timeout", type=float, default=30.0,
@@ -606,26 +604,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_send)
 
     p = sub.add_parser("benchgate",
-                       help="statistical benchmark regression gate")
-    p.add_argument("--baseline", default="BENCH_codecs.json",
-                   help="trajectory file holding the committed baseline")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized workload (compares against the newest "
-                        "quick-mode baseline)")
-    p.add_argument("--update", action="store_true",
-                   help="append a fresh baseline run instead of judging "
-                        "(run on a known-good tree)")
-    p.add_argument("--threshold", type=float, default=25.0,
-                   help="median regression percentage that fails the gate "
-                        "(IQR overlap always passes)")
+                       help="paired benchmark regression gate")
+    p.add_argument("base", help="the parent's bench_codecs.py trajectory")
+    p.add_argument("head", help="the head's trajectory, its runs "
+                                "alternated with base's")
     p.add_argument("--attribute", action="store_true",
                    help="on regression, diff the per-stage time shares "
-                        "against the baseline's recorded breakdown and "
-                        "name the suspect stage(s)")
-    p.add_argument("--profile", default=None, metavar="FILE",
-                   help="sample the whole measurement and write a "
-                        "speedscope JSON to FILE (plus a .collapsed "
-                        "folded-stack sibling)")
+                        "of the two sides' recorded breakdowns and name "
+                        "the suspect stage(s)")
     p.set_defaults(func=_cmd_benchgate)
 
     p = sub.add_parser("top",

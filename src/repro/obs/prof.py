@@ -357,8 +357,9 @@ def export(path, *, out=print):
     Speedscope JSON at ``path``, the folded-stack text next to it with a
     ``.collapsed`` suffix.  One export covers every pid the profiler
     knows — this process plus any pool workers whose deltas merged in.
-    Shared by ``culzss benchgate --profile`` and the ``--profile`` flags
-    on ``compress``/``decompress``/``serve``.  Returns the main path.
+    Shared by ``benchmarks/bench_codecs.py --profile`` and the
+    ``--profile`` flags on ``compress``/``decompress``/``serve``.
+    Returns the main path.
     """
     from pathlib import Path
 

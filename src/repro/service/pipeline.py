@@ -27,7 +27,8 @@ probed once, in the pool.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
+from concurrent.futures import (BrokenExecutor, Executor, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 from functools import partial
 from time import perf_counter
 from typing import AsyncIterator, Awaitable, Callable, Iterable
@@ -108,8 +109,8 @@ def decode_payload(flags: int, payload: bytes, *,
 def _with_delta(job: Callable[[], object]) -> tuple[object, dict | None]:
     """Run one frame job; return its result and this process's obs delta.
 
-    Every frame job runs through here — in a pool worker, on the loop's
-    default pool and in the serial fallback — so what a worker recorded
+    Every frame job runs through here — in a pool worker, on the stage's
+    own thread and in the serial fallback — so what a worker recorded
     (metrics, spans, profiler samples) rides home with the result
     (``None`` while instrumentation is off).  In the parent's own
     process the metric merge no-ops and the drained spans are restored.
@@ -162,15 +163,17 @@ class _PooledStage:
         self._pool_dead = False
 
     def _pool(self) -> Executor | None:
-        """The fan-out executor; ``None`` means the loop's default pool."""
-        if (self._executor is None and self._owns_executor and self.workers
+        """``workers`` processes, or one thread the stage owns when
+        ``workers == 0``; ``None`` (the loop's default pool) once dead."""
+        if (self._executor is None and self._owns_executor
                 and not self._pool_dead):
             # The initializer starts a sampling profiler in each worker
             # when REPRO_PROFILE_HZ is set (``--profile`` exports cover
             # pool workers too); it is a no-op otherwise.
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=obs.prof.init_worker)
+            self._executor = (
+                ProcessPoolExecutor(max_workers=self.workers,
+                                    initializer=obs.prof.init_worker)
+                if self.workers else ThreadPoolExecutor(max_workers=1))
         return self._executor
 
     def _crashed(self, stage: str, trace_id: int = 0) -> None:
@@ -257,8 +260,8 @@ class _PooledStage:
 class IngressPipeline(_PooledStage):
     """read → compress (process pool) → send, in sequence order.
 
-    ``workers`` is the compression fan-out width (0 = compress on the
-    event loop's default thread pool — useful for tests); ``queue_depth``
+    ``workers`` is the compression fan-out width (0 = compress one frame
+    at a time on a thread the stage owns — useful for tests); ``queue_depth``
     bounds frames in flight between the stages, which is both the
     parallelism cap and the backpressure bound.
 
@@ -337,13 +340,13 @@ class EgressPipeline(_PooledStage):
     """receive → decompress → deliver, reassembled in sequence order.
 
     Decompression is much cheaper than compression, so ``workers``
-    defaults to 0 (the loop's default thread pool keeps the event loop
-    responsive without process-pool pickling).  Frames are delivered
-    strictly by per-stream sequence number: gaps are held, duplicates
-    dropped and counted.  The reorder buffer is bounded at
-    ``queue_depth`` held frames per stream — a frame arriving while its
-    stream's buffer is full is dropped and counted in
-    ``egress.reorder_evictions``, so a peer that skips a sequence
+    defaults to 0: one owned thread decodes a frame at a time (no
+    pickling; frames never share the GIL, so each decode span is its
+    own).  Frames are delivered strictly by per-stream sequence number:
+    gaps are held, duplicates dropped and counted.  The reorder buffer
+    is bounded at ``queue_depth`` held frames per stream — a frame
+    arriving while its stream's buffer is full is dropped and counted
+    in ``egress.reorder_evictions``, so a peer that skips a sequence
     number forever cannot grow the buffer without limit (the transport
     retry resends dropped frames).
     """

@@ -1,37 +1,35 @@
 """The overhead guard: instrumentation must stay effectively free.
 
 Encodes the same buffer with observability enabled and disabled in
-five interleaved pairs, so both halves of a pair see the same machine,
-and bounds the median of the per-pair ratios.  The pairs alternate
-which half runs first, since a pair's second encode costs slightly
-more CPU than its first.  One untimed encode runs first: the process's
-first encode pays one-time costs that would otherwise all land on the
-first pair's first half.  Each encode is
-timed in process CPU time, not wall time: the encode runs on one
-thread, so the ratio counts the instrumentation's own work and not the
-time the process spent descheduled while another process shared the
-CPUs.  A burst of host noise moves one pair; the median of five ignores
-it, where the ratio of two minima does not.  The instrumented stack
-records per *call*, never per loop round, so the true overhead is a
-handful of dict operations per chunk batch — the 10% ceiling is
-generous headroom for timer noise, not a budget.
+interleaved pairs, so both halves of a pair see the same machine, and
+judges the per-pair ratios with the repo's one timing judge
+(:func:`repro.bench.stats.time_paired`): their median must stay within
+the ceiling, and pairs are drawn while the judge's interval straddles
+it.  One untimed encode runs first, instrumented: the process's first
+encode pays one-time costs that would otherwise all land on the first
+pair.  Each encode is timed in process CPU time, not wall time: the
+encode runs on one thread, so the ratio counts the instrumentation's
+own work and not the time the process spent descheduled while another
+process shared the CPUs.  The instrumented stack records per *call*,
+never per loop round, so the true overhead is a handful of dict
+operations per chunk batch — the 10% ceiling is generous headroom for
+timer noise, not a budget.
 """
 
 from __future__ import annotations
 
 import os
-import statistics
 from time import process_time
 
 import pytest
 
 from repro import obs
+from repro.bench.stats import time_paired
 from repro.core import CompressionParams, gpu_compress
 from repro.datasets import generate
 
 SIZE_BYTES = int(float(os.environ.get("REPRO_OBS_GUARD_MB", "1")) * (1 << 20))
-OVERHEAD_CEILING = 1.10
-PAIRS = 5
+OVERHEAD_BOUND = 0.10
 
 
 def _encode_once() -> tuple[bytes, float]:
@@ -43,28 +41,28 @@ def _encode_once() -> tuple[bytes, float]:
 
 @pytest.mark.slow
 def test_enabled_overhead_under_ceiling_and_output_identical():
-    ratios: list[float] = []
     blobs: dict[bool, bytes] = {}
+
+    def encode(enabled: bool) -> float:
+        (obs.enable if enabled else obs.disable)()
+        blob, seconds = _encode_once()
+        assert blobs.setdefault(enabled, blob) == blob
+        return seconds
+
     _encode_once()  # untimed warm-up: one-time costs belong to no pair
     try:
-        for i in range(PAIRS):
-            pair = {}
-            for enabled in ((True, False) if i % 2 == 0 else (False, True)):
-                (obs.enable if enabled else obs.disable)()
-                blob, pair[enabled] = _encode_once()
-                assert blobs.setdefault(enabled, blob) == blob
-            ratios.append(pair[True] / pair[False])
+        v = time_paired(lambda: encode(False), lambda: encode(True),
+                        OVERHEAD_BOUND)
     finally:
         obs.enable()
 
     assert blobs[True] == blobs[False], \
         "instrumentation changed the output bytes"
-    ratio = statistics.median(ratios)
-    assert ratio <= OVERHEAD_CEILING, (
-        f"obs-enabled encode took {ratio:.2%} of the disabled one "
-        f"(median of {PAIRS} pairs "
-        f"{', '.join(f'{r:.3f}' for r in ratios)}; "
-        f"ceiling {OVERHEAD_CEILING:.0%})")
+    assert v["ok"], (
+        f"obs-enabled encode took {v['median']:.2%} of the disabled one "
+        f"(median of {v['n']} pairs, 90% interval [{v['low']:.3f}, "
+        f"{v['high']:.3f}]: {', '.join(f'{r:.3f}' for r in v['ratios'])}; "
+        f"ceiling {1 + OVERHEAD_BOUND:.0%})")
 
 
 def test_disabled_leaves_registry_and_ring_untouched():

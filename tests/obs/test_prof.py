@@ -6,7 +6,8 @@ picklable and rides home inside ``obs.delta()``, the parent ingests it
 keyed by pid, and one speedscope/collapsed export covers the parent
 *and* its pool workers.  The overhead guard mirrors the obs one: an
 encode under the default-rate profiler must stay within 10% of the
-unprofiled CPU time, as the median of interleaved pairs.
+unprofiled CPU time, as the median of interleaved pairs judged by
+:func:`repro.bench.stats.time_paired`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import asyncio
 import json
 import os
 import pickle
-import statistics
 from time import perf_counter, process_time
 
 import pytest
@@ -235,51 +235,41 @@ def test_pool_worker_profiles_merge_with_parent(monkeypatch):
 
 # ------------------------------------------------------ overhead (slow)
 
-OVERHEAD_CEILING = 1.10
-#: More pairs than the obs guard's five: the 97 Hz sampler really costs
-#: a few percent of CPU (GIL hand-offs included), which leaves the
-#: median less headroom under the ceiling, so it needs a smaller spread.
-PAIRS = 9
+OVERHEAD_BOUND = 0.10
 
 
 @pytest.mark.slow
 def test_default_rate_profiler_overhead_under_ceiling():
-    """Median of interleaved profiled/bare pairs, in process CPU time:
-    the sampler thread runs in this process, so its work counts, while
-    time spent descheduled behind another process does not."""
+    """Interleaved profiled/bare pairs in process CPU time, judged by
+    :func:`repro.bench.stats.time_paired`: the sampler thread runs in
+    this process, so its work counts, while time spent descheduled
+    behind another process does not."""
+    from repro.bench.stats import time_paired
     from repro.core import CompressionParams, gpu_compress
     from repro.datasets import generate
 
     data = generate("cfiles", 1 << 20, seed=13)
 
-    def encode_once() -> float:
+    def encode(profiled: bool) -> float:
+        if profiled:
+            prof.start(hz=prof.DEFAULT_HZ)
         t0 = process_time()
         gpu_compress(data, CompressionParams(version=2))
-        return process_time() - t0
+        seconds = process_time() - t0
+        if profiled:
+            prof.stop()
+        return seconds
 
-    ratios: list[float] = []
     try:
         # Untimed warm-up under the profiler: one-time costs of the
         # encode and of the sampler's first walks belong to no pair.
-        prof.start(hz=prof.DEFAULT_HZ)
-        encode_once()
-        prof.stop()
-        for i in range(PAIRS):
-            pair = {}
-            # Alternate which half runs first: a pair's second encode
-            # costs slightly more CPU than its first.
-            for profiled in ((True, False) if i % 2 == 0 else (False, True)):
-                if profiled:
-                    prof.start(hz=prof.DEFAULT_HZ)
-                pair[profiled] = encode_once()
-                if profiled:
-                    prof.stop()
-            ratios.append(pair[True] / pair[False])
+        encode(True)
+        v = time_paired(lambda: encode(False), lambda: encode(True),
+                        OVERHEAD_BOUND)
     finally:
         prof.stop()
-    ratio = statistics.median(ratios)
-    assert ratio <= OVERHEAD_CEILING, (
-        f"profiled encode took {ratio:.2%} of the bare one "
-        f"(median of {PAIRS} pairs "
-        f"{', '.join(f'{r:.3f}' for r in ratios)}; "
-        f"ceiling {OVERHEAD_CEILING:.0%})")
+    assert v["ok"], (
+        f"profiled encode took {v['median']:.2%} of the bare one "
+        f"(median of {v['n']} pairs, 90% interval [{v['low']:.3f}, "
+        f"{v['high']:.3f}]: {', '.join(f'{r:.3f}' for r in v['ratios'])}; "
+        f"ceiling {1 + OVERHEAD_BOUND:.0%})")

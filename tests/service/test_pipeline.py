@@ -91,7 +91,7 @@ def test_ingress_real_compression_round_trips():
     sent: list[Frame] = []
 
     async def scenario():
-        # workers=0: compress on the loop's default thread pool
+        # workers=0: compress one frame at a time on the stage's thread
         pipe = IngressPipeline(workers=0, queue_depth=2)
 
         async def send(frame):

@@ -1,8 +1,11 @@
-"""Process-pool frame transport, one probe per frame, reorder bound."""
+"""Process-pool frame transport, one probe per frame, reorder bound,
+one egress decode at a time."""
 
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +64,32 @@ def test_reorder_bound_does_not_break_normal_reordering():
     n, delivered = asyncio.run(_collect_egress(pipe, frames))
     assert [seq for _, seq, _ in delivered] == [0, 1, 2, 3, 4, 5]
     assert m.count("egress.reorder_evictions") == 0
+
+
+# ------------------------------------- one egress decode at a time
+
+def test_inline_egress_decodes_one_frame_at_a_time():
+    """``workers=0`` decodes on one thread the stage owns: frames never
+    share the GIL with each other, so a frame's decode time is its own."""
+    lock = threading.Lock()
+    running = peak = 0
+
+    def job(flags, payload):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        time.sleep(0.02)
+        with lock:
+            running -= 1
+        return payload
+
+    frames = [Frame(stream_id=0, seq=s, flags=FLAG_RAW,
+                    payload=bytes([s]) * 4) for s in range(8)]
+    with EgressPipeline(workers=0, queue_depth=8, job=job) as pipe:
+        n, delivered = asyncio.run(_collect_egress(pipe, frames))
+    assert n == 8 and [seq for _, seq, _ in delivered] == list(range(8))
+    assert peak == 1
 
 
 # ------------------------------------------ the frame job decides raw
