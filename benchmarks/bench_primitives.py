@@ -14,8 +14,8 @@ from repro.bzip2.pipeline import compress as bz_compress
 from repro.codecs.lz4s import LZ4S_MAX_CHAIN, LZ4S_MAX_MATCH
 from repro.core.params import CompressionParams
 from repro.datasets import generate
-from repro.lzss.decoder import decode
-from repro.lzss.encoder import encode
+from repro.lzss.decoder import decode, decode_chunked_with_stats
+from repro.lzss.encoder import encode, encode_chunked
 from repro.lzss.formats import CUDA_V2, SERIAL
 from repro.lzss.lagmatch import lag_best_matches
 from repro.lzss.matcher import hash_chain_best_matches
@@ -99,6 +99,17 @@ def test_decode(benchmark, cfiles):
     r = encode(cfiles, SERIAL)
     out = benchmark(decode, r.payload, SERIAL, SIZE)
     assert out == cfiles
+
+
+@pytest.mark.parametrize("size", [16 << 10, CHAIN_SIZE],
+                         ids=["gateway_frame", "decompress_buffer"])
+def test_decode_chunked(benchmark, size):
+    # What gpu_decompress hands the engine for a V2 container.
+    data = generate("cfiles", size, seed=1)
+    r = encode_chunked(data, CUDA_V2, _V2.chunk_size)
+    out, tokens, _ = benchmark(decode_chunked_with_stats, r.payload, CUDA_V2,
+                               r.chunk_sizes, _V2.chunk_size, size)
+    assert out == data and tokens.size == r.chunk_sizes.size
 
 
 def test_bwt(benchmark, cfiles):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codecs.base import Codec, register_codec
-from repro.lzss.decoder import _decode_stream
+from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import TokenFormat
 
@@ -27,9 +27,12 @@ class LzssCodec(Codec):
 
     def decode_chunk(self, payload: np.ndarray, fmt: TokenFormat,
                      output_size: int, *, chunk_index: int = 0) -> np.ndarray:
-        out, _tokens = _decode_stream(payload, fmt, output_size,
-                                      chunk_index=chunk_index)
-        return out
+        if output_size == 0:
+            return np.zeros(0, dtype=np.uint8)
+        out, _tokens, _report = decode_chunked_with_stats(
+            payload, fmt, [payload.size], output_size, output_size,
+            first_chunk=chunk_index)
+        return np.frombuffer(out, dtype=np.uint8)
 
     def encode_run(self, data: np.ndarray, fmt: TokenFormat,
                    chunk_size: int) -> tuple[bytes, np.ndarray]:

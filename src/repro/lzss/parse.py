@@ -12,7 +12,9 @@ Chunked streams (the CUDA formats) run the same doubling once for all
 chunks: every chunk start is seeded and every jump is clipped at its
 chunk's end, so no orbit leaves its chunk and the round count follows
 from the chunk size, not the stream length.  The decoders reuse
-:func:`reachable_from` to find token boundaries in their wire formats.
+:func:`reachable_from` to find token boundaries in their wire formats;
+the lzss decoder runs it over the starts of groups of 8 tokens, seeded
+at every chunk start of a run of chunks.
 
 :class:`Tokens` is what a parse produces and what
 :func:`repro.lzss.decoder.reconstruct` consumes: the one token stream

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 
 import pytest
@@ -61,7 +62,15 @@ def test_fingerprint_is_honest():
     assert fp["cpu_count"] == (os.cpu_count() or 1)
     assert abs(fp["timestamp"] - time.time()) < 60
     assert fp["python"].count(".") == 2
-    assert fp["git_sha"]  # tests run inside the repo
+    # The sha git reports from the same directory, or None where there
+    # is no checkout (an exported tree) or no git.
+    try:
+        git = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             capture_output=True, text=True, timeout=5)
+    except OSError:
+        git = None
+    sha = git.stdout.strip() if git is not None and git.returncode == 0 else ""
+    assert fp["git_sha"] == (sha or None)
 
 
 def test_trajectory_append_only_and_bounded(tmp_path):

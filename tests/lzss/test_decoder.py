@@ -1,11 +1,16 @@
 """Fast decoder: reference equivalence and corruption handling."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import generate
 from repro.errors import CorruptChunkError
+from repro.lzss import decoder
 from repro.lzss.decoder import (
     SalvageReport,
     decode,
@@ -13,7 +18,7 @@ from repro.lzss.decoder import (
     decode_chunked_with_stats,
 )
 from repro.lzss.encoder import encode, encode_chunked
-from repro.lzss.formats import CUDA_V2, SERIAL
+from repro.lzss.formats import CUDA_V1, CUDA_V2, SERIAL
 from repro.lzss.reference import reference_encode
 
 
@@ -144,6 +149,22 @@ class TestChunked:
             b"", CUDA_V2, np.array([], dtype=np.int64), 512, 0)
         assert out == b"" and tokens.size == 0
 
+    def test_memory_stays_bounded_on_a_mebibyte(self):
+        # Runs of RUN_BYTES bound the working set: one run over the
+        # whole buffer peaks near 90 MiB, 32 KiB runs near 4 MiB.
+        data = generate("cfiles", 1 << 20, seed=1)
+        r = encode_chunked(data, CUDA_V2, 4096)
+        payload, sizes = bytes(r.payload), np.asarray(r.chunk_sizes)
+        tracemalloc.start()
+        try:
+            out, _tokens, _ = decode_chunked_with_stats(
+                payload, CUDA_V2, sizes, 4096, len(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == data
+        assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestSalvage:
     def test_decode_failure_detection_without_crcs(self, text_data):
@@ -162,6 +183,48 @@ class TestSalvage:
         assert out[:4 * 512] == data[:4 * 512]
         assert out[5 * 512:] == data[5 * 512:]
         assert out[4 * 512:5 * 512] == b"\x00" * 512
+
+    @settings(max_examples=30, deadline=None)
+    @given(fmt=st.sampled_from([SERIAL, CUDA_V1, CUDA_V2]),
+           corpus=st.sampled_from(["cfiles", "dictionary", "demap",
+                                   "highly_compressible"]),
+           seed=st.integers(0, 2 ** 31 - 1),
+           chunk=st.sampled_from([64, 100, 256]),
+           n_chunks=st.integers(9, 24),
+           run_chunks=st.integers(1, 4),
+           flips=st.integers(0, 8))
+    def test_salvage_keeps_chunks_independent(self, fmt, corpus, seed, chunk,
+                                              n_chunks, run_chunks, flips):
+        # Runs of a few chunks each: every run boundary and every mix of
+        # good and bad chunks in one run must decode exactly as the
+        # chunks' one-chunk strict decodes do.
+        rng = np.random.default_rng(seed)
+        data = generate(corpus, n_chunks * chunk - int(rng.integers(chunk)),
+                        seed=seed)
+        r = encode_chunked(data, fmt, chunk)
+        payload = bytearray(r.payload)
+        for bit in rng.integers(8 * len(payload), size=flips):
+            payload[bit >> 3] ^= 0x80 >> (int(bit) & 7)
+        sizes = np.asarray(r.chunk_sizes)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        with mock.patch.object(decoder, "RUN_BYTES", run_chunks * chunk):
+            out, tokens, report = decode_chunked_with_stats(
+                bytes(payload), fmt, sizes, chunk, len(data),
+                errors="salvage", fill_byte=0xEE)
+        lost = []
+        for c in range(sizes.size):
+            lo, hi = c * chunk, min((c + 1) * chunk, len(data))
+            try:
+                alone, count, _ = decode_chunked_with_stats(
+                    bytes(payload[offsets[c]:offsets[c + 1]]), fmt,
+                    sizes[c:c + 1], chunk, hi - lo)
+            except CorruptChunkError:
+                lost.append(c)
+                alone, count = b"\xee" * (hi - lo), [0]
+            assert out[lo:hi] == alone, c
+            assert tokens[c] == count[0], c
+        assert report.lost == lost
+        assert report.recovered == sorted(set(range(sizes.size)) - set(lost))
 
     def test_report_describe(self):
         clean = SalvageReport(n_chunks=3, recovered=[0, 1, 2])
