@@ -134,25 +134,23 @@ def run_dataset(arts: Artifacts, cal: Calibration) -> DatasetRun:
 
 
 def run_all(size: int | None = None,
-            calibration: Calibration | None = None,
-            datasets: list[str] | None = None,
-            refit: bool = True) -> dict[str, DatasetRun]:
+            datasets: list[str] | None = None) -> dict[str, DatasetRun]:
     """Gather artifacts for every dataset, fit anchors, model all cells.
 
-    With ``refit`` (default) the calibration anchors are re-derived
-    from the C-files artifacts at this run's scale, making the whole
-    table generation self-contained and reproducible.
+    When C-files is among ``datasets`` the calibration anchors are
+    re-derived from its artifacts at this run's scale, making the whole
+    table generation self-contained and reproducible; otherwise the
+    shipped default calibration applies.
     """
     from repro.model.fitting import fit_calibration
 
     names = datasets or PAPER_DATASET_ORDER
     artifacts = {name: gather_artifacts(name, size) for name in names}
-    if calibration is None:
-        if refit and "cfiles" in artifacts:
-            calibration = fit_calibration(artifacts["cfiles"])
-        else:
-            from repro.model.calibration import default_calibration
+    if "cfiles" in artifacts:
+        calibration = fit_calibration(artifacts["cfiles"])
+    else:
+        from repro.model.calibration import default_calibration
 
-            calibration = default_calibration()
+        calibration = default_calibration()
     return {name: run_dataset(artifacts[name], calibration)
             for name in names}

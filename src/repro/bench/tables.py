@@ -64,9 +64,9 @@ def table3_rows(runs: dict[str, DatasetRun]) -> Rows:
                  lambda r, s: r.decompress_seconds[s], TABLE3_SECONDS)
 
 
-def format_table(rows: Rows, title: str, unit: str = "s",
-                 percent: bool = False) -> str:
-    """Render a rows structure as an aligned ``ours (paper)`` table."""
+def format_table(rows: Rows, title: str, percent: bool = False) -> str:
+    """Render a rows structure as an aligned ``ours (paper)`` table of
+    seconds, or of percentages with ``percent``."""
     systems = list(next(iter(rows.values())).keys())
     col_w = 22
     lines = [title,
@@ -79,14 +79,16 @@ def format_table(rows: Rows, title: str, unit: str = "s",
             if percent:
                 row.append(f"{ours * 100:8.2f}% ({paper * 100:6.2f}%)".rjust(col_w))
             else:
-                row.append(f"{ours:9.2f}{unit} ({paper:7.2f}{unit})".rjust(col_w))
+                row.append(f"{ours:9.2f}s ({paper:7.2f}s)".rjust(col_w))
         lines.append("".join(row))
     lines.append("    (each cell: this reproduction, paper value in parens)")
     return "\n".join(lines)
 
 
-def format_figure4(runs: dict[str, DatasetRun], width: int = 40) -> str:
-    """Figure 4 — speedup over serial LZSS, as an ASCII bar chart."""
+def format_figure4(runs: dict[str, DatasetRun]) -> str:
+    """Figure 4 — speedup over serial LZSS, as an ASCII bar chart whose
+    longest bar per dataset is 40 characters."""
+    width = 40
     systems = ["pthread", "bzip2", "culzss_v1", "culzss_v2"]
     lines = ["Figure 4: compression speedup vs. serial LZSS "
              "(this reproduction; paper in parens)"]

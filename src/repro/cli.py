@@ -62,7 +62,7 @@ __all__ = ["build_parser", "main"]
 
 
 @contextmanager
-def _profiled(path: str | None, hz: float | None = None):
+def _profiled(path: str | None, hz: float | None):
     """Run the wrapped command under the sampling profiler.
 
     No-op when ``path`` is falsy.  Sets ``REPRO_PROFILE_HZ`` for the
@@ -104,11 +104,6 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    with _profiled(args.profile, args.profile_hz):
-        return _run_compress(args)
-
-
-def _run_compress(args: argparse.Namespace) -> int:
     data = Path(args.input).read_bytes()
     system = args.system or f"culzss-v{args.version}"
     if system not in ("culzss-v1", "culzss-v2") and args.codec != "lzss":
@@ -151,11 +146,6 @@ def _run_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
-    with _profiled(args.profile, args.profile_hz):
-        return _run_decompress(args)
-
-
-def _run_decompress(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
     blob = Path(args.input).read_bytes()
@@ -301,11 +291,6 @@ def _print_metrics(metrics) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    with _profiled(args.profile, args.profile_hz):
-        return _run_serve(args)
-
-
-def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.obs import MetricRegistry
@@ -661,7 +646,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Only the subcommands given _add_profile_args have the attributes.
+    with _profiled(getattr(args, "profile", None),
+                   getattr(args, "profile_hz", None)):
+        return args.func(args)
 
 
 if __name__ == "__main__":

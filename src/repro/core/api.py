@@ -167,11 +167,13 @@ def gpu_compress(buffer, params: CompressionParams | None = None, *,
                             profile=profile)
 
 
-def gpu_decompress(blob, params: CompressionParams | None = None, *,
-                   workers: int | None = None, errors: str = "strict",
+def gpu_decompress(blob, *, workers: int | None = None,
+                   errors: str = "strict",
                    fill_byte: int = 0) -> DecompressResult:
     """In-memory decompression of a ``gpu_compress`` container.
 
+    The container describes itself, so only the modeled profile reads
+    the library's default parameters (device and threads per block).
     ``workers`` mirrors :func:`gpu_compress`: chunk streams are
     independent, so decode shards across cores with identical output.
 
@@ -211,9 +213,9 @@ def gpu_decompress(blob, params: CompressionParams | None = None, *,
         # (and salvage) with an empty profile.
         return DecompressResult(data=out, profile=GpuProfile(),
                                 salvage=report)
-    params = params or get_library().default_params()
     # The search window is irrelevant on the decode side; clamp it so
     # containers with chunks smaller than the default window validate.
+    params = get_library().default_params()
     params = params.with_overrides(
         chunk_size=info.chunk_size,
         window=min(params.window, info.chunk_size))

@@ -50,15 +50,15 @@ class HeteroPlan:
 
 
 class HeterogeneousCompressor:
-    """Split compression across the simulated GPU and the host cores."""
+    """Split compression across the simulated GPU and the host cores,
+    the latter a :class:`PthreadLzss` at its default thread count."""
 
     def __init__(self, params: CompressionParams | None = None,
-                 calibration: Calibration | None = None,
-                 n_threads: int | None = None) -> None:
+                 calibration: Calibration | None = None) -> None:
         self.params = params or CompressionParams()
         self.cal = calibration or default_calibration()
         self.gpu = _compressor_for(self.params)
-        self.cpu = PthreadLzss(n_threads)
+        self.cpu = PthreadLzss()
 
     # ------------------------------------------------------------------
     # planning

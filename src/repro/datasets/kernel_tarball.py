@@ -21,15 +21,15 @@ _CONFIG_ITEMS = [b"DEBUG", b"SMP", b"PREEMPT", b"NUMA", b"TRACE", b"PM",
                  b"HOTPLUG", b"MODULES", b"AUDIT", b"SECCOMP"]
 
 
-def ustar_header(name: bytes, size: int, mtime: int = 1300000000) -> bytes:
-    """A valid 512-byte ustar file header."""
+def ustar_header(name: bytes, size: int) -> bytes:
+    """A valid 512-byte ustar file header, mtime fixed in March 2011."""
     h = bytearray(512)
     h[0:len(name)] = name[:100]
     h[100:108] = b"0000644\x00"
     h[108:116] = b"0000000\x00"
     h[116:124] = b"0000000\x00"
     h[124:136] = b"%011o\x00" % size
-    h[136:148] = b"%011o\x00" % mtime
+    h[136:148] = b"%011o\x00" % 1300000000
     h[148:156] = b" " * 8  # checksum field counted as spaces
     h[156] = ord("0")  # regular file
     h[257:263] = b"ustar\x00"

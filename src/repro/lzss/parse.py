@@ -6,7 +6,8 @@ for a literal).  The orbit is inherently sequential, but on a functional
 graph whose edges only move forward it can be *materialized* with
 vectorized jump doubling in O(n log n): maintain the set ``R`` of nodes
 reachable in < 2^t steps and a 2^t-step jump table ``J``; then
-``R ← R ∪ J[R]`` and ``J ← J[J]`` per round.
+``R ← R ∪ J[R]`` and ``J ← J[J]`` per round, until a round adds no
+node.
 
 Chunked streams (the CUDA formats) run the same doubling once for all
 chunks: every chunk start is seeded and every jump is clipped at its
@@ -57,11 +58,13 @@ def reachable_from(jump: np.ndarray,
 
     ``jump[p] > p`` must hold for every ``p``; values ≥ ``len(jump)``
     mean "past the end".  ``start`` is one position or several in
-    increasing order below ``len(jump)``, and no orbit may jump past
-    the next start (chunk boundaries).  An orbit then has at most as
-    many nodes as the gap to the next start, which bounds the doubling
-    rounds.  Returns the visited positions (starts included) in
-    increasing order.
+    increasing order below ``len(jump)``.  Returns the visited
+    positions (starts included) in increasing order.
+
+    Doubling stops at the first round that reaches no new position.
+    The reach set then holds every node fewer than 2^t steps along an
+    orbit and is closed under the 2^t-step table, so it holds every
+    orbit node; the later tables, powers of that one, add nothing.
     """
     n = jump.size
     seeds = np.asarray(start, dtype=np.int64).reshape(-1)
@@ -76,15 +79,14 @@ def reachable_from(jump: np.ndarray,
         raise ValueError("jump table must be strictly forward")
     reach = np.zeros(n + 1, dtype=bool)
     reach[seeds] = True
-    # ceil(log2(gap + 1)) rounds cover orbits of up to `gap` nodes.
-    gap = n - int(seeds[-1])
-    if seeds.size > 1:
-        gap = max(gap, int((seeds[1:] - seeds[:-1]).max()))
-    for _ in range(gap.bit_length()):
-        idx = np.nonzero(reach)[0]
+    idx = np.nonzero(reach)[0]
+    while True:
         reach[j[idx]] = True
+        grown = np.nonzero(reach)[0]
+        if grown.size == idx.size:
+            return idx[idx < n]
+        idx = grown
         j = j[j]
-    return np.nonzero(reach[:n])[0]
 
 
 def greedy_token_starts(advance: np.ndarray,

@@ -160,21 +160,18 @@ def expected_scan_length(window: np.ndarray | float,
 
 
 def estimate_serial_compares(stats: EncodeStats, sample: MatchSampleStats,
-                             window: int = SERIAL_WINDOW,
-                             chunk_size: int | None = None) -> float:
+                             window: int = SERIAL_WINDOW) -> float:
     """Brute-force comparison count of a full serial (or V1-thread) run.
 
     Needs ``collect_detail=True`` encode stats (token start positions).
     Each coding step scans the ``W_i = min(position, window)``
-    candidates available at that position (clipped by the stream or
-    chunk start) at κ comparisons each.
+    candidates available at that position (clipped by the stream
+    start) at κ comparisons each.
     """
     require(stats.token_starts is not None,
             "serial model needs collect_detail=True encode stats")
     require_range(sample.kappa, 0.5, 64.0, "kappa")
-    starts = stats.token_starts
-    offsets = starts if chunk_size is None else starts % chunk_size
-    w_i = np.minimum(offsets, window)
+    w_i = np.minimum(stats.token_starts, window)
     return float(w_i.sum()) * effective_candidate_cost(sample.kappa)
 
 

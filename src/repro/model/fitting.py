@@ -64,12 +64,12 @@ def _affine_solve(f, target: float, x1: float, x2: float,
     return x
 
 
-def fit_calibration(arts: Artifacts,
-                    base: Calibration | None = None) -> Calibration:
-    """Fit all anchors from the C-files artifacts."""
+def fit_calibration(arts: Artifacts) -> Calibration:
+    """Fit all anchors from the C-files artifacts, starting from the
+    shipped :class:`Calibration` defaults."""
     require(arts.name == _ANCHOR_DATASET,
             f"calibration anchors come from {_ANCHOR_DATASET!r}")
-    cal = base or Calibration()
+    cal = Calibration()
     scale = PAPER_INPUT_BYTES / arts.size
     t1 = TABLE1_SECONDS[_ANCHOR_DATASET]
     t3 = TABLE3_SECONDS[_ANCHOR_DATASET]

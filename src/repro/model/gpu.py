@@ -18,8 +18,7 @@ from repro.util.validation import require
 __all__ = ["scale_to_paper"]
 
 
-def scale_to_paper(seconds: float, measured_bytes: int,
-                   paper_bytes: int = PAPER_INPUT_BYTES) -> float:
+def scale_to_paper(seconds: float, measured_bytes: int) -> float:
     """Linear size extrapolation from benchmark scale to 128 MB."""
     require(measured_bytes > 0, "cannot scale an empty measurement")
-    return seconds * (paper_bytes / measured_bytes)
+    return seconds * (PAPER_INPUT_BYTES / measured_bytes)

@@ -214,15 +214,13 @@ class stage:
 
     __slots__ = ("_name", "_attrs", "_span", "_t0", "_bytes")
 
-    def __init__(self, name: str, *, trace_id: int | None = None,
-                 bytes: int | None = None, **attrs):
+    def __init__(self, name: str, *, bytes: int | None = None, **attrs):
         self._name = name
         self._bytes = None if bytes is None else int(bytes)
         if self._bytes is not None:
             attrs["bytes"] = self._bytes
         self._attrs = attrs
-        self._span = (trace.span(name, trace_id=trace_id, **attrs)
-                      if _enabled else None)
+        self._span = trace.span(name, **attrs) if _enabled else None
         self._t0 = 0.0
 
     def __enter__(self):

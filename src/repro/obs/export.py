@@ -45,9 +45,8 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 _BUCKET_RE = re.compile(r"^le_2\^(-?\d+)$")
 
 
-def _sanitize(name: str, prefix: str) -> str:
-    out = prefix + _NAME_RE.sub("_", name)
-    return out if not out[0].isdigit() else "_" + out
+def _sanitize(name: str) -> str:
+    return "culzss_" + _NAME_RE.sub("_", name)
 
 
 def _escape_help(text: str) -> str:
@@ -94,29 +93,30 @@ def merge_snapshots(*snapshots: dict) -> dict:
     return out
 
 
-def prometheus_text(snapshot: dict, prefix: str = "culzss_") -> str:
+def prometheus_text(snapshot: dict) -> str:
     """Render one (possibly merged) snapshot as Prometheus exposition.
 
-    Dotted metric names sanitize to underscores (``ingress.frames_out``
-    → ``culzss_ingress_frames_out``); the original key is preserved in
-    the ``# HELP`` line so a scrape is greppable by either spelling.
+    Dotted metric names sanitize to underscores under the ``culzss_``
+    prefix (``ingress.frames_out`` → ``culzss_ingress_frames_out``);
+    the original key is preserved in the ``# HELP`` line so a scrape is
+    greppable by either spelling.
     """
     lines: list[str] = []
     for name in sorted(snapshot.get("counters", {})):
-        m = _sanitize(name, prefix)
+        m = _sanitize(name)
         lines += [f"# HELP {m} counter {_escape_help(name)}",
                   f"# TYPE {m} counter",
                   f"{m} {snapshot['counters'][name]}"]
     for name in sorted(snapshot.get("gauges", {})):
         g = snapshot["gauges"][name]
-        m = _sanitize(name, prefix)
+        m = _sanitize(name)
         lines += [f"# HELP {m} gauge {_escape_help(name)} "
                   "(last reading / high water)",
                   f"# TYPE {m}_last gauge", f"{m}_last {g['last']}",
                   f"# TYPE {m}_max gauge", f"{m}_max {g['max']}"]
     for name in sorted(snapshot.get("histograms", {})):
         h = snapshot["histograms"][name]
-        m = _sanitize(name, prefix)
+        m = _sanitize(name)
         lines += [f"# HELP {m} histogram {_escape_help(name)}",
                   f"# TYPE {m} histogram"]
         cum = 0
@@ -267,11 +267,11 @@ def speedscope_doc(profiles: dict[int, dict], *, name: str = "culzss") -> dict:
     }
 
 
-def write_speedscope(path, profiles: dict[int, dict], *,
-                     name: str = "culzss") -> Path:
-    """Dump :func:`speedscope_doc` to ``path``; returns the path."""
+def write_speedscope(path, profiles: dict[int, dict]) -> Path:
+    """Dump :func:`speedscope_doc` (named ``culzss``) to ``path``;
+    returns the path."""
     path = Path(path)
-    path.write_text(json.dumps(speedscope_doc(profiles, name=name)))
+    path.write_text(json.dumps(speedscope_doc(profiles)))
     return path
 
 

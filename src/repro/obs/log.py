@@ -106,18 +106,16 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(f"{ROOT}.{name}")
 
 
-def event(layer: str, name: str, *, level: int = logging.WARNING,
-          **fields) -> None:
-    """Emit one structured event through the ``repro.<layer>`` logger.
+def event(layer: str, name: str, **fields) -> None:
+    """Emit one structured event at WARNING through the
+    ``repro.<layer>`` logger.
 
     ``fields`` become top-level JSON keys; pass ``trace_id=`` explicitly
     when the active span context does not carry the right trace (e.g.
     the frame's worker died — its span died with it, but the frame id
     is still in hand).
     """
-    logger = get_logger(layer)
-    if logger.isEnabledFor(level):
-        logger.log(level, name, extra=fields)
+    get_logger(layer).warning(name, extra=fields)
 
 
 # ---------------------------------------------------------- rate limits
@@ -163,8 +161,9 @@ def reset_rate_limits() -> None:
 _configured_handler: logging.Handler | None = None
 
 
-def configure(stream=None, *, level: int = logging.INFO) -> logging.Handler:
-    """Attach one JSON-lines handler to the ``repro`` root logger.
+def configure(stream=None) -> logging.Handler:
+    """Attach one JSON-lines handler to the ``repro`` root logger and
+    set that logger's level to INFO.
 
     Idempotent: a second call replaces the previous handler (so tests
     and long-lived processes never stack duplicates).  ``stream``
@@ -177,7 +176,7 @@ def configure(stream=None, *, level: int = logging.INFO) -> logging.Handler:
     handler = logging.StreamHandler(stream)  # None -> stderr
     handler.setFormatter(JsonFormatter())
     root.addHandler(handler)
-    root.setLevel(level)
+    root.setLevel(logging.INFO)
     _configured_handler = handler
     return handler
 
@@ -188,20 +187,21 @@ class capture:
         with obslog.capture() as cap:
             ...
         assert cap.events()[0]["event"] == "worker_crash"
+
+    The ``repro`` root logger passes INFO and up while the block runs.
     """
 
-    def __init__(self, level: int = logging.INFO) -> None:
+    def __init__(self) -> None:
         self._buffer = io.StringIO()
         self._handler = logging.StreamHandler(self._buffer)
         self._handler.setFormatter(JsonFormatter())
-        self._level = level
         self._prev_level: int | None = None
 
     def __enter__(self) -> "capture":
         root = logging.getLogger(ROOT)
         self._prev_level = root.level
         root.addHandler(self._handler)
-        root.setLevel(min(self._level, root.level or self._level))
+        root.setLevel(min(logging.INFO, root.level or logging.INFO))
         return self
 
     def __exit__(self, *exc) -> None:

@@ -77,14 +77,14 @@ class SamplingProfiler:
     production code — they manage the process-global instance that
     ``obs.delta()`` ships across process boundaries.  The class is
     public for tests and for callers that want an isolated sampler.
+    Each sample keeps the innermost 64 frames of a stack.
     """
 
-    def __init__(self, hz: float = DEFAULT_HZ, *, max_depth: int = _MAX_DEPTH) -> None:
+    def __init__(self, hz: float = DEFAULT_HZ) -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz!r}")
         self.hz = float(hz)
         self.pid = os.getpid()
-        self._max_depth = max_depth
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
         self._wall = 0.0  # seconds covered by _counts since last drain
@@ -137,7 +137,7 @@ class SamplingProfiler:
                 continue
             stack = []
             depth = 0
-            while frame is not None and depth < self._max_depth:
+            while frame is not None and depth < _MAX_DEPTH:
                 stack.append(_frame_label(frame))
                 frame = frame.f_back
                 depth += 1

@@ -169,14 +169,14 @@ class SloMonitor:
 
     Feed it snapshots with :meth:`observe` (the gateway sidecar does
     this on every scrape, so the sampling cadence *is* the scrape
-    cadence); :meth:`evaluate` judges the latest state.  Only the
-    per-objective ``(bad, total)`` pairs are retained per sample, so
-    memory is O(windows · objectives), not O(windows · metrics).
+    cadence); :meth:`evaluate` judges the latest state; ``clock``
+    stamps both.  Only the per-objective ``(bad, total)`` pairs of the
+    newest 1024 samples are retained, so memory is
+    O(windows · objectives), not O(windows · metrics).
     """
 
     def __init__(self, objectives: list[Objective] | None = None, *,
                  windows: tuple[float, ...] = DEFAULT_WINDOWS,
-                 max_samples: int = 1024,
                  clock=wall_time) -> None:
         self.objectives = list(default_objectives() if objectives is None
                                else objectives)
@@ -184,16 +184,17 @@ class SloMonitor:
             raise ValueError("windows must be positive seconds")
         self.windows = tuple(sorted(windows))
         self._clock = clock
-        self._samples: deque[_Sample] = deque(maxlen=max_samples)
+        self._samples: deque[_Sample] = deque(maxlen=1024)
         # Sidecar scrapes render in worker threads; one lock keeps the
         # sample deque consistent under concurrent observe/evaluate.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ feed
 
-    def observe(self, snapshot: dict, now: float | None = None) -> None:
-        """Record one registry snapshot's worth of SLO state."""
-        sample = _Sample(t=self._clock() if now is None else now)
+    def observe(self, snapshot: dict) -> None:
+        """Record one registry snapshot's worth of SLO state, stamped
+        with the monitor's clock."""
+        sample = _Sample(t=self._clock())
         for obj in self.objectives:
             sample.bad_total[obj.name] = obj._bad_total(snapshot)
         with self._lock:
@@ -224,11 +225,11 @@ class SloMonitor:
         bad, total = base.bad_total.get(name, (0.0, 0.0))
         return bad, total, now - base.t
 
-    def evaluate(self, snapshot: dict,
-                 now: float | None = None) -> dict:
-        """Judge every objective against ``snapshot``; returns a
-        JSON-dumpable report (the ``/slo.json`` document)."""
-        now = self._clock() if now is None else now
+    def evaluate(self, snapshot: dict) -> dict:
+        """Judge every objective against ``snapshot`` at the monitor's
+        clock; returns a JSON-dumpable report (the ``/slo.json``
+        document)."""
+        now = self._clock()
         out: dict = {"ts": round(now, 3),
                      "windows_seconds": list(self.windows),
                      "objectives": []}
@@ -287,17 +288,18 @@ class SloMonitor:
 
     # ----------------------------------------------------------- gauges
 
-    def record_gauges(self, metrics, report: dict | None = None,
-                      snapshot: dict | None = None) -> dict:
-        """Write the evaluation into ``metrics`` as ``slo.*`` gauges.
+    def record_gauges(self, metrics, snapshot: dict) -> dict:
+        """:meth:`evaluate` ``snapshot``, write the report into
+        ``metrics`` as ``slo.*`` gauges and return it.
 
-        Prometheus export prefixes and sanitizes, so these surface as
+        It does not :meth:`observe`: a caller that samples on the same
+        snapshot observes it first.  Prometheus export prefixes and
+        sanitizes, so the gauges surface as
         ``culzss_slo_<objective>_ok_last`` etc. in ``/metrics``.
         ``metrics`` is anything with a ``gauge(name, value)`` method,
         e.g. a gateway's :class:`repro.obs.MetricRegistry`.
         """
-        if report is None:
-            report = self.evaluate(snapshot or {})
+        report = self.evaluate(snapshot)
         for entry in report["objectives"]:
             base = f"slo.{entry['name']}"
             metrics.gauge(f"{base}.ok", 1.0 if entry["ok"] else 0.0)

@@ -80,6 +80,10 @@ TRANSIENT_ERRORS = (ConnectionError, OSError, TimeoutError,
 #: Hard cap on one ``/profile?seconds=N`` sampling window.
 _PROFILE_MAX_SECONDS = 30.0
 
+#: Seconds a sidecar request may take to arrive, and again to render
+#: and send its response (``/profile`` adds its sampling window).
+_SIDECAR_TIMEOUT = 2.0
+
 
 def _profile_seconds(query: str) -> float:
     """The sampling window of a ``/profile?seconds=N`` query: N clamped
@@ -103,14 +107,13 @@ def _profile_window(path: str) -> float:
 
 async def retry_with_backoff(fn: Callable[[], Awaitable], *,
                              retries: int = 3, base_delay: float = 0.05,
-                             max_delay: float = 2.0,
                              transient: tuple = TRANSIENT_ERRORS,
                              metrics: MetricRegistry | None = None,
                              name: str = "op"):
     """Run ``fn`` with up to ``retries`` retries on transient errors.
 
     Exponential backoff doubles from ``base_delay`` and saturates at
-    ``max_delay``; the final failure propagates unchanged.
+    2 s; the final failure propagates unchanged.
     """
     delay = base_delay
     for attempt in range(retries + 1):
@@ -124,7 +127,7 @@ async def retry_with_backoff(fn: Callable[[], Awaitable], *,
             if attempt == retries:
                 raise
             await asyncio.sleep(delay)
-            delay = min(delay * 2, max_delay)
+            delay = min(delay * 2, 2.0)
 
 
 @dataclass(frozen=True)
@@ -190,17 +193,17 @@ class GatewayServer:
     ``metrics_port`` after :meth:`start`); ``None`` (the default)
     disables the sidecar.
 
-    Every sidecar request is bounded by ``metrics_timeout`` seconds end
-    to end, the body renders in a worker thread (a big registry cannot
-    stall the event loop mid-scrape), and unknown paths get a plain
-    404 — concurrent scrapers see slow responses at worst, never hangs
-    or tracebacks.
+    Every sidecar request gets 2 s to arrive and 2 s more to render and
+    send its response, the body renders in a worker thread (a big
+    registry cannot stall the event loop mid-scrape), and unknown paths
+    get a plain 404 — concurrent scrapers see slow responses at worst,
+    never hangs or tracebacks.
 
-    ``slo`` injects a preconfigured :class:`repro.obs.slo.SloMonitor`;
-    by default the sidecar builds one over
-    :func:`repro.obs.slo.default_objectives`.  The monitor samples on
-    every scrape (the Prometheus cadence is the sampling cadence) and
-    its judgement lands both in ``/slo.json`` and as ``culzss_slo_*``
+    The sidecar judges a :class:`repro.obs.slo.SloMonitor` over
+    :func:`repro.obs.slo.default_objectives`.  Every ``/metrics``,
+    ``/metrics.json`` and ``/slo.json`` request feeds the monitor one
+    sample (the Prometheus cadence is the sampling cadence), and its
+    judgement lands both in ``/slo.json`` and as ``culzss_slo_*``
     gauges in ``/metrics``.
 
     ``accept_codecs`` is the set of container codecs (names or wire
@@ -216,8 +219,6 @@ class GatewayServer:
                  workers: int = 0, queue_depth: int = 8,
                  timeout: float = 30.0, metrics: MetricRegistry | None = None,
                  metrics_port: int | None = None,
-                 metrics_timeout: float = 2.0,
-                 slo: SloMonitor | None = None,
                  accept_codecs=None,
                  deliver: Callable[[int, int, bytes], Awaitable[None]]
                  | None = None) -> None:
@@ -229,8 +230,7 @@ class GatewayServer:
         self.timeout = timeout
         self.metrics = metrics or MetricRegistry()
         self.metrics_port = metrics_port
-        self.metrics_timeout = metrics_timeout
-        self.slo = slo if slo is not None else SloMonitor()
+        self.slo = SloMonitor()
         self._deliver = deliver
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
@@ -304,10 +304,10 @@ class GatewayServer:
         Snapshotting and rendering are pure CPU over locked registries,
         so moving them off the event loop keeps frame traffic flowing
         while a (possibly huge) scrape serializes.  SLO sampling rides
-        the scrape: every request feeds the monitor one observation and
-        refreshes the ``slo.*`` and ``ledger.*`` gauges *before* the
-        served snapshot is taken, so the scrape that detects a breach
-        also reports it.
+        the scrape: every metrics or SLO request takes one merged
+        snapshot, feeds it to the monitor, and refreshes the ``slo.*``
+        and ``ledger.*`` gauges from it *before* the served snapshot is
+        taken, so the scrape that detects a breach also reports it.
         """
         path, _, query = path.partition("?")
         if path == "/healthz":
@@ -325,9 +325,10 @@ class GatewayServer:
             return ("404 Not Found", "text/plain",
                     b"try /metrics, /metrics.json, /slo.json, /healthz "
                     b"or /profile?seconds=N\n")
-        report = self.slo.record_gauges(self.metrics,
-                                        snapshot=self.metrics_snapshot())
-        self._record_ledger(self.metrics_snapshot())
+        snap = self.metrics_snapshot()
+        self.slo.observe(snap)
+        report = self.slo.record_gauges(self.metrics, snap)
+        self._record_ledger(snap)
         if path == "/slo.json":
             import json
 
@@ -346,7 +347,7 @@ class GatewayServer:
         Deliberately minimal — no keep-alive, no chunked bodies; it
         exists for ``curl`` and Prometheus scrapers, both of which are
         happy with connection-close semantics.  Reading the request and
-        rendering the response are each bounded by ``metrics_timeout``
+        rendering the response are each bounded by ``_SIDECAR_TIMEOUT``
         seconds (``/profile`` additionally gets its requested sampling
         window on top) and any failure closes the connection without
         touching the listener, so a stuck or malicious scraper costs
@@ -376,11 +377,10 @@ class GatewayServer:
             await writer.drain()
 
         try:
-            path = await asyncio.wait_for(read_request(),
-                                          self.metrics_timeout)
+            path = await asyncio.wait_for(read_request(), _SIDECAR_TIMEOUT)
             # A profile request deliberately blocks for its sampling
             # window; extend the render budget by exactly that much.
-            budget = self.metrics_timeout + _profile_window(path)
+            budget = _SIDECAR_TIMEOUT + _profile_window(path)
             await asyncio.wait_for(respond(path), budget)
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 TimeoutError):
@@ -531,7 +531,6 @@ class GatewayClient:
                  version: int = 2, workers: int = 2, queue_depth: int = 8,
                  timeout: float = 30.0, retries: int = 3,
                  backoff: float = 0.05, metrics: MetricRegistry | None = None,
-                 executor=None,
                  codec: str = "lzss") -> None:
         self.host = host
         self.port = port
@@ -545,7 +544,6 @@ class GatewayClient:
         self._ingress = IngressPipeline(version=version, workers=workers,
                                         queue_depth=queue_depth,
                                         metrics=self.metrics,
-                                        executor=executor,
                                         codec=codec)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None

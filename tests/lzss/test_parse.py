@@ -49,6 +49,28 @@ class TestReachableFrom:
             pos += int(adv[pos])
         assert got == expect
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 40), st.integers(0, 2**32),
+           st.lists(st.integers(0, 399), max_size=8))
+    def test_property_several_starts_match_walks(self, n, max_step, seed,
+                                                 cuts):
+        # Each start's jumps are clipped at the next start, the way the
+        # chunked parse and the decoders' group scan build their tables.
+        rng = np.random.default_rng(seed)
+        jump = np.arange(n) + rng.integers(1, max_step + 1, n)
+        starts = sorted({0, *(c for c in cuts if c < n)})
+        ends = starts[1:] + [n]
+        for lo, hi in zip(starts, ends):
+            jump[lo:hi] = np.minimum(jump[lo:hi], hi)
+        expect = []
+        for lo, hi in zip(starts, ends):
+            pos = lo
+            while pos < hi:
+                expect.append(pos)
+                pos = int(jump[pos])
+        got = reachable_from(jump, np.array(starts)).tolist()
+        assert got == expect
+
 
 class TestGreedyTokenStarts:
     @settings(max_examples=40, deadline=None)

@@ -184,6 +184,45 @@ def test_induced_p99_breach_shows_on_slo_json_and_gauges():
     assert "culzss_slo_ok_last 0.0" in text
 
 
+def test_every_scrape_samples_the_slo_monitor():
+    """A scrape before and one after one garbage connection and one
+    good stream: the monitor has a sample from before the traffic, so
+    ``error_rate`` (1 bad of 2 connections, budget 1%) burns at 50 in
+    both windows and alerts."""
+    metrics = MetricRegistry()
+
+    async def scenario():
+        async with GatewayServer(metrics=metrics, metrics_port=0) as server:
+            await _http_get(server.host, server.metrics_port, "/metrics")
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            writer.write(b"not a frame header" * 4)
+            await writer.drain()
+            await reader.read()  # the server drops the connection
+            writer.close()
+            await writer.wait_closed()
+            async with GatewayClient(port=server.port, workers=0,
+                                     metrics=metrics) as client:
+                await client.send_stream([b"slo sample traffic " * 50])
+            await server.wait_connections(2)
+            status, body = await _http_get(server.host, server.metrics_port,
+                                           "/slo.json")
+            _, prom = await _http_get(server.host, server.metrics_port,
+                                      "/metrics")
+            await server.close()
+            return status, json.loads(body), prom.decode()
+
+    status, report, prom = asyncio.run(scenario())
+    assert status == 200
+    errors = next(o for o in report["objectives"]
+                  if o["name"] == "error_rate")
+    assert (errors["bad"], errors["total"]) == (1.0, 2.0)
+    assert [w["burn"] for w in errors["windows"].values()] == [50.0, 50.0]
+    assert errors["alerting"]
+    assert "culzss_slo_error_rate_alerting_last 1.0" in prom
+    assert "culzss_slo_error_rate_burn_60s_last 50.0" in prom
+
+
 @pytest.mark.slow
 def test_sidecar_concurrent_scrapes_and_404():
     metrics = MetricRegistry()
