@@ -175,7 +175,8 @@ def gpu_decompress(blob, *, workers: int | None = None,
     The container describes itself, so only the modeled profile reads
     the library's default parameters (device and threads per block).
     ``workers`` mirrors :func:`gpu_compress`: chunk streams are
-    independent, so decode shards across cores with identical output.
+    independent, so the decoder fans its runs of chunks out over a
+    shared engine of that many threads, with identical output.
 
     ``errors`` selects the corruption policy.  ``"strict"`` (the
     default) raises the first :class:`repro.errors.ContainerError` a
@@ -194,13 +195,13 @@ def gpu_decompress(blob, *, workers: int | None = None,
         # Strict unpack has already verified the per-chunk CRCs.  The
         # decoder is looked up in this module per call, so a wrapper
         # installed on ``repro.core.api.decode_chunked_with_stats``
-        # sees every shard.
-        out, per_chunk_tokens, report = _engine_for(workers).decode(
-            decode_chunked_with_stats,
+        # sees every decode.
+        out, per_chunk_tokens, report = decode_chunked_with_stats(
             info.payload, info.format, info.chunk_sizes, info.chunk_size,
             info.original_size, chunk_codecs=info.chunk_codecs,
             chunk_crcs=info.chunk_crcs if errors == "salvage" else None,
-            errors=errors, fill_byte=fill_byte)
+            errors=errors, fill_byte=fill_byte,
+            engine=_engine_for(workers))
         if report is not None:
             obslog.event("container", "salvage",
                          recovered=len(report.recovered),

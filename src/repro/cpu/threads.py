@@ -4,12 +4,13 @@
 chunks are compressed concurrently.  After each thread compresses the
 given data, individual compressed chunks are reassembled to form the
 final output."  That is :class:`repro.engine.ParallelEngine` running the
-serial :func:`~repro.lzss.encoder.encode_chunked` and
-:func:`~repro.lzss.decoder.decode_chunked_with_stats` over the serial
-token format with one chunk per thread: the engine's thread pool runs
-the chunks (the vectorized encoder releases the GIL inside NumPy, so
+serial :func:`~repro.lzss.encoder.encode_chunked` over the serial token
+format with one chunk per thread: the engine's thread pool runs the
+chunks (the vectorized encoder releases the GIL inside NumPy, so
 threads genuinely overlap), and the reassembly is the container's chunk
-table.
+table.  Decompression hands the same engine to
+:func:`~repro.lzss.decoder.decode_chunked_with_stats`, which fans its
+chunk runs out over it.
 
 The *timing model* for the 2011 testbed lives in
 :class:`repro.model.cpu.PthreadModel`; this class is the functional
@@ -25,7 +26,7 @@ from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import EncodeResult, encode, encode_chunked
 from repro.lzss.formats import SERIAL
 from repro.util.buffers import as_u8
-from repro.util.validation import require, require_range
+from repro.util.validation import require_range
 
 __all__ = ["PthreadLzss"]
 
@@ -40,6 +41,10 @@ class PthreadLzss:
     ``n_threads`` workers, created on first use and reused across calls
     — thread spawn/join is pure overhead on small buffers, and the
     paper's pthread baseline keeps its workers alive for the whole run.
+    :meth:`compress` encodes one chunk per worker; :meth:`decompress`
+    takes the :class:`~repro.lzss.encoder.EncodeResult` that
+    :meth:`compress` returned and lets the decoder fan its chunk runs
+    out over the same engine.
     Call :meth:`close` (or use the instance as a context manager) to
     release the threads; a closed instance transparently re-opens on
     next use.
@@ -83,21 +88,11 @@ class PthreadLzss:
             encode_chunked, arr, self.format, -(-arr.size // self.n_threads),
             parse=self.parse)
 
-    def decompress(self, result_or_payload, chunk_sizes=None,
-                   chunk_size: int | None = None,
-                   output_size: int | None = None) -> bytes:
-        """Decompress (concurrently) what :meth:`compress` produced."""
-        if isinstance(result_or_payload, EncodeResult):
-            res = result_or_payload
-            payload, chunk_sizes = res.payload, res.chunk_sizes
-            chunk_size, output_size = res.chunk_size, res.input_size
-        else:
-            payload = result_or_payload
-            require(chunk_sizes is not None and chunk_size is not None
-                    and output_size is not None,
-                    "payload decompression needs chunk_sizes/chunk_size/size")
-        if output_size == 0:
+    def decompress(self, result: EncodeResult) -> bytes:
+        """Decompress (concurrently) what :meth:`compress` returned."""
+        if result.input_size == 0:
             return b""  # compress(b"") is one empty, unchunked stream
-        return self._get_engine().decode(
-            decode_chunked_with_stats, payload, self.format, chunk_sizes,
-            chunk_size, output_size)[0]
+        return decode_chunked_with_stats(
+            result.payload, self.format, result.chunk_sizes,
+            result.chunk_size, result.input_size,
+            engine=self._get_engine())[0]

@@ -1,10 +1,11 @@
 """Multicore compression engine: the package's one shard runner.
 
 :mod:`repro.engine.parallel` — :class:`ParallelEngine`, a persistent
-thread pool that runs the chunk-local encoder or decoder it is handed
-over chunk-aligned shards of one buffer and merges the result
-**byte-identically** to one serial call (the in-memory API's
-``workers=`` parameter; width 1 is the serial path).
+thread pool with one fan-out, ``map``.  Encode maps the chunk-local
+encoder it is handed over chunk-aligned shards of one buffer and merges
+the result **byte-identically** to one serial call; the chunked decoder
+maps its own runs over it (the in-memory API's ``workers=`` parameter;
+width 1 is the serial path).
 """
 
 from repro.engine.parallel import (

@@ -5,16 +5,19 @@ embarrassingly parallel — CULZSS gives every chunk (V1) or every
 position (V2) a GPU thread.  On the CPU we already exploit that shape
 *between* buffers (the service's process-pool fan-out) but a single
 ``gpu_compress`` call ran its whole match → parse → tokenize → pack
-pipeline on one core.  :class:`ParallelEngine` runs whatever chunk-local
-encoder or decoder it is handed over chunk-aligned shards on a
+pipeline on one core.  :class:`ParallelEngine` runs work items on a
 persistent thread pool — NumPy releases the GIL inside the vector
-kernels — and merges the per-shard token streams and chunk tables into
-an :class:`~repro.lzss.encoder.EncodeResult` that is **byte-identical**
-to one call of that encoder.  It is the only shard runner in the
-package: a one-thread engine is the serial path of ``gpu_compress``,
-``gpu_decompress`` and the V1/V2 compressors, and the paper's Pthread
-baseline, :class:`repro.cpu.PthreadLzss`, is this engine over the
-serial token format with one chunk per thread.
+kernels.  :meth:`ParallelEngine.map` is its one fan-out: ``encode``
+maps a chunk-local encoder over chunk-aligned shards and merges the
+per-shard token streams and chunk tables into an
+:class:`~repro.lzss.encoder.EncodeResult` that is **byte-identical** to
+one call of that encoder, and the chunked decoder
+(:func:`repro.lzss.decoder.decode_chunked_with_stats`, given an
+``engine``) maps its own independently decodable runs.  A one-thread
+engine is the serial path of ``gpu_compress``, ``gpu_decompress`` and
+the V1/V2 compressors, and the paper's Pthread baseline,
+:class:`repro.cpu.PthreadLzss`, is this engine over the serial token
+format with one chunk per thread.
 
 Byte-identity holds because every stage is chunk-local: matches never
 cross chunk boundaries (the lag matcher zeroes window prefixes, the
@@ -23,10 +26,6 @@ restarts at every chunk, and each chunk's bit stream is padded to a
 byte boundary.  Shards are always chunk-aligned runs, so sharding can
 only regroup work, never change it — asserted property-style in
 ``tests/engine/test_parallel.py``.
-
-Decode shards the same way: chunk streams are mutually independent
-(§III.C), so each worker decodes a run of chunks into its slice of the
-output.
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from time import perf_counter
 
 import numpy as np
 
 from repro import obs
-from repro.lzss.decoder import SalvageReport
 from repro.lzss.encoder import EncodeResult
 from repro.lzss.formats import TokenFormat
 from repro.lzss.stats import EncodeStats
@@ -134,20 +132,21 @@ def merge_encode_results(parts: list[EncodeResult], fmt: TokenFormat,
 
 
 class ParallelEngine:
-    """Persistent thread pool running chunk codecs over aligned shards.
+    """Persistent thread pool behind one fan-out, :meth:`map`.
 
     One engine owns one :class:`ThreadPoolExecutor`, created lazily on
-    the first sharded call and reused for every subsequent one — the
-    pool-churn that made per-call parallelism a wash on small buffers
-    is paid once.  A one-thread engine is the serial path: every call
-    is one direct call of the codec function, and it never builds a
+    the first call that fans out and reused for every subsequent one —
+    the pool-churn that made per-call parallelism a wash on small
+    buffers is paid once.  A one-thread engine is the serial path:
+    :meth:`map` runs its items on the calling thread and never builds a
     pool.  Close explicitly (or use it as a context manager); the
     process-wide engines from :func:`get_engine` are closed atexit.
 
-    A shard's exception reaches the caller unchanged.  There is no
-    crash fallback: a thread cannot die under its job the way a process
-    pool worker can, and a ``ThreadPoolExecutor`` only breaks when a
-    thread initializer fails — the engine installs none.
+    An item's exception reaches the caller unchanged, after every other
+    item has finished.  There is no crash fallback: a thread cannot die
+    under its job the way a process pool worker can, and a
+    ``ThreadPoolExecutor`` only breaks when a thread initializer fails
+    — the engine installs none.
     """
 
     def __init__(self, workers: int | None = None,
@@ -172,30 +171,6 @@ class ParallelEngine:
                     thread_name_prefix="repro-engine")
             return self._pool
 
-    def _run_shards(self, work, bounds: list[tuple[int, int]]) -> list:
-        """Run ``work(lo, hi)`` for every shard on the pool; results in
-        shard order.
-
-        Contextvars do not cross thread-pool boundaries on their own:
-        the submitter's span context is captured once and attached
-        inside every worker, so shard spans parent correctly.
-        """
-        pool = self._get_pool()
-        obs.inc("engine.shards", len(bounds))
-        ctx = trace.current()
-        submit_t = perf_counter()
-
-        def run(idx: int, lo: int, hi: int):
-            with trace.attach(ctx):
-                obs.observe("engine.queue_wait_seconds",
-                            perf_counter() - submit_t)
-                with obs.stage("engine.shard", shard=idx):
-                    return work(lo, hi)
-
-        futures = [pool.submit(run, i, lo, hi)
-                   for i, (lo, hi) in enumerate(bounds)]
-        return [fut.result() for fut in futures]
-
     def close(self) -> None:
         """Shut the pool down; idempotent."""
         with self._lock:
@@ -210,11 +185,40 @@ class ParallelEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _shards(self, n: int, chunk_size: int) -> list[tuple[int, int]]:
-        if (self.workers <= 1 or n < self.min_parallel_bytes
-                or n <= chunk_size):
-            return [(0, n)]
-        return shard_chunk_runs(n, chunk_size, self.workers)
+    # ----------------------------------------------------------- fan-out
+
+    def map(self, fn, items: list, nbytes: int) -> list:
+        """``[fn(x) for x in items]``, fanned out when it pays.
+
+        A one-thread engine, a single item, or fewer than
+        ``min_parallel_bytes`` bytes of work (``nbytes``) runs the items
+        in order on the calling thread.  Otherwise each item runs on
+        the pool as an ``engine.shard`` stage.  Contextvars do not cross
+        thread-pool boundaries on their own: the caller's span context
+        is captured once and attached inside every worker, so shard
+        spans parent correctly.  The call waits for every item before it
+        returns or raises, so no work outlives it; results come back in
+        item order, and when items raise, the first one's exception in
+        item order reaches the caller.
+        """
+        if (self.workers <= 1 or len(items) <= 1
+                or nbytes < self.min_parallel_bytes):
+            return [fn(x) for x in items]
+        pool = self._get_pool()
+        obs.inc("engine.shards", len(items))
+        ctx = trace.current()
+        submit_t = perf_counter()
+
+        def run(idx: int, item):
+            with trace.attach(ctx):
+                obs.observe("engine.queue_wait_seconds",
+                            perf_counter() - submit_t)
+                with obs.stage("engine.shard", shard=idx):
+                    return fn(item)
+
+        futures = [pool.submit(run, i, x) for i, x in enumerate(items)]
+        wait(futures)
+        return [fut.result() for fut in futures]
 
     # ------------------------------------------------------------- codec
 
@@ -224,77 +228,28 @@ class ParallelEngine:
 
         ``fn(arr, fmt, chunk_size, **kwargs)`` is a serial chunked
         encoder — :func:`repro.lzss.encoder.encode_chunked` or
-        :func:`repro.codecs.encode_chunked_auto`.  One run means one
-        direct ``fn`` call; otherwise ``fn`` encodes each shard on the
-        pool and :func:`merge_encode_results` joins the parts, byte-
-        identical to the direct call for any worker count.  Per-warp
-        detail rows need warp-aligned shard seams, so ``collect_detail``
-        with a chunk size that is not a multiple of 32 runs as one call.
+        :func:`repro.codecs.encode_chunked_auto`.  A one-thread engine,
+        a buffer below ``min_parallel_bytes`` or a single chunk means
+        one direct ``fn`` call; otherwise :meth:`map` encodes each of
+        :func:`shard_chunk_runs`' shards and
+        :func:`merge_encode_results` joins the parts, byte-identical to
+        the direct call for any worker count.  Per-warp detail rows need
+        warp-aligned shard seams, so ``collect_detail`` with a chunk
+        size that is not a multiple of 32 runs as one call.
         """
         arr = as_u8(data)
         n = arr.size
-        bounds = self._shards(n, chunk_size)
-        if kwargs.get("collect_detail") and chunk_size % 32:
-            bounds = [(0, n)]  # warp rows would straddle shard seams
+        if (self.workers <= 1 or n < self.min_parallel_bytes
+                or kwargs.get("collect_detail") and chunk_size % 32):
+            bounds = [(0, n)]
+        else:
+            bounds = shard_chunk_runs(n, chunk_size, self.workers)
         if len(bounds) <= 1:
             return fn(arr, fmt, chunk_size, **kwargs)
-        parts = self._run_shards(
-            lambda lo, hi: fn(arr[lo:hi], fmt, chunk_size, **kwargs), bounds)
+        parts = self.map(
+            lambda b: fn(arr[b[0]:b[1]], fmt, chunk_size, **kwargs),
+            bounds, n)
         return merge_encode_results(parts, fmt, chunk_size, n)
-
-    def decode(self, fn, payload, fmt: TokenFormat, chunk_sizes: np.ndarray,
-               chunk_size: int, output_size: int, *,
-               chunk_codecs: np.ndarray | None = None,
-               chunk_crcs: np.ndarray | None = None,
-               errors: str = "strict", fill_byte: int = 0,
-               ) -> tuple[bytes, np.ndarray, SalvageReport | None]:
-        """Run the chunk decoder ``fn`` over a chunked payload, sharded.
-
-        ``fn`` has the signature of
-        :func:`repro.lzss.decoder.decode_chunked_with_stats`.  Chunks
-        are independent, so both error policies shard the same way;
-        per-shard salvage reports merge into one (indices and byte
-        ranges are rebased into full-buffer coordinates).
-        """
-        arr = as_u8(payload)
-        chunk_sizes = np.asarray(chunk_sizes, dtype=np.int64)
-        policy = dict(errors=errors, fill_byte=fill_byte)
-        bounds = self._shards(output_size, chunk_size)
-        if len(bounds) <= 1:
-            return fn(arr, fmt, chunk_sizes, chunk_size, output_size,
-                      chunk_codecs=chunk_codecs, chunk_crcs=chunk_crcs,
-                      **policy)
-        require(errors == "salvage" or int(chunk_sizes.sum()) == arr.size,
-                "chunk size table does not cover the payload")
-        payload_offsets = np.concatenate([[0], np.cumsum(chunk_sizes)])
-
-        def work(lo: int, hi: int):
-            c0, c1 = lo // chunk_size, (hi + chunk_size - 1) // chunk_size
-            # Slices clamp at the (possibly truncated) payload end;
-            # salvage marks the chunks that ran past it as lost.
-            piece = arr[min(payload_offsets[c0], arr.size):
-                        min(payload_offsets[c1], arr.size)]
-            return fn(
-                piece, fmt, chunk_sizes[c0:c1], chunk_size, hi - lo,
-                chunk_codecs=(None if chunk_codecs is None
-                              else chunk_codecs[c0:c1]),
-                chunk_crcs=None if chunk_crcs is None else chunk_crcs[c0:c1],
-                first_chunk=c0, **policy)
-
-        parts = self._run_shards(work, bounds)
-        out = b"".join(p[0] for p in parts)
-        tokens = np.concatenate([p[1] for p in parts])
-        if errors == "strict":
-            return out, tokens, None
-        report = SalvageReport(n_chunks=int(chunk_sizes.size),
-                               fill_byte=fill_byte)
-        for (lo, _hi), (_o, _t, part) in zip(bounds, parts):
-            report.recovered.extend(part.recovered)
-            report.lost.extend(part.lost)
-            report.unknown_codec.extend(part.unknown_codec)
-            report.lost_ranges.extend((lo + a, lo + b)
-                                      for a, b in part.lost_ranges)
-        return out, tokens, report
 
 
 # ------------------------------------------------------- default engines

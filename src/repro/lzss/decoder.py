@@ -31,7 +31,10 @@ a *run* of whole chunks, up to :data:`RUN_BYTES` of output, makes one
 group scan seeded at every chunk start (each jump clipped at its
 chunk's end), one field read, one segmented landing check and one
 :func:`reconstruct`, and checks every chunk on its own inside that
-pass.  :func:`decode` is a one-chunk run.
+pass.  :func:`decode` is a one-chunk run.  The runs, and the chunks of
+other codecs, are the decode's independent work items; given a
+:class:`repro.engine.ParallelEngine`, :func:`decode_chunked_with_stats`
+fans them out through its ``map``.
 
 Corruption raises :class:`~repro.errors.CorruptChunkError` carrying
 the chunk index.  :func:`decode_chunked_with_stats` is the one chunked
@@ -281,17 +284,18 @@ def decode_chunked_with_stats(
         chunk_size: int, output_size: int, *,
         chunk_codecs: np.ndarray | None = None,
         chunk_crcs: np.ndarray | None = None, errors: str = "strict",
-        fill_byte: int = 0, first_chunk: int = 0,
+        fill_byte: int = 0, first_chunk: int = 0, engine=None,
 ) -> tuple[bytes, np.ndarray, SalvageReport | None]:
     """Decode independent chunk streams: ``(data, tokens, report)``.
 
     The one chunked decode.  Chunk streams are mutually independent
     (§III.C), so every chunk passes the same checks on its own — codec
-    lookup, bounds check, CRC — before its stream decodes.  lzss
-    streams decode chunk-major, in runs of whole chunks of up to
-    :data:`RUN_BYTES` output bytes (a larger chunk is a run of its
-    own), each run checking every chunk on its own; other codecs
-    decode chunk by chunk.
+    lookup, bounds check, CRC — in chunk order, and the chunks that pass
+    become independently decodable work items: lzss chunks in runs of
+    whole chunks of up to :data:`RUN_BYTES` output bytes (a larger chunk
+    is a run of its own), each run checking every chunk on its own, and
+    every chunk of another codec on its own.  Each item decodes into its
+    own slice of the output.
 
     * ``chunk_codecs`` — the container-v3 codec column.  Without it
       every chunk is lzss and ``tokens`` holds the per-chunk token
@@ -304,7 +308,8 @@ def decode_chunked_with_stats(
       CRC-32 is verified *before* its decode.
     * ``errors="strict"`` raises the :class:`CorruptChunkError` of the
       lowest bad chunk, requires the chunk table to cover the payload,
-      and returns ``report=None``.
+      and returns ``report=None``; the checks stop at the first chunk
+      that fails one.
     * ``errors="salvage"`` recovers every chunk that checks out.  A
       chunk is *lost* when its compressed bytes run past the
       (truncated) payload end, its codec id is unknown, its CRC
@@ -314,8 +319,12 @@ def decode_chunked_with_stats(
       :class:`SalvageReport`.  Recovered chunks are byte-identical to
       a clean decode.
 
-    ``first_chunk`` rebases chunk indices in errors and reports when
-    decoding a shard of a larger buffer (the parallel engine's case).
+    ``engine`` (a :class:`repro.engine.ParallelEngine`) decodes the work
+    items through its ``map``; without one they decode in order on the
+    calling thread.  Output, token counts, error, report and counters
+    are the same at any engine width.  ``first_chunk`` rebases chunk
+    indices in errors and reports when the payload is one chunk of a
+    larger container (``LzssCodec.decode_chunk``'s case).
     """
     require(errors in ("strict", "salvage"),
             f"errors must be 'strict' or 'salvage', not {errors!r}")
@@ -348,35 +357,47 @@ def decode_chunked_with_stats(
     unknown: list[int] = []
     crc_checked = np.zeros(n_chunks, dtype=bool)
     crc_failed = np.zeros(n_chunks, dtype=bool)
-    run: list[int] = []
 
-    def flush() -> None:
-        """Decode the pending run; file its bad chunks under ``failed``."""
-        if not run:
-            return
+    def decode_item(run: list[int]) -> dict[int, Exception]:
+        """Decode a run of lzss chunks, or one chunk of another codec,
+        into ``out``; returns its bad chunks' errors."""
+        c = run[0]
+        if chunk_codecs is not None and chunk_codecs[c] != LZSS_CODEC_ID:
+            lo = c * chunk_size
+            codec = get_codec(int(chunk_codecs[c]))
+            try:
+                out[lo:lo + sizes[c]] = codec.decode_chunk(
+                    arr[offsets[c]:offsets[c + 1]], fmt, int(sizes[c]),
+                    chunk_index=first_chunk + c)
+            except (CorruptChunkError, TruncatedContainerError) as exc:
+                return {c: exc}
+            return {}
         data, counts, bad = _decode_run(
             [arr[offsets[c]:offsets[c + 1]] for c in run], fmt, sizes[run])
+        if chunk_codecs is None:
+            tokens[run] = counts
+        lost = {}
         cursor = 0
         for pos, c in enumerate(run):
             if pos in bad:
                 message, token = bad[pos]
-                failed[c] = CorruptChunkError(
+                lost[c] = CorruptChunkError(
                     message, chunk_index=first_chunk + c,
                     token_position=token)
                 continue
             lo = c * chunk_size
             out[lo:lo + sizes[c]] = data[cursor:cursor + sizes[c]]
             cursor += sizes[c]
-        if chunk_codecs is None:
-            tokens[run] = counts
-        run.clear()
+        return lost
 
-    # A strict decode stops at its first bad chunk; the CRC counters
-    # then count the chunks up to it, as a chunk-by-chunk walk would.
+    # A strict decode raises its lowest bad chunk; the CRC counters then
+    # count the chunks up to it, as a chunk-by-chunk walk would.
     counted = n_chunks
     try:
         with obs.stage("decode.stream", bytes=output_size, chunks=n_chunks,
                        errors=errors):
+            items: list[list[int]] = []
+            run: list[int] = []
             run_bytes = 0
             for c in range(n_chunks):
                 index = first_chunk + c
@@ -399,24 +420,24 @@ def decode_chunked_with_stats(
                             raise CorruptChunkError(
                                 "chunk checksum mismatch",
                                 chunk_index=index, offset=p_lo)
-                    if cid is None or cid == LZSS_CODEC_ID:
-                        if run and run_bytes + sizes[c] > RUN_BYTES:
-                            flush()
-                            run_bytes = 0
-                            if failed and not salvage:
-                                break
-                        run.append(c)
-                        run_bytes += sizes[c]
-                    else:
-                        lo = c * chunk_size
-                        out[lo:lo + sizes[c]] = get_codec(cid).decode_chunk(
-                            arr[p_lo:p_hi], fmt, int(sizes[c]),
-                            chunk_index=index)
-                except (CorruptChunkError, TruncatedContainerError) as exc:
+                except CorruptChunkError as exc:
                     failed[c] = exc
                     if not salvage:
                         break
-            flush()
+                    continue
+                if cid is None or cid == LZSS_CODEC_ID:
+                    if run and run_bytes + sizes[c] > RUN_BYTES:
+                        items.append(run)
+                        run, run_bytes = [], 0
+                    run.append(c)
+                    run_bytes += sizes[c]
+                else:
+                    items.append([c])
+            if run:
+                items.append(run)
+            for lost in (map(decode_item, items) if engine is None
+                         else engine.map(decode_item, items, output_size)):
+                failed.update(lost)
             if failed and not salvage:
                 counted = min(failed) + 1
                 raise failed[counted - 1]

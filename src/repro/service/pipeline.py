@@ -347,8 +347,10 @@ class EgressPipeline(_PooledStage):
     is bounded at ``queue_depth`` held frames per stream — a frame
     arriving while its stream's buffer is full is dropped and counted
     in ``egress.reorder_evictions``, so a peer that skips a sequence
-    number forever cannot grow the buffer without limit (the transport
-    retry resends dropped frames).
+    number forever cannot grow the buffer without limit.  Nothing
+    resends a dropped frame: it is lost, the stream's ACK counts one
+    frame fewer, and the client's ``send_stream(verify=True)`` raises
+    :class:`~repro.errors.FrameError`.
     """
 
     def __init__(self, workers: int = 0, queue_depth: int = 8,

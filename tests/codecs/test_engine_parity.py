@@ -50,10 +50,9 @@ def test_sharded_encode_is_byte_identical(engine, corpus, codec):
 def test_sharded_multi_decode_round_trips(engine, corpus):
     data = np.frombuffer(corpus, dtype=np.uint8)
     result = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
-    out, _, _ = engine.decode(
-        decode_chunked_with_stats, result.payload, CUDA_V2,
-        result.chunk_sizes, CHUNK, len(corpus),
-        chunk_codecs=result.chunk_codecs)
+    out, _, _ = decode_chunked_with_stats(
+        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
+        chunk_codecs=result.chunk_codecs, engine=engine)
     assert out == corpus
 
 
@@ -64,10 +63,9 @@ def test_sharded_salvage_merges_unknown_codec_reports(engine, corpus):
     victims = [0, int(bad.size) - 1]
     for v in victims:
         bad[v] = 0xEE
-    got, _, report = engine.decode(
-        decode_chunked_with_stats, result.payload, CUDA_V2,
-        result.chunk_sizes, CHUNK, len(corpus),
-        chunk_codecs=bad, errors="salvage", fill_byte=0x5A)
+    got, _, report = decode_chunked_with_stats(
+        result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
+        chunk_codecs=bad, errors="salvage", fill_byte=0x5A, engine=engine)
     _, _, serial_report = decode_chunked_with_stats(
         result.payload, CUDA_V2, result.chunk_sizes, CHUNK, len(corpus),
         chunk_codecs=bad, errors="salvage", fill_byte=0x5A)

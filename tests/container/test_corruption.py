@@ -315,9 +315,8 @@ class TestErrorPolicies:
 
                 out, _, report = decode_chunked_with_stats(
                     *args, errors="salvage", **kwargs)
-                sharded, _, sharded_report = engine.decode(
-                    decode_chunked_with_stats, *args, errors="salvage",
-                    **kwargs)
+                sharded, _, sharded_report = decode_chunked_with_stats(
+                    *args, errors="salvage", engine=engine, **kwargs)
                 assert sharded == out
                 assert sharded_report == report
                 assert report.lost
@@ -326,8 +325,8 @@ class TestErrorPolicies:
                     assert out[lo:hi] == payload[lo:hi]
 
                 for decode in (decode_chunked_with_stats,
-                               partial(engine.decode,
-                                       decode_chunked_with_stats)):
+                               partial(decode_chunked_with_stats,
+                                       engine=engine)):
                     with pytest.raises(CorruptChunkError) as err:
                         decode(*args, **kwargs)
                     assert err.value.chunk_index == report.lost[0]

@@ -92,26 +92,25 @@ class TestOneShardRunner:
         data = generate("highly_compressible", 1 << 20, seed=4)
         return data, gpu_compress(data).data
 
-    def test_decompress_calls_the_api_decoder_once_per_shard(
+    def test_decompress_calls_the_api_decoder_once_per_call(
             self, mib, monkeypatch):
         data, blob = mib
         calls = []
         real = api.decode_chunked_with_stats
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("first_chunk", 0))
+            calls.append(kwargs["engine"].workers)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(api, "decode_chunked_with_stats", counting)
         assert gpu_decompress(blob).data == data
-        assert calls == [0]
         assert gpu_decompress(blob, workers=2).data == data
-        assert calls == [0, 0, 128]  # 256 chunks over two shards
+        assert calls == [1, 2]
 
     def test_one_thread_engine_is_the_serial_path(self, mib, monkeypatch):
         data, blob = mib
         calls = []
-        for name in ("encode", "decode"):
+        for name in ("encode", "map"):
             def recording(self, *args, _real=getattr(ParallelEngine, name),
                           _name=name, **kwargs):
                 calls.append((_name, self.workers))
@@ -120,5 +119,5 @@ class TestOneShardRunner:
             monkeypatch.setattr(ParallelEngine, name, recording)
         assert gpu_compress(data).data == blob
         assert gpu_decompress(blob).data == data
-        assert calls == [("encode", 1), ("decode", 1)]
+        assert calls == [("encode", 1), ("map", 1)]
         assert get_engine(1)._pool is None

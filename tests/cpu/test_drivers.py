@@ -34,14 +34,6 @@ class TestPthread:
         r = p.compress(text_data)
         assert p.decompress(r) == text_data
 
-    def test_roundtrip_raw_pieces(self, text_data):
-        p = PthreadLzss(3)
-        r = p.compress(text_data)
-        out = p.decompress(r.payload, chunk_sizes=r.chunk_sizes,
-                           chunk_size=r.chunk_size,
-                           output_size=r.input_size)
-        assert out == text_data
-
     def test_chunk_count_matches_threads(self, text_data):
         r = PthreadLzss(8).compress(text_data)
         assert r.chunk_sizes.size == 8
@@ -78,9 +70,3 @@ class TestPthread:
         serial = SerialLzss().compress(data)
         threaded = PthreadLzss(4).compress(data)
         assert threaded.stats.ratio <= serial.stats.ratio + 0.02
-
-    def test_missing_metadata_rejected(self, text_data):
-        p = PthreadLzss(2)
-        r = p.compress(text_data)
-        with pytest.raises(ValueError):
-            p.decompress(r.payload, chunk_sizes=r.chunk_sizes)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 
+import pytest
+
+from repro import obs
 from repro.cpu import PthreadLzss
+from repro.datasets import generate
+from repro.errors import CorruptChunkError
 
 
 def test_pool_persists_across_calls(text_data):
@@ -49,3 +55,32 @@ def test_closed_instance_reopens_on_use(text_data):
         assert p.decompress(result) == text_data
     finally:
         p.close()
+
+
+def _decode_stages() -> int:
+    hists = obs.get_registry().snapshot()["histograms"]
+    return int(hists.get("decode.stream_seconds", {}).get("count", 0))
+
+
+def test_strict_error_arrives_after_every_chunk_decoded():
+    # One chunk per thread; chunk 0 zeroed.  The error must not arrive
+    # while the other thread still decodes: the decode stages recorded
+    # at the raise are all there will be.
+    was_enabled = obs.enabled()
+    obs.enable()
+    p = PthreadLzss(n_threads=2)
+    try:
+        result = p.compress(generate("cfiles", 512 << 10, seed=7))
+        zeroed = bytearray(result.payload)
+        zeroed[:int(result.chunk_sizes[0])] = bytes(
+            int(result.chunk_sizes[0]))
+        with pytest.raises(CorruptChunkError) as err:
+            p.decompress(replace(result, payload=bytes(zeroed)))
+        assert err.value.chunk_index == 0
+        at_raise = _decode_stages()
+        p.close()
+        assert _decode_stages() == at_raise
+    finally:
+        p.close()
+        if not was_enabled:
+            obs.disable()

@@ -8,12 +8,16 @@ and the detail arrays the GPU cost models consume.
 
 from __future__ import annotations
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import CompressionParams, gpu_compress, gpu_decompress
 from repro.engine import ParallelEngine, get_engine, shard_chunk_runs
 from repro.engine.parallel import MIN_PARALLEL_BYTES
+from repro.lzss import decoder
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import CUDA_V2
@@ -110,11 +114,33 @@ def test_parallel_decode_round_trip(text_data, fmt):
     serial_out, serial_tokens, _ = decode_chunked_with_stats(
         result.payload, fmt, result.chunk_sizes, 1024, result.input_size)
     with ParallelEngine(workers=4, min_parallel_bytes=0) as engine:
-        out, tokens, _ = engine.decode(
-            decode_chunked_with_stats, result.payload, fmt,
-            result.chunk_sizes, 1024, result.input_size)
+        out, tokens, _ = decode_chunked_with_stats(
+            result.payload, fmt, result.chunk_sizes, 1024, result.input_size,
+            engine=engine)
     assert out == serial_out == text_data
     assert np.array_equal(tokens, serial_tokens)
+
+
+def test_decode_fan_out_under_fast_thread_switching(text_data, monkeypatch):
+    # Every item writes its own slices of one output array: with more
+    # workers than cores, one chunk per item and a tiny switch interval,
+    # a lost or misplaced write would show.
+    monkeypatch.setattr(decoder, "RUN_BYTES", 1)
+    result = encode_chunked(as_u8(text_data), CUDA_V2, 256)
+    args = (result.payload, CUDA_V2, result.chunk_sizes, 256,
+            result.input_size)
+    _, serial_tokens, _ = decode_chunked_with_stats(*args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ParallelEngine(workers=8, min_parallel_bytes=0) as engine:
+            for _ in range(3):
+                out, tokens, _ = decode_chunked_with_stats(*args,
+                                                           engine=engine)
+                assert out == text_data
+                assert np.array_equal(tokens, serial_tokens)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_gpu_compress_workers_container_identical(text_data):
@@ -161,6 +187,24 @@ def test_shard_exception_reaches_caller(text_data):
         with pytest.raises(RuntimeError, match="job bug"):
             engine.encode(job_bug, as_u8(text_data), CUDA_V2, 1024)
         assert engine._pool is not None  # the sharded path ran
+
+
+def test_no_shard_outlives_a_raising_call():
+    # The call waits for every shard before it raises: a slow shard's
+    # side effect is already there when the fast shard's error arrives.
+    done = []
+
+    def job(arr, fmt, chunk_size):
+        if arr[0] == 0:
+            raise RuntimeError("first shard")
+        time.sleep(0.2)
+        done.append(int(arr[0]))
+
+    data = np.repeat(np.arange(2, dtype=np.uint8), 4096)
+    with ParallelEngine(workers=2, min_parallel_bytes=0) as engine:
+        with pytest.raises(RuntimeError, match="first shard"):
+            engine.encode(job, data, CUDA_V2, 4096)
+        assert done == [1]
 
 
 def test_small_buffers_stay_serial(text_data):

@@ -16,13 +16,15 @@ one sha256:
 
 ``PINNED`` was recorded from the decoder before its chunk-major rewrite;
 any change to what it returns or raises on these streams changes the
-digest.
+digest.  The corpus decodes serially and again through a two-worker
+engine, one chunk per run, which must not change it either.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -31,7 +33,9 @@ from repro import obs
 from repro.codecs.lzss import LZSS_CODEC_ID
 from repro.codecs.store import STORE_CODEC_ID
 from repro.datasets import generate
+from repro.engine import ParallelEngine
 from repro.errors import CorruptChunkError
+from repro.lzss import decoder
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
 from repro.lzss.formats import CUDA_V1, CUDA_V2, SERIAL, TokenFormat
@@ -155,50 +159,61 @@ def _outcome(payload, fmt, sizes, chunk, n, seen: Counter, **kw) -> bytes:
     return text.encode()
 
 
-def corpus_digest() -> tuple[str, int, Counter]:
+def corpus_digest(engine=None) -> tuple[str, int, Counter]:
     rng = np.random.default_rng(SEED)
     h = hashlib.sha256()
     seen: Counter = Counter()
     n_streams = 0
+
+    def outcome(*args, **kw) -> bytes:
+        return _outcome(*args, engine=engine, **kw)
+
     for label, fmt, chunk, data, clean, payload, sizes in _streams(rng):
         n_streams += 1
         n = len(data)
         first = int(rng.choice([0, 0, 5]))
         h.update(label.encode())
-        h.update(_outcome(payload, fmt, sizes, chunk, n, seen,
-                          first_chunk=first))
-        h.update(_outcome(payload, fmt, sizes, chunk, n, seen,
-                          errors="salvage", fill_byte=0xA5))
+        h.update(outcome(payload, fmt, sizes, chunk, n, seen,
+                         first_chunk=first))
+        h.update(outcome(payload, fmt, sizes, chunk, n, seen,
+                         errors="salvage", fill_byte=0xA5))
         if rng.random() < 0.35:
             cut = int(rng.integers(len(payload) + 1))
-            h.update(_outcome(payload[:cut], fmt, sizes, chunk, n, seen,
-                              errors="salvage", first_chunk=first))
+            h.update(outcome(payload[:cut], fmt, sizes, chunk, n, seen,
+                             errors="salvage", first_chunk=first))
         if rng.random() < 0.35:
             v3, table, codecs = _v3(rng, data, chunk, payload, sizes)
             for errors in ("strict", "salvage"):
-                h.update(_outcome(v3, fmt, table, chunk, n, seen,
-                                  chunk_codecs=codecs, errors=errors))
+                h.update(outcome(v3, fmt, table, chunk, n, seen,
+                                 chunk_codecs=codecs, errors=errors))
         if rng.random() < 0.25:
             # The clean stream's CRCs under this stream's table: every
             # damaged chunk mismatches.
             crcs = _crc_table(clean, sizes)
             for errors in ("strict", "salvage"):
-                h.update(_outcome(payload, fmt, sizes, chunk, n, seen,
-                                  chunk_crcs=crcs, errors=errors,
-                                  first_chunk=first))
+                h.update(outcome(payload, fmt, sizes, chunk, n, seen,
+                                 chunk_crcs=crcs, errors=errors,
+                                 first_chunk=first))
     return h.hexdigest(), n_streams, seen
+
+
+@contextmanager
+def counting():
+    """The digest holds CRC counter deltas, so count even under
+    REPRO_OBS=0."""
+    was_enabled = obs.enabled()
+    obs.enable()
+    try:
+        yield
+    finally:
+        if not was_enabled:
+            obs.disable()
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    # The digest holds CRC counter deltas, so count even under REPRO_OBS=0.
-    was_enabled = obs.enabled()
-    obs.enable()
-    try:
+    with counting():
         return corpus_digest()
-    finally:
-        if not was_enabled:
-            obs.disable()
 
 
 def test_corpus_is_large_and_provokes_every_error(corpus):
@@ -211,4 +226,12 @@ def test_corpus_is_large_and_provokes_every_error(corpus):
 
 def test_outcomes_match_the_pinned_digest(corpus):
     digest, _n, _seen = corpus
+    assert digest == PINNED
+
+
+def test_two_worker_engine_outcomes_match_the_pinned_digest(monkeypatch):
+    # One chunk per run, so every stream of two or more chunks fans out.
+    monkeypatch.setattr(decoder, "RUN_BYTES", 1)
+    with counting(), ParallelEngine(2, min_parallel_bytes=0) as engine:
+        digest, _n, _seen = corpus_digest(engine)
     assert digest == PINNED

@@ -12,8 +12,15 @@ import pytest
 
 from repro.datasets import generate
 from repro.obs import MetricRegistry
+from repro.service import GatewayServer, StreamAck
 from repro.service.pipeline import EgressPipeline, IngressPipeline
-from repro.service.protocol import FLAG_RAW, Frame
+from repro.service.protocol import (
+    FLAG_END,
+    FLAG_RAW,
+    Frame,
+    read_frame,
+    write_frame,
+)
 
 
 async def _collect_ingress(pipe: IngressPipeline, buffers) -> list[Frame]:
@@ -64,6 +71,33 @@ def test_reorder_bound_does_not_break_normal_reordering():
     n, delivered = asyncio.run(_collect_egress(pipe, frames))
     assert [seq for _, seq, _ in delivered] == [0, 1, 2, 3, 4, 5]
     assert m.count("egress.reorder_evictions") == 0
+
+
+def test_evicted_frame_is_lost_and_the_ack_shows_it():
+    # Nothing resends a frame dropped at a full reorder buffer: the
+    # stream's ACK counts one frame fewer, so the client's receipt check
+    # (send_stream(verify=True)) fails.
+    buffers = [b"evicted stream frame %d " % s * 40 for s in range(5)]
+
+    async def scenario() -> StreamAck:
+        async with GatewayServer(queue_depth=2, timeout=5.0) as server:
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            for s in (2, 3, 4, 0, 1):
+                await write_frame(writer, Frame(stream_id=1, seq=s,
+                                                flags=FLAG_RAW,
+                                                payload=buffers[s]))
+            await write_frame(writer, Frame(stream_id=1, seq=5,
+                                            flags=FLAG_END))
+            ack = await read_frame(reader, timeout=5.0)
+            writer.close()
+            await writer.wait_closed()
+            assert ack is not None and ack.is_ack
+            return StreamAck.from_payload(ack.payload)
+
+    ack = asyncio.run(scenario())
+    assert ack.frames == 4
+    assert not ack.matches(buffers)
 
 
 # ------------------------------------- one egress decode at a time
