@@ -9,13 +9,21 @@ import numpy as np
 import pytest
 
 from repro.bzip2.bwt import bwt_transform
+from repro.bzip2.huffman import (
+    HuffmanCode,
+    huffman_code_lengths,
+    huffman_decode,
+    huffman_encode,
+)
 from repro.bzip2.mtf import mtf_encode
 from repro.bzip2.pipeline import compress as bz_compress
+from repro.codecs.dispatch import choose_chunk_codec
 from repro.codecs.lz4s import LZ4S_MAX_CHAIN, LZ4S_MAX_MATCH
+from repro.codecs.lzss_huffman import MATCH_SYMBOL
 from repro.core.params import CompressionParams
 from repro.datasets import generate
 from repro.lzss.decoder import decode, decode_chunked_with_stats
-from repro.lzss.encoder import encode, encode_chunked
+from repro.lzss.encoder import encode, encode_chunked, tokenize
 from repro.lzss.formats import CUDA_V2, SERIAL
 from repro.lzss.lagmatch import lag_best_matches
 from repro.lzss.matcher import hash_chain_best_matches
@@ -134,3 +142,41 @@ def test_pack_tokens(benchmark):
     values &= (1 << nbits) - 1
     payload, total = benchmark(pack_tokens, values, nbits)
     assert total == nbits.sum()
+
+
+# --- auto's entropy stage and chooser, on 4 KiB chunks of e2e buffers ---
+
+@pytest.fixture(scope="module")
+def huffman_symbols():
+    """The 257-symbol stream lzss-huffman codes for one 4 KiB cfiles
+    chunk: its literal bytes, and MATCH_SYMBOL for each match."""
+    chunk = np.frombuffer(generate("cfiles", 4096, seed=1), dtype=np.uint8)
+    tokens, _ = tokenize(chunk, CUDA_V2, 4096)
+    return np.where(tokens.is_pair, MATCH_SYMBOL,
+                    chunk[tokens.starts].astype(np.int64))
+
+
+def test_huffman_code_lengths(benchmark, huffman_symbols):
+    freqs = np.bincount(huffman_symbols, minlength=MATCH_SYMBOL + 1)
+    lengths = benchmark(huffman_code_lengths, freqs, 15)
+    assert 0 < lengths.max() <= 15
+
+
+def test_huffman_decode(benchmark, huffman_symbols):
+    code = HuffmanCode.from_frequencies(
+        np.bincount(huffman_symbols, minlength=MATCH_SYMBOL + 1), 15)
+    payload, nbits = huffman_encode(huffman_symbols, code)
+    out = benchmark(huffman_decode, payload, nbits, code,
+                    huffman_symbols.size)
+    assert (out == huffman_symbols).all()
+
+
+def test_choose_chunk_codec(benchmark):
+    data = np.frombuffer(generate("cfiles", CHAIN_SIZE, seed=1),
+                         dtype=np.uint8)
+
+    def choose_all():
+        return [choose_chunk_codec(data[at:at + 4096])
+                for at in range(0, data.size, 4096)]
+
+    assert len(benchmark(choose_all)) == CHAIN_SIZE // 4096

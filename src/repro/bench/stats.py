@@ -14,7 +14,8 @@ the numbers it publishes mean the same thing everywhere:
 * :func:`paired_verdict` — the one timing judge, over paired B/A
   ratios; :func:`time_paired` draws the pairs in one process.
 * :func:`fingerprint` — the environment the numbers were taken in:
-  cpu count, python/numpy versions, git sha, wall-clock timestamp.
+  cpu count, python/numpy versions, git sha and whether tracked files
+  differ from it, wall-clock timestamp.
   A trajectory entry without its fingerprint is a rumor.
 * :func:`append_run` / :func:`load_trajectory` — append-only
   ``BENCH_<name>.json`` files: ``{"schema": 2, "runs": [...]}`` where
@@ -196,14 +197,14 @@ def time_paired(a, b, bound: float) -> dict:
 
 # ---------------------------------------------------------- fingerprint
 
-def _git_sha(repo_root: Path | None = None) -> str | None:
+def _git(repo_root: Path | None, *args: str) -> str | None:
+    """``git *args``'s stdout in ``repo_root``; None without git or repo."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=repo_root, capture_output=True, text=True, timeout=5)
-        return out.stdout.strip() or None if out.returncode == 0 else None
+        out = subprocess.run(["git", *args], cwd=repo_root,
+                             capture_output=True, text=True, timeout=5)
     except OSError:
         return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def fingerprint(repo_root: Path | None = None) -> dict:
@@ -213,13 +214,16 @@ def fingerprint(repo_root: Path | None = None) -> dict:
         numpy_version = numpy.__version__
     except ImportError:  # pragma: no cover - numpy is a hard dep today
         numpy_version = None
+    sha = _git(repo_root, "rev-parse", "--short", "HEAD")
+    status = _git(repo_root, "status", "--porcelain", "--untracked-files=no")
     return {
         "timestamp": round(wall_time(), 3),
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "numpy": numpy_version,
         "platform": platform.platform(),
-        "git_sha": _git_sha(repo_root),
+        "git_sha": sha or None,
+        "git_dirty": None if status is None else bool(status),
     }
 
 

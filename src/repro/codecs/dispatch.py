@@ -76,9 +76,9 @@ _DENSITY_SAMPLE = 4096
 def match_density(chunk: np.ndarray) -> float:
     """Fraction of sampled 4-grams that duplicate another in the chunk.
 
-    A stride-sampled ``np.unique`` pass over at most ``_DENSITY_SAMPLE``
-    4-grams — the cheap stand-in for "how often would a match search
-    succeed here".
+    One in-place sort of at most ``_DENSITY_SAMPLE`` stride-sampled
+    4-grams, counting the distinct ones at the value changes — the
+    cheap stand-in for "how often would a match search succeed here".
     """
     arr = as_u8(chunk)
     n = arr.size
@@ -91,7 +91,8 @@ def match_density(chunk: np.ndarray) -> float:
              | (arr[pos + 1].astype(np.uint32) << 16)
              | (arr[pos + 2].astype(np.uint32) << 8)
              | arr[pos + 3])
-    return 1.0 - np.unique(grams).size / grams.size
+    grams.sort()
+    return 1.0 - (1 + np.count_nonzero(grams[1:] != grams[:-1])) / grams.size
 
 
 def choose_chunk_codec(chunk: np.ndarray) -> str:

@@ -73,6 +73,31 @@ def test_fingerprint_is_honest():
     assert fp["git_sha"] == (sha or None)
 
 
+def test_fingerprint_names_dirty_trees(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True,
+                       capture_output=True, timeout=10)
+
+    try:
+        git("init", "-q")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git unavailable")
+    (tmp_path / "kept.txt").write_text("one\n")
+    git("add", "kept.txt")
+    git("commit", "-q", "-m", "one")
+    fp = stats.fingerprint(tmp_path)
+    assert fp["git_sha"] and fp["git_dirty"] is False
+    (tmp_path / "untracked.txt").write_text("new\n")
+    assert stats.fingerprint(tmp_path)["git_dirty"] is False
+    (tmp_path / "kept.txt").write_text("two\n")
+    dirty = stats.fingerprint(tmp_path)
+    assert dirty["git_dirty"] is True and dirty["git_sha"] == fp["git_sha"]
+    git("commit", "-q", "-am", "two")
+    clean = stats.fingerprint(tmp_path)
+    assert clean["git_dirty"] is False and clean["git_sha"] != fp["git_sha"]
+
+
 def test_trajectory_append_only_and_bounded(tmp_path):
     path = tmp_path / "BENCH_x.json"
     for i in range(5):

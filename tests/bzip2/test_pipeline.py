@@ -1,10 +1,25 @@
 """The full BZIP2-style pipeline."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bzip2.pipeline import Bzip2Result, compress, decompress
+from repro.datasets import generate
+
+#: (corpus, seed) -> (len, SHA-256) of ``compress(generate(corpus, 48 KiB,
+#: seed), block_size=16 KiB).blob``: three blocks each, so nine Huffman
+#: tables of the paper's BZIP2 baseline (Tables I and II) are frozen.
+BZIP2_GOLDENS = {
+    ("cfiles", 1): (19598, "e160ae2d24a243eb8f67eea2ad3c9d0dcd8e7d1e568ccf6d"
+                           "3ac1268625eaea64"),
+    ("demap", 2): (10977, "180dddc42735c4706f3c96e9965d515c2da4a2d779394eb3"
+                          "dfcb626c4f24fbd2"),
+    ("highly_compressible", 3): (2199, "703381c3f65cad8709a07fbb7c78c49779"
+                                       "913d3d80419da022b27562e608e0ae"),
+}
 
 
 class TestRoundTrip:
@@ -59,6 +74,16 @@ class TestBehaviour:
     def test_rle1_shrinks_runny_blocks(self):
         r = compress(b"a" * 5000 + b"b" * 5000)
         assert r.block_stats[0].rle1_bytes < 250
+
+
+class TestGolden:
+    @pytest.mark.parametrize("corpus,seed", list(BZIP2_GOLDENS))
+    def test_blob_bytes_frozen(self, corpus, seed):
+        data = generate(corpus, 48 << 10, seed=seed)
+        blob = compress(data, block_size=16 << 10).blob
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == \
+            BZIP2_GOLDENS[corpus, seed]
+        assert decompress(blob) == data
 
 
 class TestCorruption:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from repro.codecs.dispatch import (
     encode_chunked_auto,
     match_density,
 )
+from repro.core.api import gpu_compress, gpu_decompress
+from repro.datasets import generate
+from repro.datasets.tunable import generate_tunable
 from repro.errors import CorruptChunkError
 from repro.lzss.decoder import decode_chunked_with_stats
 from repro.lzss.encoder import encode_chunked
@@ -113,6 +118,54 @@ def test_auto_never_meaningfully_worse_than_lzss():
     auto = encode_chunked_auto(data, CUDA_V2, CHUNK, codec="auto")
     lzss = encode_chunked(data, CUDA_V2, CHUNK)
     assert len(auto.payload) <= len(lzss.payload) * 1.01
+
+
+#: ``gpu_compress(codec="auto")`` of 64 KiB seed-1 inputs: the codec id
+#: each 4 KiB chunk was routed to (1 store, 2 lzss, 3 lz4s,
+#: 4 lzss-huffman), and the container's (len, SHA-256).
+AUTO_ROUTES = {
+    "cfiles": ("4444444444444444", 35359,
+        "1e4e9815f28d9be68c5fa30a7aee2d8c"
+        "669be7af328fc9567cb85ae33f0307f7"),
+    "demap": ("4424444244442442", 20418,
+        "baf56ea93ecc16c9c33a148144ef9df6"
+        "e989767261a2deb6dd70dca4556a019a"),
+    "dictionary": ("4444444444444444", 36377,
+        "7c9adc194db9e6ab6ddeae7c6241428a"
+        "aff7d0409594ab717c0a979e85f73057"),
+    "kernel_tarball": ("4444444444442224", 39435,
+        "a48ddfad6511aa8b7df458a7c0eabca1"
+        "ea42c5b62c2bb7132758cef841f119b8"),
+    "highly_compressible": ("2222222222222222", 3752,
+        "de87e0829db4314948e06a7531274d91"
+        "5f94b24b5cb52dc0c4348f6d5003c2a6"),
+    "random": ("1111111111111111", 65712,
+        "ad81a3156bd00066f9561b79beb286f5"
+        "c00cbdf41903c1de02a3d6c71b207ccb"),
+    "tunable": ("2322222121113213", 63963,
+        "ee5fd0afcadb36c2bf02d4b8f39fdde4"
+        "9a5f1cf5c0b0b35496fc166eff1fa988"),
+}
+
+
+def _seed1_input(name: str) -> bytes:
+    size = 64 << 10
+    if name == "random":
+        return np.random.default_rng(1).integers(0, 256, size,
+                                                 dtype=np.uint8).tobytes()
+    if name == "tunable":
+        return generate_tunable(size, 0.05, seed=1)
+    return generate(name, size, seed=1)
+
+
+@pytest.mark.parametrize("name", list(AUTO_ROUTES))
+def test_auto_routes_and_bytes_frozen(name):
+    data = _seed1_input(name)
+    buf = gpu_compress(data, codec="auto")
+    column = "".join(map(str, buf.result.chunk_codecs.tolist()))
+    assert (column, len(buf.data), hashlib.sha256(buf.data).hexdigest()) \
+        == AUTO_ROUTES[name]
+    assert gpu_decompress(buf.data).data == data
 
 
 def test_empty_and_unknown_inputs():
