@@ -40,12 +40,13 @@ V1_CHAIN = dict(window=_V1.token_format.window,
                 chunk_size=_V1.chunk_size, slice_size=_V1.slice_size)
 LZ4S_CHAIN = dict(window=4096, max_match=LZ4S_MAX_MATCH,
                   max_chain=LZ4S_MAX_CHAIN, chunk_size=4096)
-#: The lag matcher as V2 encodes (and models) a gateway frame or a
-#: compress buffer: 4 KiB chunks, with the per-position/warp detail.
+#: The lag matcher as V2 encodes a gateway frame or a compress buffer:
+#: 4 KiB chunks.  The V2 compressor collects the per-position/warp
+#: detail its model reads; the lzss codec, auto and lzss-huffman do not.
 _V2 = CompressionParams(version=2)
 V2_LAG = dict(window=_V2.token_format.window,
               max_match=_V2.token_format.max_match,
-              chunk_size=_V2.chunk_size, collect_per_position=True)
+              chunk_size=_V2.chunk_size)
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +65,16 @@ def test_v2_window_scan(benchmark, cfiles):
     assert res.compare_count > 0
 
 
+@pytest.mark.parametrize("detail", [True, False], ids=["detail", "plain"])
 @pytest.mark.parametrize("size", [16 << 10, CHAIN_SIZE],
                          ids=["gateway_frame", "compress_buffer"])
-def test_v2_lag_chunked(benchmark, size):
+def test_v2_lag_chunked(benchmark, size, detail):
     data = generate("cfiles", size, seed=1)
-    res = benchmark(lag_best_matches, data, **V2_LAG)
-    assert res.warp_compares.size == size // 32
+    res = benchmark(lag_best_matches, data, **V2_LAG,
+                    collect_per_position=detail)
+    assert res.compare_count > 0
+    assert (res.warp_compares is not None
+            and res.warp_compares.size == size // 32) == detail
 
 
 def test_hash_chain_matcher(benchmark, cfiles):

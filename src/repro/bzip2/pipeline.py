@@ -26,7 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bzip2.bwt import adjacent_lcp, bwt_inverse, rotation_order
-from repro.bzip2.huffman import HuffmanCode, huffman_decode, huffman_encode
+from repro.bzip2.huffman import (
+    MAX_CODE_LEN,
+    HuffmanCode,
+    huffman_decode,
+    huffman_encode,
+)
 from repro.bzip2.mtf import mtf_decode, mtf_encode
 from repro.bzip2.rle1 import rle1_decode, rle1_encode
 from repro.bzip2.rle2 import ALPHABET_SIZE, rle2_decode, rle2_encode
@@ -117,6 +122,9 @@ def _decompress_block(view: memoryview) -> tuple[bytes, int]:
     off = _BLOCK_HEADER.size
     lengths = np.frombuffer(view[off:off + ALPHABET_SIZE],
                             dtype=np.uint8).astype(np.int64)
+    # the decode table has 2^(longest length) entries
+    require(int(lengths.max(initial=0)) <= MAX_CODE_LEN,
+            f"corrupt block: code length above {MAX_CODE_LEN}")
     off += ALPHABET_SIZE
     payload = bytes(view[off:off + payload_bytes])
     off += payload_bytes

@@ -22,11 +22,14 @@ a block of consecutive lags per NumPy call:
   ``d0 … d − 1`` of each later row, so a compare that would reach
   before its chunk start counts for nothing and no per-chunk loop is
   needed;
-* **capped run lengths by doubling** — the equal-byte flags of a block
-  become run lengths, exact below ``max_match``, in at most
-  ``⌈log2 max_match⌉`` vector steps on ``uint8`` (a wider type only when
-  ``2·max_match + 1`` does not fit), stopping once no run in the block
-  reaches the next step;
+* **saturating run doubling** — the equal-byte flags of a block become
+  run lengths in at most ``⌈log2 max_match⌉`` steps of two vector passes
+  each.  Flags start at ``sat``, the smallest power of two ``≥
+  max_match``, and step ``s`` is ``r[:-s] = min(r[:-s], r[s:] + s)``;
+  afterwards a cell holds its run where that run is below ``2s`` and
+  ``sat`` elsewhere, which caps to the same length.  The run type is the
+  smallest unsigned one holding ``sat + sat/2 + 1`` (``uint8`` for V2's
+  66), and the steps stop once no cell in the block is ``sat``;
 * **best match on strict improvement** — lag by lag in ascending
   order, ``upd = len > best_len``, ``best_len = max(best_len, len)``
   and ``best_dist = max(best_dist, upd·d)``: a new ``d`` always exceeds
@@ -54,8 +57,8 @@ __all__ = ["LagMatchResult", "lag_best_matches"]
 
 
 WARP_SIZE = 32
-#: Cells (lags × positions) in one block of lags: its six work arrays of
-#: one byte per cell (1.5 MiB) then fit the 2 MiB per-core L2.
+#: Cells (lags × positions) in one block of lags: its five work arrays of
+#: one byte per cell (1.25 MiB) then fit the 2 MiB per-core L2.
 BLOCK_CELLS = 1 << 18
 
 
@@ -82,24 +85,30 @@ class LagMatchResult:
     warp_compares: np.ndarray | None = None
 
 
-def _capped_runs(r: np.ndarray, cap: int, mask: np.ndarray,
-                 tmp: np.ndarray) -> None:
+def _saturated_runs(r: np.ndarray, sat: int, tmp: np.ndarray) -> None:
     """Turn 0/1 equal-byte flags into runs from each index on, in place.
 
-    Doubling step ``s`` adds ``r[k + s]`` wherever ``r[k] == s``, which
-    turns ``min(run, s)`` into ``min(run, 2s)``.  The result is exact
-    where the run is shorter than ``cap`` and at least ``cap``
-    elsewhere; ``r``'s type must hold ``2·cap + 1`` — room for a
-    caller's ``+ 1``.  ``mask`` (bool) and ``tmp`` (``r``'s type) are
-    work arrays of ``r``'s size, so every step writes into preallocated
-    memory and no output overlaps an input (numpy would copy it).
+    The flags are scaled to ``sat`` (a power of two), and doubling step
+    ``s`` takes ``r[k] = min(r[k], r[k + s] + s)``: a run below ``s`` is
+    already exact and ``s + r[k + s] ≥ s`` keeps it, a saturated cell
+    whose successor holds an exact run below ``s`` becomes that exact
+    run ``< 2s``, and two saturated cells stay ``sat``.  Afterwards
+    ``r[k] = min(run, sat)``, except that a shorter run reaching the
+    array's end may read ``sat``: the last ``s`` cells skip step ``s``,
+    and a caller caps such a cell at no more than its run.  ``r``'s type
+    must hold ``sat + sat/2`` (the last step adds ``s = sat/2`` to
+    ``sat``); ``tmp`` is a work array of ``r``'s size and type, so every
+    step writes into preallocated memory and no output overlaps an input
+    (numpy would copy it).  The steps stop once no cell is ``sat``,
+    checked from ``s = 8`` on: a block of lags nearly always holds a run
+    of 8.
     """
+    r *= sat
     s = 1
-    while s < cap and r.max(initial=0) >= s:
-        head, hit, add = r[:-s], mask[:-s], tmp[:-s]
-        np.equal(head, s, out=hit)
-        np.multiply(r[s:], hit.view(np.uint8), out=add)
-        head += add
+    while s < sat and (s < 8 or r.max(initial=0) == sat):
+        add = tmp[:-s]
+        np.add(r[s:], s, out=add)
+        np.minimum(r[:-s], add, out=r[:-s])
         s *= 2
 
 
@@ -136,7 +145,8 @@ def lag_best_matches(
     size = -(-rows * chunk // WARP_SIZE) * WARP_SIZE  # whole warps
     lags = min(window, chunk - 1)
     block = max(1, min(lags, BLOCK_CELLS // max(size, WARP_SIZE)))
-    run_t = np.min_scalar_type(2 * max_match + 1)
+    sat = 1 << (max_match - 1).bit_length()  # run doubling's ceiling
+    run_t = np.min_scalar_type(sat + sat // 2 + 1)
     dist_t = np.min_scalar_type(window)
     acc_t = np.min_scalar_type(window * max_match)
     # rows of compare counts (each ≤ max_match) that sum in run_t
@@ -157,7 +167,6 @@ def lag_best_matches(
 
     runs = np.empty((block, size), dtype=run_t)
     flags = runs.view(bool) if run_t == np.uint8 else runs
-    mask = np.empty((block, size), dtype=bool)
     tmp = np.empty((block, size), dtype=run_t)
     lens = np.empty((block, size), dtype=run_t)
     best_len = np.zeros(size, dtype=run_t)
@@ -179,8 +188,7 @@ def lag_best_matches(
         # one flat pass over the block's rows: a run that crosses into
         # the next row already reached the buffer end, so it is at
         # least its position's cap either way
-        _capped_runs(r.reshape(-1), max_match, mask[:b].reshape(-1),
-                     tmp[:b].reshape(-1))
+        _saturated_runs(r.reshape(-1), sat, tmp[:b].reshape(-1))
         np.minimum(r, len_cap, out=m)
         # compare until first mismatch or cap: min(1 + run, cap)
         r += 1

@@ -38,6 +38,13 @@ Hot-path engineering (the matcher dominates V1 and lz4s encode cost):
   (built once per call, zero-padded past the end); the first differing
   byte is the trailing zero bytes of the XOR.  This is GPULZ's
   multi-byte matching (arXiv:2304.07342) in vector form.
+* **Continuation runs read off their tails** — in the first round,
+  where every near candidate is compared, position ``i`` whose
+  candidate is ``j`` continues ``i − 1`` whose candidate is ``j − 1``.
+  Only the last position of each such run (its tail) is extended; every
+  earlier member reads ``min(L(tail) + (tail − i), cap)``, exactly its
+  own match.  On the paper corpora 40–99% of the first round's
+  candidates continue their neighbour's pair and skip their extension.
 
 This module also hosts :func:`probe_incompressible` — the cheap entropy
 probe the service's ingress uses to route already-compressed or random
@@ -115,6 +122,26 @@ def _match_lengths(words: np.ndarray, i: np.ndarray, j: np.ndarray,
     return np.minimum(length, cap)
 
 
+def _run_tail_lengths(words: np.ndarray, i: np.ndarray, j: np.ndarray,
+                      cap: np.ndarray) -> np.ndarray:
+    """:func:`_match_lengths` of ascending pairs, extending only run tails.
+
+    Pair ``m`` continues pair ``m − 1`` when ``i`` and ``j`` both step
+    by one.  A run of continuations shares one distance, and its
+    members' grams overlap, so the bytes from each member ``i`` through
+    the gram of its run's last pair (the tail) match, and the member's
+    match is ``(tail − i) + L(tail)`` bytes long.  Caps shrink by at
+    most one per position inside a chunk or slice, and no run crosses
+    one (a position with less than 3 bytes of room has no pair), so
+    ``min(L(tail) + (tail − i), cap)`` is exact even where the tail's
+    match stopped at its own cap.
+    """
+    tail = np.flatnonzero((np.diff(i) != 1) | (np.diff(j) != 1))
+    tail = np.append(tail, i.size - 1)
+    end = _match_lengths(words, i[tail], j[tail], cap[tail]) + i[tail]
+    return np.minimum(np.repeat(end, np.diff(tail, prepend=-1)) - i, cap)
+
+
 def hash_chain_best_matches(
     data: bytes | np.ndarray,
     window: int,
@@ -189,11 +216,18 @@ def hash_chain_best_matches(
         dist = i - j
         near = dist <= window
         have = best_len[i]
-        # Bytes 0..2 agree by the gram, so the check passes while have == 0.
-        t = np.flatnonzero(near & (np.take(arr, j + have, mode="clip")
-                                   == arr[i + have]))
+        if k == 1:
+            # Bytes 0..2 agree by the gram, so every near candidate
+            # passes the scan-end check, and runs of continuations
+            # read their lengths off their tails.
+            t = np.flatnonzero(near)
+            extend = _run_tail_lengths
+        else:
+            t = np.flatnonzero(near & (np.take(arr, j + have, mode="clip")
+                                       == arr[i + have]))
+            extend = _match_lengths
         if t.size:
-            length = _match_lengths(words, i[t], j[t], cap[t])
+            length = extend(words, i[t], j[t], cap[t])
             better = length > have[t]
             t = t[better]
             u = i[t]

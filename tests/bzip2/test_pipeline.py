@@ -1,12 +1,19 @@
 """The full BZIP2-style pipeline."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bzip2.pipeline import Bzip2Result, compress, decompress
+from repro.bzip2.pipeline import (
+    _BLOCK_HEADER,
+    _HEADER,
+    Bzip2Result,
+    compress,
+    decompress,
+)
 from repro.datasets import generate
 
 #: (corpus, seed) -> (len, SHA-256) of ``compress(generate(corpus, 48 KiB,
@@ -97,6 +104,22 @@ class TestCorruption:
         blob = compress(text_data[:500]).blob
         with pytest.raises(Exception):
             decompress(blob[: len(blob) // 2])
+
+    @pytest.mark.parametrize("length", [21, 22, 255])
+    def test_code_length_above_cap_rejected_before_the_table(self, length):
+        # the decode table has 2^(longest length) entries: 22 bits made
+        # one 4 KiB block peak at 64.6 MiB before it raised
+        blob = bytearray(compress(generate("cfiles", 4096, seed=1)).blob)
+        table = _HEADER.size + _BLOCK_HEADER.size
+        blob[table + next(k for k in range(258) if blob[table + k])] = length
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="code length above 20"):
+                decompress(bytes(blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_ratio_property(self):
         assert Bzip2Result(blob=b"12345", original_size=0,

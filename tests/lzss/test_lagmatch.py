@@ -106,6 +106,18 @@ class TestAgainstOracle:
     # on its first lane
     @example(bytes(range(32)) * 2, 128, 258, None, True,
              lagmatch.BLOCK_CELLS)
+    # runs past every doubling step (the saturated state), on small
+    # windows; a changed byte ends some of them just below max_match
+    # (2 or 1 short of it, at or above the last step's shift)
+    @example(b"a" * 250, 16, 66, None, True, lagmatch.BLOCK_CELLS)
+    @example(b"a" * 200 + b"b" * 60, 32, 66, None, False, 1000)
+    @example(b"\x07" * 220, 20, 64, 100, False, lagmatch.BLOCK_CELLS)
+    @example(b"ab" * 100 + b"c" + b"ab" * 40, 24, 130, None, True, 1)
+    @example(b"ab" * 100 + b"c" + b"ab" * 40, 16, 130, 100, False, 1000)
+    @example(b"xy" * 100 + b"z" + b"xy" * 30, 16, 18, None, True, 1)
+    @example(b"abc" * 40 + b"x" + b"abc" * 50, 16, 18, 33, True, 1000)
+    @example(b"abc" * 70 + b"x" + b"abc" * 20, 32, 66, 33, False,
+             lagmatch.BLOCK_CELLS)
     def test_every_output_exact(self, data, window, max_match, chunk_size,
                                 detail, block_cells):
         # patched in the body: hypothesis rejects function-scoped fixtures
@@ -128,6 +140,27 @@ class TestAgainstOracle:
         else:
             assert res.per_position_compares is None
             assert res.warp_compares is None
+
+
+class TestSaturatedRuns:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 300), max_size=12), st.booleans(),
+           st.sampled_from([1, 2, 4, 8, 32, 128, 256, 1024]))
+    def test_matches_plain_loop(self, lengths, ones_first, sat):
+        # alternating runs of ones and zeros; the last may reach the end
+        flags = np.concatenate(
+            [np.full(n, (k + ones_first) % 2, dtype=bool)
+             for k, n in enumerate(lengths)] + [np.zeros(0, dtype=bool)])
+        r = flags.astype(np.min_scalar_type(sat + sat // 2 + 1))
+        lagmatch._saturated_runs(r, sat, np.empty_like(r))
+        run = np.zeros(flags.size + 1, dtype=np.int64)
+        for k in range(flags.size - 1, -1, -1):
+            run[k] = run[k + 1] + 1 if flags[k] else 0
+        for k in range(flags.size):
+            want = min(run[k], sat)
+            # a run reaching the end may skip its last steps and read sat
+            to_end = run[k] == flags.size - k
+            assert r[k] == want or (to_end and r[k] == sat), k
 
 
 class TestWarpCompares:

@@ -80,6 +80,10 @@ class TestAgainstReference:
             assert blen[i] == expect
 
 
+#: 21 distinct bytes: a match against an earlier copy runs past max_match.
+_ALPHABET = b"abcdefghijklmnopqrstu"
+
+
 class TestBoundedChain:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 300).flatmap(lambda n: st.one_of(
@@ -94,6 +98,17 @@ class TestBoundedChain:
            st.sampled_from([None, 1, 8, 16, 32]))
     # every position saturates in round 1; the walk ends there
     @example(bytes(200), 4096, 18, 64, 64, 16)
+    # runs of candidates that continue their left neighbour's pair, each
+    # beside members whose matches pass max_match: one run to the input's
+    # end; a run cut off by a nearer candidate ("efg"), whose tail's own
+    # match stops at max_match; runs that end at 32-byte slice ends and
+    # at chunk ends; and a run too far back for the window
+    @example(b"ab" * 60, 4096, 18, 1, None, None)
+    @example(_ALPHABET + b"efg" + _ALPHABET + b"!", 4096, 18, 8, None, None)
+    @example(b"abc" * 40, 4096, 18, 4, 64, 32)
+    @example(b"ab" * 80, 4096, 18, 2, 64, None)
+    @example(b"ab" * 12 + _ALPHABET + bytes(30) + _ALPHABET, 16, 18, 8,
+             None, None)
     def test_matches_plain_loop_oracle(self, data, window, max_match,
                                        max_chain, chunk_size, slice_size):
         assume(not (chunk_size and slice_size and chunk_size % slice_size))
