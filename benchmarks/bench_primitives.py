@@ -28,6 +28,7 @@ from repro.lzss.formats import CUDA_V2, SERIAL
 from repro.lzss.lagmatch import lag_best_matches
 from repro.lzss.matcher import hash_chain_best_matches
 from repro.model.cpu import sample_match_statistics
+from repro.service.pipeline import decode_payload, encode_payload
 from repro.util.bitio import pack_tokens
 
 SIZE = 256 * 1024
@@ -185,3 +186,25 @@ def test_choose_chunk_codec(benchmark):
                 for at in range(0, data.size, 4096)]
 
     assert len(benchmark(choose_all)) == CHAIN_SIZE // 4096
+
+
+# --- the gateway's frame jobs -------------------------------------------
+
+#: The paper's five corpora (Table I), in table order.
+CORPORA = ("cfiles", "demap", "dictionary", "kernel_tarball",
+           "highly_compressible")
+FRAME = 16 << 10
+
+
+def test_gateway_frame_jobs(benchmark):
+    # A 16 KiB frame as the e2e gateway builds one: an equal slice of
+    # every corpus; one encode job (probe, V2 container) and its decode.
+    frame = b"".join(generate(c, FRAME // len(CORPORA), seed=1)
+                     for c in CORPORA)
+
+    def round_trip():
+        flags, payload = encode_payload(frame)
+        assert flags == 0
+        return decode_payload(flags, payload)
+
+    assert benchmark(round_trip) == frame

@@ -13,12 +13,15 @@ the :mod:`repro.gpusim` device model:
   by both versions (§III.C);
 * :mod:`repro.core.api` — the in-memory ``gpu_compress`` /
   ``gpu_decompress`` interface of Figure 2, with the version-selection
-  compression parameter.
+  compression parameter, and its profile-free functional half
+  ``compress_container`` / ``decompress_container``.
 """
 
 from repro.core.api import (
     CompressedBuffer,
     DecompressResult,
+    compress_container,
+    decompress_container,
     gpu_compress,
     gpu_decompress,
 )
@@ -43,6 +46,8 @@ __all__ = [
     "StreamingPipeline",
     "V1Compressor",
     "V2Compressor",
+    "compress_container",
+    "decompress_container",
     "fixup_matches_reference",
     "get_library",
     "gpu_compress",

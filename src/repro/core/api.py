@@ -12,6 +12,14 @@ The returned buffer is a self-describing container (header + chunk
 table + payload), so ``gpu_decompress`` needs nothing but the blob —
 the shape a network gateway pair needs ("the data looks the same going
 in as coming out", §III).
+
+Beside the Figure 2 pair sits its functional half:
+``compress_container`` and ``decompress_container`` return the same
+container and the same bytes as ``gpu_compress(...).data`` and a strict
+``gpu_decompress(...).data``.  Only the ``gpu_*`` pair builds modeled
+GTX-480 profiles; the functional pair collects no model detail and
+runs no cost model, which is what a caller that only moves bytes (the
+gateway's frame jobs) wants.
 """
 
 from __future__ import annotations
@@ -31,14 +39,21 @@ from repro.core.v2 import V2Compressor
 from repro.engine import get_engine
 from repro.gpusim.profiler import GpuProfile
 from repro.lzss.decoder import SalvageReport, decode_chunked_with_stats
-from repro.lzss.encoder import EncodeResult
+from repro.lzss.encoder import EncodeResult, encode_chunked
 from repro.lzss.formats import CUDA_V1, CUDA_V2
 from repro.model.calibration import Calibration, default_calibration
 from repro.model.cpu import sample_match_statistics
 from repro.util.buffers import as_bytes
 from repro.util.validation import require
 
-__all__ = ["CompressedBuffer", "DecompressResult", "gpu_compress", "gpu_decompress"]
+__all__ = [
+    "CompressedBuffer",
+    "DecompressResult",
+    "compress_container",
+    "decompress_container",
+    "gpu_compress",
+    "gpu_decompress",
+]
 
 
 @dataclass
@@ -95,9 +110,9 @@ def _engine_for(workers):
     return get_engine(max(workers or 1, 1))
 
 
-def _compressor_for(params: CompressionParams, engine=None):
-    return (V1Compressor(params, engine=engine) if params.version == 1
-            else V2Compressor(params, engine=engine))
+def _compressor_for(params: CompressionParams):
+    return (V1Compressor(params) if params.version == 1
+            else V2Compressor(params))
 
 
 def _model_profile(compressor, result: EncodeResult, data,
@@ -113,6 +128,43 @@ def _model_profile(compressor, result: EncodeResult, data,
             return compressor.profile(result, cal,
                                       sample_match_statistics(data))
         return compressor.profile(result, cal)
+
+
+def _encode(buffer, params: CompressionParams | None, workers: int | None,
+            codec: str, *, detail: bool):
+    """The one encode behind :func:`gpu_compress` and
+    :func:`compress_container`: ``(data, compressor, result)``.
+
+    Validates ``params`` and ``codec``, picks the engine and encodes
+    under the ``api.compress`` stage.  ``detail`` collects what only the
+    cost model reads, V2's per-warp compare maxima and the token starts
+    (what ``V1/V2Compressor.compress`` always do); it changes no output
+    byte and no compare count.  ``compressor`` is the V1/V2 model of an
+    lzss encode and ``None`` for the codec paths, which no model covers.
+    """
+    params = params or get_library().default_params()
+    require(params.is_standard_format,
+            "containers require the standard 128-byte window; "
+            "use V1Compressor/V2Compressor directly for tuning sweeps")
+    data = as_bytes(buffer)
+    engine = _engine_for(workers)
+    if codec != "lzss":
+        require(codec == "auto" or codec in codec_names(),
+                f"unknown codec {codec!r} (registered: "
+                f"{', '.join(codec_names())}, plus 'auto')")
+        with obs.stage("api.compress", size=len(data),
+                       version=params.version, codec=codec):
+            result = engine.encode(encode_chunked_auto, data,
+                                   params.token_format, params.chunk_size,
+                                   codec=codec)
+        return data, None, result
+    compressor = _compressor_for(params)
+    slices = {"slice_size": params.slice_size} if params.version == 1 else {}
+    with obs.stage("api.compress", size=len(data), version=params.version):
+        result = engine.encode(encode_chunked, data, params.token_format,
+                               params.chunk_size, collect_detail=detail,
+                               **slices)
+    return data, compressor, result
 
 
 def gpu_compress(buffer, params: CompressionParams | None = None, *,
@@ -137,34 +189,67 @@ def gpu_compress(buffer, params: CompressionParams | None = None, *,
     stores a chunk raw when the incompressibility probe finds it
     near-random: at least 7.9 bits/byte of byte entropy
     (:data:`repro.lzss.matcher.PROBE_BYTE_ENTROPY_BITS`).
+
+    The container is :func:`compress_container`'s; this call also
+    builds its modeled profile.
     """
-    params = params or get_library().default_params()
-    require(params.is_standard_format,
-            "containers require the standard 128-byte window; "
-            "use V1Compressor/V2Compressor directly for tuning sweeps")
-    data = as_bytes(buffer)
-    if codec != "lzss":
-        require(codec == "auto" or codec in codec_names(),
-                f"unknown codec {codec!r} (registered: "
-                f"{', '.join(codec_names())}, plus 'auto')")
-        with obs.stage("api.compress", size=len(data),
-                       version=params.version, codec=codec):
-            result = _engine_for(workers).encode(
-                encode_chunked_auto, data, params.token_format,
-                params.chunk_size, codec=codec)
+    data, compressor, result = _encode(buffer, params, workers, codec,
+                                       detail=True)
+    if compressor is None or result.input_size == 0:
         # Mixed-codec pipelines are outside the paper's single-kernel
-        # cost model; the profile is deliberately empty.
-        return CompressedBuffer(data=pack_container(result), result=result,
-                                profile=GpuProfile())
-    compressor = _compressor_for(params, _engine_for(workers))
-    with obs.stage("api.compress", size=len(data), version=params.version):
-        result = compressor.compress(data)
-    if result.input_size == 0:
-        return CompressedBuffer(data=pack_container(result), result=result,
-                                profile=GpuProfile())
-    profile = _model_profile(compressor, result, data, default_calibration())
+        # cost model, and an empty input has nothing to model; the
+        # profile is deliberately empty.
+        profile = GpuProfile()
+    else:
+        profile = _model_profile(compressor, result, data,
+                                 default_calibration())
     return CompressedBuffer(data=pack_container(result), result=result,
                             profile=profile)
+
+
+def compress_container(buffer, params: CompressionParams | None = None, *,
+                       workers: int | None = None,
+                       codec: str = "lzss") -> bytes:
+    """The container :func:`gpu_compress` returns, without its profile.
+
+    Same arguments, same bytes (``gpu_compress(...).data``), but the
+    encode collects none of the detail the cost model reads and no
+    model runs: the call for a caller that ships bytes and never reads
+    modeled time, such as the gateway's frame jobs.
+    """
+    return pack_container(_encode(buffer, params, workers, codec,
+                                  detail=False)[2])
+
+
+def _decode(blob, workers: int | None, errors: str, fill_byte: int):
+    """The one decode behind :func:`gpu_decompress` and
+    :func:`decompress_container`: ``(info, data, tokens, report)``.
+
+    ``info`` is the unpacked container, ``tokens`` the per-chunk token
+    counts the decode model reads, ``report`` the salvage report
+    (``None`` for strict decodes).  The container reader and the
+    decoder are looked up in this module per call, so a wrapper
+    installed on ``repro.core.api.unpack_container`` or
+    ``decode_chunked_with_stats`` sees every decode.
+    """
+    require(errors in ("strict", "salvage"),
+            f"errors must be 'strict' or 'salvage', not {errors!r}")
+    info = unpack_container(as_bytes(blob), strict=errors == "strict")
+    require(info.is_chunked, "CULZSS containers are always chunked")
+    with obs.stage("api.decompress", size=info.original_size, errors=errors):
+        # Strict unpack has already verified the per-chunk CRCs.
+        out, per_chunk_tokens, report = decode_chunked_with_stats(
+            info.payload, info.format, info.chunk_sizes, info.chunk_size,
+            info.original_size, chunk_codecs=info.chunk_codecs,
+            chunk_crcs=info.chunk_crcs if errors == "salvage" else None,
+            errors=errors, fill_byte=fill_byte,
+            engine=_engine_for(workers))
+        if report is not None:
+            obslog.event("container", "salvage",
+                         recovered=len(report.recovered),
+                         lost=len(report.lost),
+                         n_chunks=report.n_chunks)
+    return info, out, per_chunk_tokens, report
 
 
 def gpu_decompress(blob, *, workers: int | None = None,
@@ -187,26 +272,8 @@ def gpu_decompress(blob, *, workers: int | None = None,
     Salvage still needs an intact header and chunk table; damage there
     raises regardless.
     """
-    require(errors in ("strict", "salvage"),
-            f"errors must be 'strict' or 'salvage', not {errors!r}")
-    info = unpack_container(as_bytes(blob), strict=errors == "strict")
-    require(info.is_chunked, "CULZSS containers are always chunked")
-    with obs.stage("api.decompress", size=info.original_size, errors=errors):
-        # Strict unpack has already verified the per-chunk CRCs.  The
-        # decoder is looked up in this module per call, so a wrapper
-        # installed on ``repro.core.api.decode_chunked_with_stats``
-        # sees every decode.
-        out, per_chunk_tokens, report = decode_chunked_with_stats(
-            info.payload, info.format, info.chunk_sizes, info.chunk_size,
-            info.original_size, chunk_codecs=info.chunk_codecs,
-            chunk_crcs=info.chunk_crcs if errors == "salvage" else None,
-            errors=errors, fill_byte=fill_byte,
-            engine=_engine_for(workers))
-        if report is not None:
-            obslog.event("container", "salvage",
-                         recovered=len(report.recovered),
-                         lost=len(report.lost),
-                         n_chunks=report.n_chunks)
+    info, out, per_chunk_tokens, report = _decode(blob, workers, errors,
+                                                  fill_byte)
     if (info.original_size == 0 or info.chunk_codecs is not None
             or info.format not in (CUDA_V1, CUDA_V2)):
         # Only CULZSS-format lzss containers fit the GPU cost model;
@@ -225,3 +292,9 @@ def gpu_decompress(blob, *, workers: int | None = None,
             per_chunk_tokens, len(info.payload), info.original_size,
             info.chunk_sizes, default_calibration())
     return DecompressResult(data=out, profile=profile, salvage=report)
+
+
+def decompress_container(blob, *, workers: int | None = None) -> bytes:
+    """The bytes a strict :func:`gpu_decompress` returns, without its
+    profile: same checks, same errors, no decode model."""
+    return _decode(blob, workers, "strict", 0)[1]

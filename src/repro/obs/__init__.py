@@ -29,6 +29,7 @@ rather than duplicates.
 from __future__ import annotations
 
 import os
+from time import perf_counter
 
 from repro.obs import export, log, prof, slo, trace
 from repro.obs.export import (
@@ -225,14 +226,12 @@ class stage:
 
     def __enter__(self):
         if self._span is not None:
-            from time import perf_counter
             self._span.__enter__()
             self._t0 = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if self._span is not None:
-            from time import perf_counter
             _registry.observe(f"{self._name}_seconds",
                               perf_counter() - self._t0)
             if self._bytes is not None and exc_type is None:

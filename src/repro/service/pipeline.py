@@ -71,10 +71,12 @@ def encode_payload(data: bytes, version: int = 2, *,
     nested under it — engine shards, encoder stages) to an existing
     :mod:`repro.obs` trace, e.g. the id the ingress stamped on the
     frame header.  ``codec`` selects the container codec per
-    :func:`repro.core.gpu_compress` (``"auto"`` engages the per-chunk
-    dispatcher and a v3 container).
+    :func:`repro.core.compress_container` (``"auto"`` engages the
+    per-chunk dispatcher and a v3 container), which builds the same
+    container as :func:`repro.core.gpu_compress` without its modeled
+    profile: a frame job ships bytes, never modeled time.
     """
-    from repro.core import CompressionParams, gpu_compress
+    from repro.core import CompressionParams, compress_container
     from repro.lzss.matcher import probe_incompressible
 
     data = bytes(data)
@@ -84,8 +86,9 @@ def encode_payload(data: bytes, version: int = 2, *,
             obslog.event("codec", "store_fallback", scope="frame",
                          reason="probe", size=len(data), trace_id=trace_id)
             return FLAG_RAW, data
-        container = gpu_compress(data, CompressionParams(version=version),
-                                 workers=workers, codec=codec).data
+        container = compress_container(data,
+                                       CompressionParams(version=version),
+                                       workers=workers, codec=codec)
         if len(container) >= len(data):
             obslog.event("codec", "store_fallback", scope="frame",
                          reason="expanded", size=len(data),
@@ -96,14 +99,15 @@ def encode_payload(data: bytes, version: int = 2, *,
 
 def decode_payload(flags: int, payload: bytes, *,
                    workers: int | None = None, trace_id: int = 0) -> bytes:
-    """Invert :func:`encode_payload` for one frame payload."""
+    """Invert :func:`encode_payload` for one frame payload (a strict
+    :func:`repro.core.decompress_container`; no decode model runs)."""
     with trace.span("gateway.frame", trace_id=trace_id or None,
                     op="decode", size=len(payload)):
         if flags & FLAG_RAW:
             return payload
-        from repro.core import gpu_decompress
+        from repro.core import decompress_container
 
-        return gpu_decompress(payload, workers=workers).data
+        return decompress_container(payload, workers=workers)
 
 
 def _with_delta(job: Callable[[], object]) -> tuple[object, dict | None]:

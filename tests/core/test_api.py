@@ -1,15 +1,23 @@
-"""The in-memory gpu_compress/gpu_decompress API (Figure 2)."""
+"""The in-memory gpu_compress/gpu_decompress API (Figure 2) and its
+profile-free functional half."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import api
-from repro.core.api import gpu_compress, gpu_decompress
+from repro.container import unpack_container
+from repro.core import GpuDecompressor, V1Compressor, V2Compressor, api
+from repro.core.api import (
+    compress_container,
+    decompress_container,
+    gpu_compress,
+    gpu_decompress,
+)
 from repro.core.params import CompressionParams
-from repro.datasets import generate
+from repro.datasets import REGISTRY, generate
 from repro.engine import ParallelEngine, get_engine
+from repro.errors import CorruptChunkError, TruncatedContainerError
 
 
 class TestRoundTrip:
@@ -121,3 +129,68 @@ class TestOneShardRunner:
         assert gpu_decompress(blob).data == data
         assert calls == [("encode", 1), ("map", 1)]
         assert get_engine(1)._pool is None
+
+
+class TestFunctionalPair:
+    """``compress_container``/``decompress_container`` hand back exactly
+    ``gpu_compress(...).data`` and a strict ``gpu_decompress(...).data``,
+    and fail exactly as strict ``gpu_decompress`` does."""
+
+    @staticmethod
+    def _inputs():
+        sizes = dict(zip(sorted(REGISTRY), (4096, 6144, 9216, 12288, 16384)))
+        rng = np.random.default_rng(33)
+        return ([generate(kind, size, seed=3) for kind, size in sizes.items()]
+                + [rng.integers(0, 256, 8192, dtype=np.uint8).tobytes(),
+                   b"", b"x"])
+
+    @pytest.mark.parametrize("codec", ["lzss", "auto"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_same_container_and_bytes(self, version, codec):
+        params = CompressionParams(version=version)
+        for data in self._inputs():
+            blob = gpu_compress(data, params, codec=codec).data
+            assert compress_container(data, params, codec=codec) == blob
+            assert decompress_container(blob) == data
+            assert gpu_decompress(blob).data == data
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_two_workers(self, version):
+        data = generate("cfiles", 256 << 10, seed=5)
+        params = CompressionParams(version=version)
+        blob = gpu_compress(data, params, workers=2).data
+        assert compress_container(data, params, workers=2) == blob
+        assert decompress_container(blob, workers=2) == data
+
+    @staticmethod
+    def _failure(decode, blob):
+        with pytest.raises(ValueError) as info:
+            decode(blob)
+        exc = info.value
+        return type(exc), str(exc), getattr(exc, "chunk_index", None)
+
+    @pytest.mark.parametrize("codec", ["lzss", "auto"])
+    def test_damage_raises_what_strict_gpu_decompress_raises(self, codec):
+        blob = compress_container(generate("cfiles", 16384, seed=3),
+                                  codec=codec)
+        base = unpack_container(blob).payload_offset
+        mid = base + (len(blob) - base) // 2
+        flipped = blob[:mid] + bytes([blob[mid] ^ 0xFF]) + blob[mid + 1:]
+        for damaged, kind in ((flipped, CorruptChunkError),
+                              (blob[:mid], TruncatedContainerError)):
+            failure = self._failure(decompress_container, damaged)
+            assert failure == self._failure(gpu_decompress, damaged)
+            assert failure[0] is kind
+
+    def test_no_profile_work(self, monkeypatch):
+        """The functional pair never reaches a cost model."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("cost model ran")
+
+        for owner in (V1Compressor, V2Compressor, GpuDecompressor):
+            monkeypatch.setattr(owner, "profile", refuse)
+        monkeypatch.setattr(api, "sample_match_statistics", refuse)
+        for version in (1, 2):
+            params = CompressionParams(version=version)
+            data = generate("dictionary", 8192, seed=3)
+            assert decompress_container(compress_container(data, params)) == data

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,6 +58,45 @@ def test_incompressible_goes_raw_compressible_does_not():
     flags, payload = encode_payload(generate("highly_compressible", 4096))
     assert not flags & FLAG_RAW
     assert len(payload) < 4096
+
+
+def test_frame_jobs_ship_bytes_without_the_cost_model():
+    """A frame job collects no per-warp compare detail and runs no cost
+    model, while the lag matcher's compare counter still counts it."""
+    from repro import obs
+    from repro.core import gpu_compress
+    from repro.lzss import encoder
+
+    data = b"".join(generate(kind, 3276, seed=2) for kind in sorted(REGISTRY))
+    was_enabled = obs.enabled()
+    obs.enable()
+
+    def model_runs_and_compares():
+        reg = obs.get_registry()
+        return (reg.snapshot()["histograms"]["model_seconds"]["count"],
+                reg.count("matcher.lag_compares"))
+
+    try:
+        runs0, compares0 = model_runs_and_compares()
+        with mock.patch.object(encoder, "lag_best_matches",
+                               wraps=encoder.lag_best_matches) as spy:
+            flags, payload = encode_payload(data, 2)
+            assert not flags & FLAG_RAW
+            assert decode_payload(flags, payload) == data
+        runs1, compares1 = model_runs_and_compares()
+        gpu_compress(data)
+        runs2, compares2 = model_runs_and_compares()
+    finally:
+        if not was_enabled:
+            obs.disable()
+    assert spy.call_count > 0
+    assert all(call.kwargs["collect_per_position"] is False
+               for call in spy.call_args_list)
+    assert runs1 == runs0
+    assert compares1 > compares0
+    # gpu_compress, which still models, counts the same compares.
+    assert runs2 == runs1 + 1
+    assert compares2 - compares1 == compares1 - compares0
 
 
 # ---------------------------------------------------------------- ingress
